@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import glob
 import hashlib
 import logging
 import os
@@ -84,7 +85,7 @@ class ExperimentConfig:
     max_users: int | None = None
     max_items: int | None = None
     min_ratings: int = 1
-    workers: int = 0  # 0 = one worker per core
+    workers: int = 0  # 0 = one worker per available CPU
     out: str = "coldrec_runs"
     dump_base: bool = False
 
@@ -213,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-users", dest="max_users", type=int, help="subsample cap on users")
     parser.add_argument("--max-items", dest="max_items", type=int, help="subsample cap on items")
     parser.add_argument("--min-ratings", dest="min_ratings", type=int, help="drop users below this rating count")
-    parser.add_argument("--workers", type=int, help="parallel cells (0 = all cores, 1 = inline)")
+    parser.add_argument("--workers", type=int, help="parallel cells (0 = one per available CPU, 1 = inline)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--dump-base", dest="dump_base", action="store_true", default=None,
                         help="also dump each cell's filled base matrix as CSV")
@@ -380,8 +381,30 @@ def _init_worker(ds: RatingDataset) -> None:
 
 
 def _cell_task(args):
+    """Run one cell; returns (result, None), or (None, traceback text) when
+    it fails, so a pool worker's error reaches the manifest exactly once."""
     cfg, policy_id, impute_id, seed, out_dir = args
-    return run_cell(_WORKER_DATASET, cfg, policy_id, impute_id, seed, out_dir)
+    try:
+        return run_cell(_WORKER_DATASET, cfg, policy_id, impute_id, seed, out_dir), None
+    except Exception:
+        return None, traceback.format_exc()
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (containers and taskset narrow it), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _remove_stale_outputs(out_dir: str) -> None:
+    """Delete the per-cell files (see run_cell) and the failure manifest that
+    an earlier run into the same directory left; they describe that run."""
+    for pattern in ("trace__*.csv", "base__*.csv", "failures.txt"):
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
 
 
 def _load_dataset(cfg: ExperimentConfig) -> RatingDataset:
@@ -396,17 +419,15 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     """Run the whole (policy × imputation) × seeds grid.
 
     Writes one trace CSV per cell, summary.csv, the resolved config, and a
-    failure manifest (failures.txt) when cells fail; a stale manifest from an
-    earlier run into the same directory is removed first.  Returns the
+    failure manifest (failures.txt) when cells fail.  Trace and base-dump
+    files and a manifest left by an earlier run into the same directory are
+    removed first, so the directory describes this run only.  Returns the
     process exit code: 0 iff every cell completed.
     """
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
+    _remove_stale_outputs(cfg.out)
     failures_path = os.path.join(cfg.out, "failures.txt")
-    # A manifest left by an earlier run into the same directory describes
-    # that run, not this one.
-    if os.path.exists(failures_path):
-        os.remove(failures_path)
     with open(os.path.join(cfg.out, "resolved_config.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(_config_lines(cfg)) + "\n")
 
@@ -419,8 +440,13 @@ def run_matrix(cfg: ExperimentConfig) -> int:
 
     results: dict[tuple[str, str, int], CellResult] = {}
     failures: list[str] = []
-    workers = cfg.workers if cfg.workers != 0 else (os.cpu_count() or 1)
-    def record(res: CellResult) -> None:
+    workers = cfg.workers if cfg.workers != 0 else _available_cpus()
+
+    def record(task, outcome) -> None:
+        res, error = outcome
+        if res is None:
+            failures.append(f"policy={task[1]};impute={task[2]};seed={task[3]}:\n{error}")
+            return
         results[(res.policy, res.impute, res.seed)] = res
         logger.info(
             "cell policy=%s params=%s seed=%d: final regret %.4f over %d steps, %.3fs",
@@ -433,25 +459,20 @@ def run_matrix(cfg: ExperimentConfig) -> int:
         )
 
     if workers == 1:
+        _init_worker(ds)
         for task in tasks:
-            _init_worker(ds)
-            try:
-                record(_cell_task(task))
-            except Exception:
-                failures.append(f"policy={task[1]};impute={task[2]};seed={task[3]}:\n{traceback.format_exc()}")
+            record(task, _cell_task(task))
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ds,)
         ) as pool:
             futures = {pool.submit(_cell_task, task): task for task in tasks}
             for fut in concurrent.futures.as_completed(futures):
-                task = futures[fut]
                 try:
-                    record(fut.result())
-                except Exception:
-                    failures.append(
-                        f"policy={task[1]};impute={task[2]};seed={task[3]}:\n{traceback.format_exc()}"
-                    )
+                    outcome = fut.result()
+                except Exception:  # the pool itself failed, e.g. a worker died
+                    outcome = None, traceback.format_exc()
+                record(futures[fut], outcome)
 
     rows = []
     for policy_id, impute_id in grid:

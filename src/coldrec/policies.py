@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dger
 
 from .data import RatingDataset
 from .impute import BaseMatrix
@@ -275,9 +275,15 @@ class Exp3Policy(Policy):
 class ThompsonPolicy(Policy):
     """Posterior sampling on a shared Bayesian linear reward model.
 
-    Keeps one design matrix A = I + Σ x xᵀ and accumulator b = Σ r·x over
-    all arms; each select draws θ̃ ~ N(A⁻¹b, v²A⁻¹) and plays the available
-    arm maximizing θ̃ᵀx_j.  v = 0 degenerates to the posterior-mean greedy.
+    The model has design A = I + Σ x xᵀ and accumulator b = Σ r·x over all
+    arms; each select draws θ̃ ~ N(A⁻¹b, v²A⁻¹) and plays the available arm
+    maximizing θ̃ᵀx_j (Agrawal & Goyal, ICML 2013).  v = 0 degenerates to the
+    posterior-mean greedy.
+
+    A itself is never stored.  ``A_inv`` is kept current by the
+    Sherman–Morrison rank-one downdate, and since A = I + X diag(counts) Xᵀ
+    an exact draw needs only A⁻¹ and the per-arm play counts (see
+    :meth:`sample_theta`), so every step is O(k² + k·n) with no factorization.
     """
 
     def __init__(self, X, v: float = DEFAULT_V, seed=None):
@@ -289,32 +295,39 @@ class ThompsonPolicy(Policy):
         self.v = v
         self.rng = np.random.default_rng(seed)
         k = base.k
-        self.A = np.eye(k)
+        # Fortran order lets dger downdate it in place
+        self.A_inv = np.eye(k, order="F")
         self.b = np.zeros(k)
-        self._chol = None
+        self.counts = np.zeros(self.n_arms, dtype=np.int64)
 
-    def _factor(self):
-        if self._chol is None:
-            self._chol = np.linalg.cholesky(self.A)
-        return self._chol
+    def sample_theta(self) -> np.ndarray:
+        """One draw θ̃ = A⁻¹(b + v·(z₀ + X(√counts ∘ ε))), z₀ ~ N(0, I_k),
+        ε ~ N(0, I_n).
+
+        The bracketed noise has covariance I + X diag(counts) Xᵀ = A, so θ̃
+        has mean A⁻¹b and covariance v²A⁻¹AA⁻¹ = v²A⁻¹ exactly.
+        """
+        if self.v == 0:
+            return self.A_inv @ self.b
+        k = len(self.b)
+        eps = self.rng.standard_normal(k + self.n_arms)
+        noise = eps[:k]
+        noise += self.X @ (np.sqrt(self.counts) * eps[k:])
+        noise *= self.v
+        noise += self.b
+        return self.A_inv @ noise
 
     def select(self, available, t):
-        if len(available) == 0:
-            raise ValueError("available arm set is empty")
-        L = self._factor()
-        theta = cho_solve((L, True), self.b)
-        if self.v > 0:
-            z = self.rng.standard_normal(len(self.b))
-            theta = theta + self.v * solve_triangular(L.T, z, lower=False)
-        scores = theta @ self.X[:, available]
-        return int(available[np.argmax(scores)])
+        return argmax_lowest(self.sample_theta() @ self.X, available)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
         x = self.X[:, arm]
-        self.A += np.outer(x, x)
+        u = self.A_inv @ x
+        # A⁻¹ ← A⁻¹ − u uᵀ / (1 + xᵀu), in place
+        self.A_inv = dger(-1.0 / (1.0 + x @ u), u, u, a=self.A_inv, overwrite_a=True)
         self.b += reward * x
-        self._chol = None
+        self.counts[arm] += 1
 
 
 class LinUcbPolicy(Policy):

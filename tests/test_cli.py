@@ -188,6 +188,33 @@ class TestRunMatrix:
         assert run_matrix(cfg) == 0
         assert not os.path.exists(os.path.join(out, "failures.txt"))
 
+    def test_parallel_failure_manifest_lists_each_error_once(self, corpus, tmp_path):
+        out = str(tmp_path / "m4p")
+        cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1", "--workers", "2"]))
+        assert run_matrix(dataclasses.replace(cfg, base_k=75)) == 1
+        manifest = open(os.path.join(out, "failures.txt")).read()
+        entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
+        assert sorted(e.partition(":")[0] for e in entries) == [
+            "policy=random;impute=zero;seed=0", "policy=random;impute=zero;seed=1",
+        ]
+        for entry in entries:
+            assert entry.count("ValueError: base size k must be in [1, n_users)") == 1, entry
+
+    def test_failing_rerun_leaves_no_stale_cell_files(self, corpus, tmp_path):
+        out = str(tmp_path / "stale")
+        cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1", "--dump-base"]))
+        assert run_matrix(cfg) == 0
+        cell_files = [f for f in os.listdir(out) if f.startswith(("trace__", "base__"))]
+        assert len(cell_files) == 4  # a trace and a base dump per seed
+        for name in ("notes.txt", "trace__notes.txt"):  # not per-cell outputs
+            open(os.path.join(out, name), "w").close()
+        # every cell of the rerun fails, so none of the earlier run's traces
+        # may remain next to its empty summary
+        assert run_matrix(dataclasses.replace(cfg, base_k=75)) == 1
+        assert read_summary(os.path.join(out, "summary.csv")) == []
+        assert sorted(f for f in os.listdir(out) if f.startswith(("trace__", "base__"))) == ["trace__notes.txt"]
+        assert os.path.exists(os.path.join(out, "notes.txt"))
+
     def test_partial_failure_keeps_results(self, corpus, tmp_path, monkeypatch):
         out = str(tmp_path / "m5")
         real_run_cell = cli.run_cell
@@ -236,6 +263,20 @@ class TestRunMatrix:
              "--base-k", "10", "--t", "60", "--out", out]
         )
         assert run_matrix(cfg) == 0
+
+
+class TestAvailableCpus:
+    def test_affinity_mask_wins_over_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._available_cpus() == 3
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cli._available_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._available_cpus() == 1
 
 
 class TestConsoleEntry:

@@ -224,6 +224,17 @@ class TestLinUcbScoring:
             assert abs(dense.score(j) - closed.score(j)) < 1e-10
 
 
+def dense_thompson_posterior(X, counts, b):
+    """Oracle: the design A = I + X diag(counts) Xᵀ built densely, with the
+    posterior mean solved by LAPACK.  Returns (A, A⁻¹b)."""
+    A = np.eye(X.shape[0]) + (X * counts) @ X.T
+    return A, np.linalg.solve(A, b)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 class TestThompson:
     def test_v_zero_fresh_ties_to_lowest(self):
         pol = ThompsonPolicy(random_base(), v=0.0, seed=0)
@@ -234,28 +245,60 @@ class TestThompson:
         pol = ThompsonPolicy(base, v=0.0, seed=0)
         pol.update(2, 1.0)
         pol.update(2, 1.0)
-        theta = np.linalg.solve(pol.A, pol.b)
+        _, theta = dense_thompson_posterior(base.X, pol.counts, pol.b)
         expected = argmax_lowest(theta @ base.X, np.arange(6))
         assert pol.select(np.arange(6), 3) == expected
 
-    def test_posterior_sample_mean_matches(self):
-        """Monte Carlo: ×10000 draws of θ̃ average to A⁻¹b within 3σ/√N."""
+    def test_sherman_morrison_inverse_matches_dense(self):
+        """2500 rank-one downdates at k = n = 50 stay within 1e-8 of the
+        dense inverse, and are applied in place."""
+        base = random_base(k=50, n=50, seed=28)
+        pol = ThompsonPolicy(base, v=0.1, seed=29)
+        A_inv = pol.A_inv
+        rng = np.random.default_rng(30)
+        for _ in range(2500):
+            pol.update(int(rng.integers(50)), float(rng.uniform()))
+        assert pol.counts.sum() == 2500
+        assert pol.A_inv is A_inv  # downdated in place, never reallocated
+        A, mean = dense_thompson_posterior(base.X, pol.counts, pol.b)
+        assert rel_err(pol.A_inv, np.linalg.inv(A)) < 1e-8
+        assert rel_err(pol.A_inv @ pol.b, mean) < 1e-8
+
+    def test_v_zero_matches_dense_solve_argmax(self):
+        """200 select/update steps over random arm subsets pick the
+        arms the dense posterior-mean argmax picks."""
+        base = random_base(k=12, n=30, seed=31)
+        pol = ThompsonPolicy(base, v=0.0, seed=32)
+        counts = np.zeros(30)
+        b = np.zeros(12)
+        rng = np.random.default_rng(33)
+        for t in range(1, 201):
+            available = np.sort(rng.choice(30, size=int(rng.integers(1, 31)), replace=False))
+            _, theta = dense_thompson_posterior(base.X, counts, b)
+            arm = pol.select(available, t)
+            assert arm == argmax_lowest(theta @ base.X, available), t
+            reward = float(rng.uniform())
+            pol.update(arm, reward)
+            counts[arm] += 1
+            b += reward * base.X[:, arm]
+
+    def test_posterior_sample_moments_match(self):
+        """Monte Carlo through the policy's own draw: 20000 θ̃ have mean
+        A⁻¹b and covariance v²A⁻¹ within 4 standard errors per entry."""
         base = random_base(k=3, n=5, seed=19)
-        pol = ThompsonPolicy(base, v=0.5, seed=20)
+        v, n_draws = 0.5, 20_000
+        pol = ThompsonPolicy(base, v=v, seed=20)
         rng = np.random.default_rng(21)
         for _ in range(25):
             pol.update(int(rng.integers(5)), float(rng.uniform()))
-        L = np.linalg.cholesky(pol.A)
-        mean = np.linalg.solve(pol.A, pol.b)
-        cov = 0.25 * np.linalg.inv(pol.A)
-        draws = np.empty((10_000, 3))
-        from scipy.linalg import solve_triangular
-
-        for i in range(10_000):
-            z = pol.rng.standard_normal(3)
-            draws[i] = mean + 0.5 * solve_triangular(L.T, z, lower=False)
-        tol = 3 * np.sqrt(np.diag(cov)) / 100.0
-        assert np.all(np.abs(draws.mean(axis=0) - mean) < tol)
+        A, mean = dense_thompson_posterior(base.X, pol.counts, pol.b)
+        cov = v * v * np.linalg.inv(A)
+        draws = np.array([pol.sample_theta() for _ in range(n_draws)])
+        mean_se = np.sqrt(np.diag(cov) / n_draws)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * mean_se)
+        var = np.diag(cov)
+        cov_se = np.sqrt((np.outer(var, var) + cov**2) / n_draws)
+        assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4 * cov_se)
 
 
 class TestSelectProtocol:
