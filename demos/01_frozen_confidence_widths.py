@@ -37,12 +37,19 @@ X = BaseMatrix(rng.uniform(size=(6, 4)))
 frozen = ALinUcbPolicy(X, alpha=1.0)
 growing = LinUcbPolicy(X, alpha=1.0)
 
+
+def growing_width(j):
+    """√(x_jᵀ A_j⁻¹ x_j) from the growing design matrix A_j = I + t_j·x_jx_jᵀ."""
+    x = growing.X[:, j]
+    return float(np.sqrt(x @ np.linalg.inv(growing.design_matrix(j)) @ x))
+
+
 print("\narm 0 widths as rewards arrive (frozen vs growing):")
-print(f"  start: {frozen.widths[0]:.4f} vs {growing.width(0):.4f}")
+print(f"  start: {frozen.widths[0]:.4f} vs {growing_width(0):.4f}")
 for step in range(1, 6):
     frozen.update(0, 0.7)
     growing.update(0, 0.7)
-    print(f"  after {step} update(s): {frozen.widths[0]:.4f} vs {growing.width(0):.4f}")
+    print(f"  after {step} update(s): {frozen.widths[0]:.4f} vs {growing_width(0):.4f}")
 
 print("\nThe frozen policy never touches a matrix after construction; the")
 print("growing baseline re-inverts a dense k×k design on every re-score.")

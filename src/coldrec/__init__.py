@@ -35,7 +35,6 @@ from .linalg import (
     fixed_quadratic_form,
     psd_order_holds,
     rank_one_identity_inverse,
-    ridge_solve,
     truncated_svd,
 )
 from .policies import (
@@ -93,7 +92,6 @@ __all__ = [
     "psd_order_holds",
     "rank_one_identity_inverse",
     "read_trace_csv",
-    "ridge_solve",
     "run_replay",
     "save_csv_triples",
     "split_base_eval",

@@ -16,11 +16,12 @@ import concurrent.futures
 import glob
 import hashlib
 import logging
+import math
 import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -35,16 +36,9 @@ from .data import (
     split_base_eval,
     subsample,
 )
+from .impute import DEFAULT_ALS_ITERS, DEFAULT_ALS_LAM, DEFAULT_RANK, METHODS
 from .impute import fill, method_from_name, method_label, write_base_csv
-from .policies import (
-    DEFAULT_ALPHA,
-    DEFAULT_C,
-    DEFAULT_D,
-    DEFAULT_GAMMA,
-    DEFAULT_V,
-    POLICY_IDS,
-    make_policy,
-)
+from .policies import DEFAULT_ALPHA, DEFAULT_C, DEFAULT_D, DEFAULT_GAMMA, DEFAULT_V, POLICIES, POLICY_IDS, make_policy
 from .replay import run_replay, write_trace_csv
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_matrix", "main", "SUMMARY_HEADER"]
@@ -53,94 +47,14 @@ logger = logging.getLogger(__name__)
 
 SUMMARY_HEADER = "policy,params,mean_regret,std_regret,mean_seconds,cells"
 
-_FORMATS = ("movielens", "csv")
-_IMPUTE_IDS = ("zero", "average", "svd", "alswr")
+_LOADERS = {"movielens": load_movielens, "csv": load_csv_triples}
+_FORMATS = tuple(_LOADERS)
+_PROBLEMS = tuple(kind.value for kind in ProblemKind)
+_IMPUTATIONS = tuple(METHODS)
 
 
 class ConfigError(ValueError):
     """Bad or missing configuration; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully-resolved run description (defaults < config file < flags)."""
-
-    dataset: str
-    format: str = "movielens"
-    scale_max: float = 5.0
-    problem: str = "new-user"
-    base_k: int | None = None
-    impute: tuple[str, ...] = ("zero",)
-    rank: int = 16
-    als_lam: float = 0.05
-    als_iters: int = 15
-    policy: tuple[str, ...] = ("alinucb",)
-    alpha: float = DEFAULT_ALPHA
-    c: float = DEFAULT_C
-    d: float = DEFAULT_D
-    gamma: float = DEFAULT_GAMMA
-    v: float = DEFAULT_V
-    t: int | None = None
-    seeds: tuple[int, ...] = (0,)
-    max_users: int | None = None
-    max_items: int | None = None
-    min_ratings: int = 1
-    workers: int = 0  # 0 = one worker per available CPU
-    out: str = "coldrec_runs"
-    dump_base: bool = False
-
-    def validate(self) -> None:
-        if not self.dataset:
-            raise ConfigError("missing required key: dataset")
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format: unknown value {self.format!r}, choose from {_FORMATS}")
-        if self.scale_max <= 0:
-            raise ConfigError(f"scale-max: must be positive, got {self.scale_max}")
-        try:
-            ProblemKind(self.problem)
-        except ValueError:
-            raise ConfigError(
-                f"problem: unknown value {self.problem!r}, choose new-user or new-item"
-            ) from None
-        if not self.policy:
-            raise ConfigError("policy: at least one policy id required")
-        for p in self.policy:
-            if p not in POLICY_IDS:
-                raise ConfigError(f"policy: unknown id {p!r}, choose from {POLICY_IDS}")
-        if not self.impute:
-            raise ConfigError("impute: at least one imputation id required")
-        for m in self.impute:
-            if m not in _IMPUTE_IDS:
-                raise ConfigError(f"impute: unknown id {m!r}, choose from {_IMPUTE_IDS}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha: must be nonnegative, got {self.alpha}")
-        if self.c <= 0 or self.d <= 0:
-            raise ConfigError(f"c/d: must be positive, got c={self.c} d={self.d}")
-        if not 0 < self.gamma <= 1:
-            raise ConfigError(f"gamma: must lie in (0, 1], got {self.gamma}")
-        if self.v < 0:
-            raise ConfigError(f"v: must be nonnegative, got {self.v}")
-        if self.t is not None and self.t < 1:
-            raise ConfigError(f"t: must be positive, got {self.t}")
-        if self.base_k is not None and self.base_k < 1:
-            raise ConfigError(f"base-k: must be positive, got {self.base_k}")
-        if self.rank < 1:
-            raise ConfigError(f"rank: must be positive, got {self.rank}")
-        if self.als_lam <= 0:
-            raise ConfigError(f"als-lambda: must be positive, got {self.als_lam}")
-        if self.als_iters < 1:
-            raise ConfigError(f"als-iters: must be positive, got {self.als_iters}")
-        if not self.seeds:
-            raise ConfigError("seeds: at least one seed required")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigError("seeds: must be nonnegative integers")
-        for key, val in (("max-users", self.max_users), ("max-items", self.max_items)):
-            if val is not None and val < 1:
-                raise ConfigError(f"{key}: must be positive, got {val}")
-        if self.min_ratings < 1:
-            raise ConfigError(f"min-ratings: must be >= 1, got {self.min_ratings}")
-        if self.workers < 0:
-            raise ConfigError(f"workers: must be >= 0 (0 = auto), got {self.workers}")
 
 
 def _csv_strings(value: str) -> tuple[str, ...]:
@@ -160,32 +74,82 @@ def _bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# Converters shared by the flag parser and the key=value config-file parser.
-_CONVERTERS = {
-    "dataset": str,
-    "format": str,
-    "scale_max": float,
-    "problem": str,
-    "base_k": int,
-    "impute": _csv_strings,
-    "rank": int,
-    "als_lam": float,
-    "als_iters": int,
-    "policy": _csv_strings,
-    "alpha": float,
-    "c": float,
-    "d": float,
-    "gamma": float,
-    "v": float,
-    "t": int,
-    "seeds": _csv_ints,
-    "max_users": int,
-    "max_items": int,
-    "min_ratings": int,
-    "workers": int,
-    "out": str,
-    "dump_base": _bool,
-}
+# Value checks: (predicate, what the predicate requires).
+_POSITIVE = (lambda value: value > 0, "positive")
+_NONNEGATIVE = (lambda value: value >= 0, "nonnegative")
+
+
+def _one_of(choices):
+    return (lambda value: value in choices, f"one of {choices}")
+
+
+def _ids_from(choices):
+    return (lambda ids: bool(ids) and set(ids) <= set(choices), f"a non-empty list from {choices}")
+
+
+def _key(name: str) -> str:
+    """Field name → flag, config-file and resolved-config key."""
+    return name.replace("_", "-")
+
+
+def _option(default, convert, help: str, check=None):
+    """One config key: its default, the converter its flag and its config-file
+    line share, its --help text, and its value check (None: any value).  A
+    `_bool` key is a store_true flag."""
+    return field(default=default, metadata={"convert": convert, "help": help, "check": check})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully-resolved run description (defaults < config file < flags).
+
+    Every field is one key, spelled ``--key`` as a flag and ``key=`` in a
+    config file and in resolved_config.txt (the field name with '-' for '_').
+    """
+
+    dataset: str = _option(MISSING, str, "path to the ratings file (required)", (bool, "non-empty"))
+    format: str = _option("movielens", str, f"dataset format, one of {'|'.join(_FORMATS)}", _one_of(_FORMATS))
+    scale_max: float = _option(5.0, float, "rating ceiling before normalization", _POSITIVE)
+    problem: str = _option("new-user", str, " | ".join(_PROBLEMS), _one_of(_PROBLEMS))
+    base_k: int | None = _option(None, int, "base rows k (default: square base, k = n)", _POSITIVE)
+    impute: tuple[str, ...] = _option(
+        ("zero",), _csv_strings, f"comma list from {'|'.join(_IMPUTATIONS)}", _ids_from(_IMPUTATIONS)
+    )
+    rank: int = _option(DEFAULT_RANK, int, "rank for svd/alswr imputation", _POSITIVE)
+    als_lambda: float = _option(DEFAULT_ALS_LAM, float, "ALS-WR regularization", _POSITIVE)
+    als_iters: int = _option(DEFAULT_ALS_ITERS, int, "ALS-WR sweeps", _POSITIVE)
+    policy: tuple[str, ...] = _option(
+        ("alinucb",), _csv_strings, f"comma list from {'|'.join(POLICY_IDS)}", _ids_from(POLICY_IDS)
+    )
+    alpha: float = _option(DEFAULT_ALPHA, float, "(a-)linucb exploration weight", _NONNEGATIVE)
+    c: float = _option(DEFAULT_C, float, "egreedy schedule constant c", _POSITIVE)
+    d: float = _option(DEFAULT_D, float, "egreedy schedule constant d", _POSITIVE)
+    gamma: float = _option(DEFAULT_GAMMA, float, "exp3 mixture weight", (lambda g: 0 < g <= 1, "in (0, 1]"))
+    v: float = _option(DEFAULT_V, float, "thompson posterior noise scale", _NONNEGATIVE)
+    t: int | None = _option(None, int, "replay horizon (default: eval ratings / 10)", _POSITIVE)
+    seeds: tuple[int, ...] = _option(
+        (0,), _csv_ints, "comma list of integer seeds",
+        (lambda seeds: bool(seeds) and min(seeds) >= 0, "a non-empty list of nonnegative integers"),
+    )
+    max_users: int | None = _option(None, int, "subsample cap on users", _POSITIVE)
+    max_items: int | None = _option(None, int, "subsample cap on items", _POSITIVE)
+    min_ratings: int = _option(1, int, "drop users below this rating count", _POSITIVE)
+    workers: int = _option(0, int, "parallel cells (0 = one per available CPU, 1 = inline)", _NONNEGATIVE)
+    out: str = _option("coldrec_runs", str, "output directory")
+    dump_base: bool = _option(False, _bool, "also dump each cell's filled base matrix as CSV")
+
+    def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{_key(f.name)}: must be finite")
+            check = f.metadata["check"]
+            unset_optional = value is None and f.default is None
+            if check is not None and not unset_optional and not check[0](value):
+                raise ConfigError(f"{_key(f.name)}: must be {check[1]}, got {value!r}")
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,30 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Replay-based cumulative-regret benchmark for cold-start recommendation policies.",
     )
     parser.add_argument("--config", help="key=value config file; flags override its values")
-    parser.add_argument("--dataset", help="path to the ratings file (required)")
-    parser.add_argument("--format", help=f"dataset format, one of {'|'.join(_FORMATS)}")
-    parser.add_argument("--scale-max", dest="scale_max", type=float, help="rating ceiling before normalization")
-    parser.add_argument("--problem", help="new-user | new-item")
-    parser.add_argument("--base-k", dest="base_k", type=int, help="base rows k (default: square base, k = n)")
-    parser.add_argument("--impute", type=_csv_strings, help=f"comma list from {'|'.join(_IMPUTE_IDS)}")
-    parser.add_argument("--rank", type=int, help="rank for svd/alswr imputation")
-    parser.add_argument("--als-lambda", dest="als_lam", type=float, help="ALS-WR regularization")
-    parser.add_argument("--als-iters", dest="als_iters", type=int, help="ALS-WR sweeps")
-    parser.add_argument("--policy", type=_csv_strings, help=f"comma list from {'|'.join(POLICY_IDS)}")
-    parser.add_argument("--alpha", type=float, help="(a-)linucb exploration weight")
-    parser.add_argument("--c", type=float, help="egreedy schedule constant c")
-    parser.add_argument("--d", type=float, help="egreedy schedule constant d")
-    parser.add_argument("--gamma", type=float, help="exp3 mixture weight")
-    parser.add_argument("--v", type=float, help="thompson posterior noise scale")
-    parser.add_argument("--t", type=int, help="replay horizon (default: eval ratings / 10)")
-    parser.add_argument("--seeds", type=_csv_ints, help="comma list of integer seeds")
-    parser.add_argument("--max-users", dest="max_users", type=int, help="subsample cap on users")
-    parser.add_argument("--max-items", dest="max_items", type=int, help="subsample cap on items")
-    parser.add_argument("--min-ratings", dest="min_ratings", type=int, help="drop users below this rating count")
-    parser.add_argument("--workers", type=int, help="parallel cells (0 = one per available CPU, 1 = inline)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--dump-base", dest="dump_base", action="store_true", default=None,
-                        help="also dump each cell's filled base matrix as CSV")
+    for name, f in _FIELDS.items():
+        convert = f.metadata["convert"]
+        kind = {"action": "store_true", "default": None} if convert is _bool else {"type": convert}
+        parser.add_argument("--" + _key(name), dest=name, help=f.metadata["help"], **kind)
     return parser
 
 
@@ -232,10 +176,10 @@ def _read_config_file(path) -> dict:
                 raise ConfigError(f"{path}, line {lineno}: expected key=value")
             key, _, raw = line.partition("=")
             dest = key.strip().replace("-", "_")
-            if dest not in _CONVERTERS:
+            if dest not in _FIELDS:
                 raise ConfigError(f"{path}, line {lineno}: unknown key {key.strip()!r}")
             try:
-                values[dest] = _CONVERTERS[dest](raw.strip())
+                values[dest] = _FIELDS[dest].metadata["convert"](raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {lineno}: bad value for {key.strip()!r}: {exc}") from None
     return values
@@ -248,15 +192,12 @@ def parse_config(argv) -> ExperimentConfig:
     config-file keys and invalid values raise :class:`ConfigError` naming
     the key.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    merged = {}
-    if ns.config:
-        merged.update(_read_config_file(ns.config))
-    for field in fields(ExperimentConfig):
-        flag_value = getattr(ns, field.name, None)
+    ns = _build_parser().parse_args(argv)
+    merged = _read_config_file(ns.config) if ns.config else {}
+    for name in _FIELDS:
+        flag_value = getattr(ns, name)
         if flag_value is not None:
-            merged[field.name] = flag_value
+            merged[name] = flag_value
     if "dataset" not in merged:
         raise ConfigError("missing required key: dataset (set --dataset or put dataset= in --config)")
     merged["dataset"] = os.path.abspath(merged["dataset"])
@@ -267,16 +208,15 @@ def parse_config(argv) -> ExperimentConfig:
 
 def _config_lines(cfg: ExperimentConfig) -> list[str]:
     lines = []
-    for field in fields(ExperimentConfig):
-        value = getattr(cfg, field.name)
+    for name in _FIELDS:
+        value = getattr(cfg, name)
         if value is None:
             continue
-        key = field.name.replace("_", "-")
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{key}={value}")
+        lines.append(f"{_key(name)}={value}")
     return lines
 
 
@@ -291,19 +231,13 @@ def cell_seed_sequence(seed: int, policy_id: str, impute_id: str) -> np.random.S
     return np.random.SeedSequence([seed, _stable_digest(policy_id), _stable_digest(impute_id)])
 
 
+def _imputation(cfg: ExperimentConfig, impute_id: str):
+    return method_from_name(impute_id, rank=cfg.rank, lam=cfg.als_lambda, iters=cfg.als_iters)
+
+
 def _params_digest(cfg: ExperimentConfig, policy_id: str, impute_id: str) -> str:
-    parts = []
-    if policy_id in ("linucb", "alinucb"):
-        parts.append(f"alpha={cfg.alpha}")
-    elif policy_id == "egreedy":
-        parts.append(f"c={cfg.c}")
-        parts.append(f"d={cfg.d}")
-    elif policy_id == "exp3":
-        parts.append(f"gamma={cfg.gamma}")
-    elif policy_id == "thompson":
-        parts.append(f"v={cfg.v}")
-    label = method_label(method_from_name(impute_id, rank=cfg.rank, lam=cfg.als_lam, iters=cfg.als_iters))
-    parts.append(f"impute={label}")
+    parts = [f"{name}={getattr(cfg, name)}" for name in POLICIES[policy_id].params]
+    parts.append(f"impute={method_label(_imputation(cfg, impute_id))}")
     return ";".join(parts)
 
 
@@ -342,16 +276,14 @@ def run_cell(
     k = cfg.base_k if cfg.base_k is not None else min(work.n_items, work.n_users - 1)
     split = split_base_eval(work, k, seed=split_ss)
 
-    method = method_from_name(impute_id, rank=cfg.rank, lam=cfg.als_lam, iters=cfg.als_iters)
-    X = fill(split.base, method, seed=fill_ss)
+    X = fill(split.base, _imputation(cfg, impute_id), seed=fill_ss)
     logger.info(
         "cell policy=%s impute=%s seed=%d: prepared %dx%d base in %.3fs (excluded from run timing)",
         policy_id, impute_id, seed, X.k, X.n_arms, time.perf_counter() - prep_start,
     )
 
-    policy = make_policy(
-        policy_id, X=X, alpha=cfg.alpha, c=cfg.c, d=cfg.d, gamma=cfg.gamma, v=cfg.v, seed=policy_ss
-    )
+    hyper = {name: getattr(cfg, name) for name in POLICIES[policy_id].params}
+    policy = make_policy(policy_id, X=X, seed=policy_ss, **hyper)
     horizon = cfg.t if cfg.t is not None else max(1, split.evaluation.n_ratings // 10)
     trace = run_replay(policy, split.evaluation, horizon, seed=user_ss)
 
@@ -380,12 +312,12 @@ def _init_worker(ds: RatingDataset) -> None:
     _WORKER_DATASET = ds
 
 
-def _cell_task(args):
-    """Run one cell; returns (result, None), or (None, traceback text) when
-    it fails, so a pool worker's error reaches the manifest exactly once."""
-    cfg, policy_id, impute_id, seed, out_dir = args
+def _cell_task(task, ds: RatingDataset | None = None):
+    """Run one cell on `ds` (in a pool worker, the dataset _init_worker
+    stored); returns (result, None), or (None, traceback text) when it
+    fails, so a pool worker's error reaches the manifest exactly once."""
     try:
-        return run_cell(_WORKER_DATASET, cfg, policy_id, impute_id, seed, out_dir), None
+        return run_cell(ds if ds is not None else _WORKER_DATASET, *task), None
     except Exception:
         return None, traceback.format_exc()
 
@@ -407,14 +339,6 @@ def _remove_stale_outputs(out_dir: str) -> None:
             os.remove(path)
 
 
-def _load_dataset(cfg: ExperimentConfig) -> RatingDataset:
-    if cfg.format == "movielens":
-        ds = load_movielens(cfg.dataset, scale_max=cfg.scale_max)
-    else:
-        ds = load_csv_triples(cfg.dataset, scale_max=cfg.scale_max)
-    return normalize(ds)
-
-
 def run_matrix(cfg: ExperimentConfig) -> int:
     """Run the whole (policy × imputation) × seeds grid.
 
@@ -432,7 +356,7 @@ def run_matrix(cfg: ExperimentConfig) -> int:
         fh.write("\n".join(_config_lines(cfg)) + "\n")
 
     logger.info("loading %s (%s)", cfg.dataset, cfg.format)
-    ds = _load_dataset(cfg)
+    ds = normalize(_LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))
     logger.info("dataset: %d users, %d items, %d ratings", ds.n_users, ds.n_items, ds.n_ratings)
 
     grid = [(p, m) for p in cfg.policy for m in cfg.impute]
@@ -459,9 +383,8 @@ def run_matrix(cfg: ExperimentConfig) -> int:
         )
 
     if workers == 1:
-        _init_worker(ds)
         for task in tasks:
-            record(task, _cell_task(task))
+            record(task, _cell_task(task, ds))
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ds,)

@@ -24,6 +24,7 @@ __all__ = [
     "ImputationMethod",
     "method_from_name",
     "method_label",
+    "METHODS",
     "BaseMatrix",
     "fill",
     "write_base_csv",
@@ -62,7 +63,7 @@ class AlsWr:
 
 ImputationMethod = Zero | ItemAverage | ImputedSvd | AlsWr
 
-_NAMES = {"zero": Zero, "average": ItemAverage, "svd": ImputedSvd, "alswr": AlsWr}
+METHODS = {"zero": Zero, "average": ItemAverage, "svd": ImputedSvd, "alswr": AlsWr}
 
 
 def method_from_name(
@@ -73,9 +74,9 @@ def method_from_name(
 ) -> ImputationMethod:
     """Resolve a CLI/config imputation id into a method value."""
     try:
-        cls = _NAMES[name]
+        cls = METHODS[name]
     except KeyError:
-        raise ValueError(f"unknown imputation method {name!r}; choose from {sorted(_NAMES)}") from None
+        raise ValueError(f"unknown imputation method {name!r}; choose from {sorted(METHODS)}") from None
     if cls is ImputedSvd:
         return ImputedSvd(rank=rank)
     if cls is AlsWr:
@@ -84,14 +85,10 @@ def method_from_name(
 
 
 def method_label(method: ImputationMethod) -> str:
-    """Stable short id for filenames and summary rows."""
-    if isinstance(method, Zero):
-        return "zero"
-    if isinstance(method, ItemAverage):
-        return "average"
-    if isinstance(method, ImputedSvd):
-        return f"svd{method.rank}"
-    return f"alswr{method.rank}"
+    """Stable short id for filenames and summary rows: the method's id, plus
+    its rank for the factorization methods."""
+    name = next(name for name, cls in METHODS.items() if isinstance(method, cls))
+    return f"{name}{method.rank}" if isinstance(method, (ImputedSvd, AlsWr)) else name
 
 
 class BaseMatrix:

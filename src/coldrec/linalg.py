@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels for the bandit policies and the imputers.
 
 Everything here is a pure function of its inputs: closed-form inverses of
-rank-one identity updates, ridge solves, the Loewner-order check used to
-justify the frozen confidence width, and the two factorization routines
+rank-one identity updates, the Loewner-order check used to justify the
+frozen confidence width, and the two factorization routines
 (truncated SVD, masked ALS with weighted regularization) that back the
 matrix-completion imputers.
 """
@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "rank_one_identity_inverse",
     "fixed_quadratic_form",
-    "ridge_solve",
     "psd_order_holds",
     "truncated_svd",
     "als_wr_factorize",
@@ -60,21 +59,6 @@ def fixed_quadratic_form(x) -> float:
     x = _finite_vector(x)
     s = float(x @ x)
     return s / (1.0 + s)
-
-
-def ridge_solve(D, b, lam: float = 1.0) -> np.ndarray:
-    """Minimizer of ‖Dθ − b‖² + λ‖θ‖², via the normal equations.
-
-    Unique for any λ > 0 by strict convexity, even when D is rank deficient.
-    """
-    D = _finite_matrix(D, "design matrix")
-    b = _finite_vector(b)
-    if lam <= 0:
-        raise ValueError(f"ridge penalty must be positive, got {lam}")
-    t, k = D.shape
-    if b.size != t:
-        raise ValueError(f"design matrix has {t} rows but target has {b.size} entries")
-    return np.linalg.solve(D.T @ D + lam * np.eye(k), D.T @ b)
 
 
 def psd_order_holds(A, B, tol: float = 1e-12) -> bool:

@@ -36,6 +36,7 @@ __all__ = [
     "ALinUcbPolicy",
     "OraclePolicy",
     "make_policy",
+    "POLICIES",
     "POLICY_IDS",
     "egreedy_epsilon",
     "ucb_score",
@@ -114,9 +115,18 @@ def _context_matrix(X) -> BaseMatrix:
 
 
 class Policy:
-    """Base of the select/update protocol; subclasses fill in both sides."""
+    """Base of the select/update protocol; subclasses fill in both sides.
+
+    For :func:`make_policy`, a subclass declares the hyper-parameters its
+    constructor takes as keywords (named as the CLI config keys), whether it
+    is built from the base matrix X rather than an arm count, and whether it
+    takes a `seed`.
+    """
 
     n_arms: int
+    params: tuple[str, ...] = ()
+    contextual = False
+    seeded = False
 
     def observe_user(self, user: int) -> None:
         """Hook called by the replay loop before each select.
@@ -135,6 +145,8 @@ class Policy:
 class RandomPolicy(Policy):
     """Uniform choice among the available arms."""
 
+    seeded = True
+
     def __init__(self, n_arms: int, seed=None):
         self.n_arms = n_arms
         self.rng = np.random.default_rng(seed)
@@ -148,7 +160,27 @@ class RandomPolicy(Policy):
         _check_reward(reward)
 
 
-class AveragePolicy(Policy):
+class _CountsPolicy(Policy):
+    """Per-arm play counts and reward sums, shared by the policies that score
+    arms by their observed average reward."""
+
+    def __init__(self, n_arms: int):
+        self.n_arms = n_arms
+        self.sums = np.zeros(n_arms)
+        self.counts = np.zeros(n_arms, dtype=np.int64)
+
+    def _means(self, unplayed: float = 0.0) -> np.ndarray:
+        """Observed average per arm; `unplayed` for arms never played."""
+        with np.errstate(invalid="ignore"):
+            return np.where(self.counts > 0, self.sums / self.counts, unplayed)
+
+    def update(self, arm, reward):
+        reward = _check_reward(reward)
+        self.sums[arm] += reward
+        self.counts[arm] += 1
+
+
+class AveragePolicy(_CountsPolicy):
     """Greedy on the observed per-arm average reward.
 
     Arms never played score the running global average, so an unplayed arm
@@ -156,45 +188,37 @@ class AveragePolicy(Policy):
     """
 
     def __init__(self, n_arms: int):
-        self.n_arms = n_arms
-        self.sums = np.zeros(n_arms)
-        self.counts = np.zeros(n_arms, dtype=np.int64)
+        super().__init__(n_arms)
         self.total_sum = 0.0
         self.total_count = 0
 
-    def _means(self):
-        global_mean = self.total_sum / self.total_count if self.total_count else 0.0
-        with np.errstate(invalid="ignore"):
-            means = self.sums / self.counts
-        return np.where(self.counts > 0, means, global_mean)
-
     def select(self, available, t):
-        return argmax_lowest(self._means(), available)
+        global_mean = self.total_sum / self.total_count if self.total_count else 0.0
+        return argmax_lowest(self._means(global_mean), available)
 
     def update(self, arm, reward):
-        reward = _check_reward(reward)
-        self.sums[arm] += reward
-        self.counts[arm] += 1
-        self.total_sum += reward
+        super().update(arm, reward)
+        self.total_sum += float(reward)
         self.total_count += 1
 
 
-class EpsilonGreedyPolicy(Policy):
+class EpsilonGreedyPolicy(_CountsPolicy):
     """Explore uniformly with probability ε_t, else exploit the best average.
 
     ε_t decays as min(1, c·n/(d²(t−n−1))); unplayed arms count as average 0
     on the exploit branch.
     """
 
+    params = ("c", "d")
+    seeded = True
+
     def __init__(self, n_arms: int, c: float = DEFAULT_C, d: float = DEFAULT_D, seed=None):
         if c <= 0 or d <= 0:
             raise ValueError(f"c and d must be positive, got c={c} d={d}")
-        self.n_arms = n_arms
+        super().__init__(n_arms)
         self.c = c
         self.d = d
         self.rng = np.random.default_rng(seed)
-        self.sums = np.zeros(n_arms)
-        self.counts = np.zeros(n_arms, dtype=np.int64)
 
     def select(self, available, t):
         if len(available) == 0:
@@ -202,33 +226,14 @@ class EpsilonGreedyPolicy(Policy):
         eps = egreedy_epsilon(self.c, self.d, self.n_arms, t)
         if self.rng.random() < eps:
             return int(available[self.rng.integers(len(available))])
-        with np.errstate(invalid="ignore"):
-            means = np.where(self.counts > 0, self.sums / self.counts, 0.0)
-        return argmax_lowest(means, available)
-
-    def update(self, arm, reward):
-        reward = _check_reward(reward)
-        self.sums[arm] += reward
-        self.counts[arm] += 1
+        return argmax_lowest(self._means(), available)
 
 
-class UcbPolicy(Policy):
+class UcbPolicy(_CountsPolicy):
     """Classic frequentist UCB on observed averages (no context)."""
 
-    def __init__(self, n_arms: int):
-        self.n_arms = n_arms
-        self.sums = np.zeros(n_arms)
-        self.counts = np.zeros(n_arms, dtype=np.int64)
-
     def select(self, available, t):
-        with np.errstate(invalid="ignore"):
-            means = np.where(self.counts > 0, self.sums / self.counts, 0.0)
-        return argmax_lowest(ucb_score(means, t, self.counts), available)
-
-    def update(self, arm, reward):
-        reward = _check_reward(reward)
-        self.sums[arm] += reward
-        self.counts[arm] += 1
+        return argmax_lowest(ucb_score(self._means(), t, self.counts), available)
 
 
 class Exp3Policy(Policy):
@@ -239,6 +244,9 @@ class Exp3Policy(Policy):
     actual (restricted) selection probability, keeping the reward estimate
     unbiased under the replay protocol's shrinking arm sets.
     """
+
+    params = ("gamma",)
+    seeded = True
 
     def __init__(self, n_arms: int, gamma: float = DEFAULT_GAMMA, seed=None):
         if not 0.0 < gamma <= 1.0:
@@ -285,6 +293,10 @@ class ThompsonPolicy(Policy):
     an exact draw needs only A⁻¹ and the per-arm play counts (see
     :meth:`sample_theta`), so every step is O(k² + k·n) with no factorization.
     """
+
+    params = ("v",)
+    contextual = True
+    seeded = True
 
     def __init__(self, X, v: float = DEFAULT_V, seed=None):
         if v < 0:
@@ -342,6 +354,9 @@ class LinUcbPolicy(Policy):
     ablation.
     """
 
+    params = ("alpha",)
+    contextual = True
+
     def __init__(self, X, alpha: float = DEFAULT_ALPHA, dense_inversion: bool = True):
         if alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
@@ -359,15 +374,6 @@ class LinUcbPolicy(Policy):
     def design_matrix(self, j: int) -> np.ndarray:
         x = self.X[:, j]
         return np.eye(len(x)) + self.counts[j] * np.outer(x, x)
-
-    def width(self, j: int) -> float:
-        """Current confidence radius √(x_jᵀ A_j⁻¹ x_j) of arm j."""
-        if self.dense_inversion:
-            A_inv = np.linalg.inv(self.design_matrix(j))
-            x = self.X[:, j]
-            return float(np.sqrt(x @ A_inv @ x))
-        s = self.norms_sq[j]
-        return math.sqrt(s / (1.0 + self.counts[j] * s))
 
     def score(self, j: int) -> float:
         if self.dense_inversion:
@@ -396,10 +402,10 @@ class ALinUcbPolicy(Policy):
     inverse closed-form, so per-arm state collapses to the reward sum S_j:
 
         score_j = S_j·‖x_j‖²/(1+‖x_j‖²) + α·√(‖x_j‖²/(1+‖x_j‖²))
-
-    ``score_via_design_inverse`` materializes the frozen matrix and inverts
-    it densely — the slow equivalence-testing path, never used in runs.
     """
+
+    params = ("alpha",)
+    contextual = True
 
     def __init__(self, X, alpha: float = DEFAULT_ALPHA):
         if alpha < 0:
@@ -416,15 +422,6 @@ class ALinUcbPolicy(Policy):
 
     def score(self, j: int) -> float:
         return float(self._scores[j])
-
-    @staticmethod
-    def score_via_design_inverse(x: np.ndarray, reward_sum: float, alpha: float) -> float:
-        """Same score through the explicit matrix path: θ = A⁻¹b with
-        A = I + xxᵀ and b = S·x, then θᵀx + α√(xᵀA⁻¹x)."""
-        x = np.asarray(x, dtype=np.float64)
-        A_inv = np.linalg.inv(np.eye(len(x)) + np.outer(x, x))
-        theta = A_inv @ (reward_sum * x)
-        return float(theta @ x + alpha * np.sqrt(x @ A_inv @ x))
 
     def select(self, available, t):
         return argmax_lowest(self._scores, available)
@@ -462,45 +459,42 @@ class OraclePolicy(Policy):
         _check_reward(reward)
 
 
-POLICY_IDS = ("random", "aver", "egreedy", "ucb", "exp3", "thompson", "linucb", "alinucb")
+POLICIES: dict[str, type[Policy]] = {
+    "random": RandomPolicy,
+    "aver": AveragePolicy,
+    "egreedy": EpsilonGreedyPolicy,
+    "ucb": UcbPolicy,
+    "exp3": Exp3Policy,
+    "thompson": ThompsonPolicy,
+    "linucb": LinUcbPolicy,
+    "alinucb": ALinUcbPolicy,
+}
 
-_CONTEXTUAL = {"thompson", "linucb", "alinucb"}
+POLICY_IDS = tuple(POLICIES)
+
+_HYPER_PARAMS = {name for cls in POLICIES.values() for name in cls.params}
 
 
-def make_policy(
-    policy_id: str,
-    n_arms: int | None = None,
-    X: BaseMatrix | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    c: float = DEFAULT_C,
-    d: float = DEFAULT_D,
-    gamma: float = DEFAULT_GAMMA,
-    v: float = DEFAULT_V,
-    seed=None,
-) -> Policy:
-    """Instantiate a policy by its CLI id."""
-    if policy_id not in POLICY_IDS:
+def make_policy(policy_id: str, n_arms: int | None = None, X: BaseMatrix | None = None, seed=None, **hyper) -> Policy:
+    """Instantiate a policy by its CLI id.
+
+    `hyper` holds hyper-parameters by name (alpha, c, d, gamma, v); each
+    policy takes the ones it declares in ``params`` and ignores the rest, and
+    those it is not given keep their defaults.
+    """
+    if policy_id not in POLICIES:
         raise ValueError(f"unknown policy {policy_id!r}; choose from {POLICY_IDS}")
-    if policy_id in _CONTEXTUAL:
+    unknown = set(hyper) - _HYPER_PARAMS
+    if unknown:
+        raise TypeError(f"unknown hyper-parameters {sorted(unknown)}; choose from {sorted(_HYPER_PARAMS)}")
+    cls = POLICIES[policy_id]
+    kwargs = {name: hyper[name] for name in cls.params if name in hyper}
+    if cls.seeded:
+        kwargs["seed"] = seed
+    if cls.contextual:
         if X is None:
             raise ValueError(f"policy {policy_id!r} needs the base matrix X")
-        n_arms = X.n_arms
-    elif n_arms is None:
-        if X is None:
-            raise ValueError(f"policy {policy_id!r} needs the arm count n_arms")
-        n_arms = X.n_arms
-    if policy_id == "random":
-        return RandomPolicy(n_arms, seed=seed)
-    if policy_id == "aver":
-        return AveragePolicy(n_arms)
-    if policy_id == "egreedy":
-        return EpsilonGreedyPolicy(n_arms, c=c, d=d, seed=seed)
-    if policy_id == "ucb":
-        return UcbPolicy(n_arms)
-    if policy_id == "exp3":
-        return Exp3Policy(n_arms, gamma=gamma, seed=seed)
-    if policy_id == "thompson":
-        return ThompsonPolicy(X, v=v, seed=seed)
-    if policy_id == "linucb":
-        return LinUcbPolicy(X, alpha=alpha)
-    return ALinUcbPolicy(X, alpha=alpha)
+        return cls(X, **kwargs)
+    if n_arms is None and X is None:
+        raise ValueError(f"policy {policy_id!r} needs the arm count n_arms")
+    return cls(n_arms if n_arms is not None else X.n_arms, **kwargs)

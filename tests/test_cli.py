@@ -2,16 +2,18 @@
 
 import csv
 import dataclasses
+import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coldrec import cli
-from coldrec.cli import ConfigError, main, parse_config, run_matrix
+from coldrec.cli import ConfigError, ExperimentConfig, main, parse_config, run_matrix
 from coldrec.data import RatingDataset, save_csv_triples
 from coldrec.synthetic import linear_environment
 
@@ -95,6 +97,70 @@ class TestParseConfig:
 
     def test_main_returns_usage_code(self):
         assert main([]) == 2
+
+    # the flags README lists; the parser must offer exactly these plus --config
+    FLAGS = (
+        "--dataset --format --scale-max --problem --base-k --impute --rank --als-lambda --als-iters --policy "
+        "--alpha --c --d --gamma --v --t --seeds --max-users --max-items --min-ratings --workers --out --dump-base"
+    ).split()
+
+    def test_parser_offers_exactly_the_documented_flags(self):
+        parser = cli._build_parser()
+        options = {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+        assert len(self.FLAGS) == 23
+        assert options == {*self.FLAGS, "--config"}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"^Flags: (.*?), plus$", readme, flags=re.MULTILINE | re.DOTALL).group(1)
+        assert listed.replace("`", "").split() == self.FLAGS
+
+    @pytest.mark.parametrize("key,bad", [
+        ("format", "xml"), ("scale-max", "0"), ("problem", "old-user"), ("base-k", "0"),
+        ("impute", "knn"), ("rank", "0"), ("als-lambda", "0"), ("als-iters", "0"), ("policy", "sarsa"),
+        ("alpha", "-1"), ("c", "0"), ("d", "-0.5"), ("gamma", "1.5"), ("v", "-1"), ("t", "0"),
+        ("seeds", "1,-2"), ("max-users", "0"), ("max-items", "0"), ("min-ratings", "0"), ("workers", "-1"),
+    ])
+    def test_invalid_value_names_its_key(self, corpus, key, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(["--dataset", corpus, f"--{key}={bad}"])
+        assert str(err.value).startswith(f"{key}:"), str(err.value)
+
+    def test_empty_dataset_names_its_key(self):
+        with pytest.raises(ConfigError, match="^dataset:"):
+            ExperimentConfig(dataset="").validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["scale-max", "als-lambda", "alpha", "c", "d", "gamma", "v"])
+    def test_non_finite_float_rejected(self, corpus, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
+            parse_config(["--dataset", corpus, f"--{key}={value}"])
+
+    def test_float_keys_all_checked_for_finiteness(self):
+        float_keys = {cli._key(f.name) for f in dataclasses.fields(ExperimentConfig) if isinstance(f.default, float)}
+        assert float_keys == {"scale-max", "als-lambda", "alpha", "c", "d", "gamma", "v"}
+
+    def test_every_key_round_trips_through_flags_file_and_resolved_config(self, corpus, tmp_path):
+        out = str(tmp_path / "rt")
+        values = {
+            "dataset": corpus, "format": "csv", "scale-max": "1", "problem": "new-item", "base-k": "8",
+            "impute": "average,svd", "rank": "3", "als-lambda": "0.125", "als-iters": "2",
+            "policy": "egreedy,exp3", "alpha": "0.25", "c": "0.2", "d": "0.75", "gamma": "0.5", "v": "0.3",
+            "t": "30", "seeds": "3,4", "max-users": "70", "max-items": "20", "min-ratings": "2",
+            "workers": "1", "out": out, "dump-base": "true",
+        }
+        assert set(values) == {cli._key(f.name) for f in dataclasses.fields(ExperimentConfig)}
+        argv = []
+        for key, raw in values.items():
+            argv += [f"--{key}"] if key == "dump-base" else [f"--{key}", raw]
+        by_flags = parse_config(argv)
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(by_flags, f.name) != f.default, f.name  # every key really is set
+        cfg_file = tmp_path / "every_key.cfg"
+        cfg_file.write_text("".join(f"{key}={raw}\n" for key, raw in values.items()))
+        by_file = parse_config(["--config", str(cfg_file)])
+        assert run_matrix(by_flags) == 0
+        resolved = os.path.join(out, "resolved_config.txt")
+        assert by_flags == by_file == parse_config(["--config", resolved])
+        assert "als-lambda=0.125\n" in open(resolved).read()
 
 
 class TestRunMatrix:
@@ -231,6 +297,18 @@ class TestRunMatrix:
         assert [r["policy"] for r in rows] == ["random"]
         assert os.path.exists(os.path.join(out, "trace__random__zero__seed0.csv"))
         assert "boom" in open(os.path.join(out, "failures.txt")).read()
+
+    def test_inline_run_releases_the_dataset(self, corpus, tmp_path, monkeypatch):
+        cfg = parse_config(base_args(corpus, str(tmp_path / "inline"), ["--policy", "random", "--workers", "1"]))
+        assert run_matrix(cfg) == 0
+        assert cli._WORKER_DATASET is None
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_cell", boom)
+        assert run_matrix(cfg) == 1
+        assert cli._WORKER_DATASET is None
 
     def test_parallel_matches_inline(self, corpus, tmp_path):
         args = ["--policy", "alinucb,ucb", "--seeds", "0,1"]

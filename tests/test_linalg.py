@@ -14,7 +14,6 @@ from coldrec.linalg import (
     fixed_quadratic_form,
     psd_order_holds,
     rank_one_identity_inverse,
-    ridge_solve,
     truncated_svd,
 )
 
@@ -88,43 +87,6 @@ class TestFixedQuadraticForm:
         values = [fixed_quadratic_form(c * x) for c in np.linspace(0.1, 10, 25)]
         assert all(0 <= v < 1 for v in values)
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestRidgeSolve:
-    def test_identity_design(self):
-        np.testing.assert_allclose(ridge_solve(np.eye(2), np.ones(2), 1.0), [0.5, 0.5], atol=1e-15)
-
-    def test_zero_design(self):
-        np.testing.assert_array_equal(ridge_solve(np.zeros((3, 2)), np.ones(3), 1.0), np.zeros(2))
-
-    def test_matches_augmented_least_squares_oracle(self):
-        # independent route: ridge == plain least squares on [D; √λ·I], [b; 0]
-        rng = np.random.default_rng(5)
-        for lam in (1.0, 0.3, 7.5):
-            D = rng.standard_normal((10, 4))
-            b = rng.standard_normal(10)
-            augmented = np.vstack([D, np.sqrt(lam) * np.eye(4)])
-            target = np.concatenate([b, np.zeros(4)])
-            oracle = np.linalg.lstsq(augmented, target, rcond=None)[0]
-            np.testing.assert_allclose(ridge_solve(D, b, lam), oracle, atol=1e-10)
-
-    def test_gradient_at_solution_vanishes(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            D = rng.standard_normal((12, 5))
-            b = rng.standard_normal(12)
-            lam = float(rng.uniform(0.1, 3.0))
-            theta = ridge_solve(D, b, lam)
-            grad = 2 * D.T @ (D @ theta - b) + 2 * lam * theta
-            assert np.linalg.norm(grad) < 1e-8
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), np.ones(3), 1.0)
-        with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), np.ones(2), 0.0)
-        with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), np.ones(2), -1.0)
 
 
 class TestPsdOrderHolds:

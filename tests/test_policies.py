@@ -31,6 +31,13 @@ def random_base(k=6, n=9, seed=0):
     return BaseMatrix(rng.uniform(size=(k, n)))
 
 
+def design_width(pol, j):
+    """Confidence radius √(x_jᵀ A_j⁻¹ x_j) from the policy's design matrix,
+    inverted with LAPACK."""
+    x = pol.X[:, j]
+    return float(np.sqrt(x @ np.linalg.inv(pol.design_matrix(j)) @ x))
+
+
 def dense_linucb_score(x, count, reward_sum, alpha):
     """Oracle: explicit design matrix I + t·xxᵀ, inverted with LAPACK."""
     A_inv = np.linalg.inv(np.eye(len(x)) + count * np.outer(x, x))
@@ -145,8 +152,6 @@ class TestALinUcbScoring:
         for j in range(7):
             oracle = dense_linucb_score(base.X[:, j], 1, pol.reward_sums[j], 0.37)
             assert abs(pol.score(j) - oracle) < 1e-10
-            in_package = ALinUcbPolicy.score_via_design_inverse(base.X[:, j], pol.reward_sums[j], 0.37)
-            assert abs(pol.score(j) - in_package) < 1e-10
 
     def test_scalar_vs_vector_accumulator(self):
         """b_j = S_j·x_j: accumulating the vector directly agrees to 1e-12."""
@@ -191,7 +196,7 @@ class TestLinUcbScoring:
             pol.update(j, float(rng.uniform()))
             s = base.column_norms_sq[j]
             oracle = math.sqrt(s / (1.0 + pol.counts[j] * s))
-            assert abs(pol.width(j) - oracle) < 1e-10
+            assert abs(design_width(pol, j) - oracle) < 1e-10
 
     def test_design_matrix_structure(self):
         base = random_base(k=4, n=2, seed=14)
@@ -204,10 +209,10 @@ class TestLinUcbScoring:
     def test_width_monotone_nonincreasing(self):
         base = random_base(k=5, n=2, seed=15)
         pol = LinUcbPolicy(base, alpha=1.0)
-        widths = [pol.width(0)]
+        widths = [design_width(pol, 0)]
         for _ in range(10):
             pol.update(0, 0.5)
-            widths.append(pol.width(0))
+            widths.append(design_width(pol, 0))
         assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
 
     def test_dense_and_closed_form_agree(self):
@@ -442,3 +447,11 @@ class TestMakePolicy:
         base = random_base(k=3, n=4, seed=33)
         with pytest.raises(ValueError):
             make_policy("alinucb", X=base, alpha=-1.0)
+
+    def test_hyper_parameters_by_name(self):
+        base = random_base(k=3, n=4, seed=34)
+        pol = make_policy("egreedy", X=base, alpha=0.5, c=0.2, d=0.3, gamma=0.4, v=0.6, seed=0)
+        assert (pol.c, pol.d) == (0.2, 0.3)  # the others belong to other policies
+        assert make_policy("thompson", X=base, alpha=0.5).v == 0.1  # unset keeps its default
+        with pytest.raises(TypeError, match="alhpa"):
+            make_policy("linucb", X=base, alhpa=0.5)
