@@ -28,6 +28,7 @@ import numpy as np
 from .data import (
     ProblemKind,
     RatingDataset,
+    atomic_write,
     filter_min_ratings,
     load_csv_triples,
     load_movielens,
@@ -352,8 +353,7 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     _remove_stale_outputs(cfg.out)
     failures_path = os.path.join(cfg.out, "failures.txt")
-    with open(os.path.join(cfg.out, "resolved_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_config_lines(cfg)) + "\n")
+    atomic_write(os.path.join(cfg.out, "resolved_config.txt"), ["\n".join(_config_lines(cfg)) + "\n"])
 
     logger.info("loading %s (%s)", cfg.dataset, cfg.format)
     ds = normalize(_LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))
@@ -416,14 +416,14 @@ def run_matrix(cfg: ExperimentConfig) -> int:
         )
 
     summary_path = os.path.join(cfg.out, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for policy_id, params, mean_r, std_r, mean_s, n_cells in rows:
-            fh.write(f"{policy_id},{params},{mean_r!r},{std_r!r},{mean_s!r},{n_cells}\n")
+    lines = [
+        f"{policy_id},{params},{mean_r!r},{std_r!r},{mean_s!r},{n_cells}\n"
+        for policy_id, params, mean_r, std_r, mean_s, n_cells in rows
+    ]
+    atomic_write(summary_path, [SUMMARY_HEADER + "\n", *lines])
 
     if failures:
-        with open(failures_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(failures) + "\n")
+        atomic_write(failures_path, ["\n".join(failures) + "\n"])
         logger.error("%d of %d cells failed; see failures.txt", len(failures), len(tasks))
 
     for policy_id, params, mean_r, std_r, mean_s, n_cells in rows:

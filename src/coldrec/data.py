@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "subsample",
     "filter_min_ratings",
     "dataset_from_dense",
+    "atomic_write",
 ]
 
 logger = logging.getLogger(__name__)
@@ -107,33 +109,181 @@ class CorpusSplit:
 
 
 def _build_dataset(
-    raw_users: list[int],
-    raw_items: list[int],
-    ratings: list[float],
-    n_items: int,
+    raw_users: np.ndarray,
+    items: np.ndarray,
+    ratings: np.ndarray,
     scale_max: float,
     source: str,
 ) -> RatingDataset:
     """Deduplicate (keep last), compact users, and sort canonically."""
-    if not ratings:
+    if ratings.size == 0:
         raise ValueError(f"{source}: no ratings")
-    last = {}
-    for u, i, r in zip(raw_users, raw_items, ratings):
-        last[(u, i)] = r
-    dupes = len(ratings) - len(last)
+    n_items = int(items.max()) + 1
+    uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
+    if n_items > np.iinfo(np.int64).max // len(uniq_users):
+        raise ValueError(f"{source}: {len(uniq_users)} users x {n_items} items overflow the (user, item) keys")
+    keys = dense_users * n_items + items
+    # The first occurrence of a key in reversed order is its last in file order.
+    _, first_reversed = np.unique(keys[::-1], return_index=True)
+    keep = keys.size - 1 - first_reversed
+    dupes = keys.size - keep.size
     if dupes:
         logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", source, dupes)
-    pairs = np.array(sorted(last), dtype=np.int64)
-    vals = np.array([last[(u, i)] for u, i in pairs], dtype=np.float64)
-    uniq_users, dense_users = np.unique(pairs[:, 0], return_inverse=True)
     return RatingDataset(
-        users=dense_users.astype(np.int64),
-        items=pairs[:, 1],
-        ratings=vals,
+        users=dense_users[keep],
+        items=items[keep],
+        ratings=ratings[keep],
         n_users=len(uniq_users),
         n_items=n_items,
         scale_max=scale_max,
     )
+
+
+@dataclass(frozen=True)
+class _Grammar:
+    """One text format of ``user<sep>item<sep>rating[<sep>anything]`` lines."""
+
+    sep: str
+    n_fields: int
+    first_id: int  # ids below it are rejected; items are shifted down by it
+    expected: str  # the message for a wrong field count
+    id_rule: str  # the message for an id below first_id
+    header: bool  # line 1 may be a header (non-integer first field)
+
+
+_MOVIELENS = _Grammar("::", 4, 1, "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based", False)
+_CSV = _Grammar(",", 3, 0, "expected user,item,rating", "ids must be nonnegative", True)
+
+_DIGIT_BYTES = b"0123456789"
+_NUMBER_BYTES = _DIGIT_BYTES + b".eE+-"
+_MAX_FIELD = 32  # wider numeric fields are read line by line
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _scan_lines(path, grammar: _Grammar, scale_max: float):
+    """Parse line by line, raising on the first bad line with its number.
+
+    This defines the grammar; :func:`_parse_canonical` reads the common
+    subset of it in bulk and hands everything else here.
+    """
+    users, items, ratings = [], [], []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(grammar.sep)
+            if len(parts) != grammar.n_fields:
+                raise ValueError(f"{path}, line {lineno}: {grammar.expected}")
+            if grammar.header and lineno == 1 and not _is_int(parts[0]):
+                continue
+            try:
+                u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if u < grammar.first_id or i < grammar.first_id:
+                raise ValueError(f"{path}, line {lineno}: {grammar.id_rule}, got user={u} item={i}")
+            if not 0.0 <= r <= scale_max:
+                raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
+            users.append(u)
+            items.append(i - grammar.first_id)
+            ratings.append(r)
+    return (
+        np.array(users, dtype=np.int64),
+        np.array(items, dtype=np.int64),
+        np.array(ratings, dtype=np.float64),
+    )
+
+
+def _field_bytes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, allowed: bytes):
+    """The fields buf[lo:hi] as a zero-padded (n, width) byte matrix, or None
+    if one is empty, wider than _MAX_FIELD or holds a byte not in `allowed`."""
+    width = hi - lo
+    if width.size and (width.min() < 1 or width.max() > _MAX_FIELD):
+        return None
+    table = np.zeros(256, dtype=bool)
+    table[list(allowed)] = True
+    out = np.zeros((width.size, int(width.max(initial=0))), dtype=np.uint8)
+    for k in range(out.shape[1]):
+        live = width > k
+        column = buf[np.minimum(lo + k, hi - 1)]
+        if not np.all(table[column] | ~live):
+            return None
+        out[:, k] = np.where(live, column, 0)
+    return out
+
+
+def _parse_canonical(data: bytes, grammar: _Grammar, scale_max: float):
+    """Bulk-parse the common form of the grammar: every non-empty line has
+    exactly n_fields fields, ids are plain digit strings and ratings plain
+    numbers inside [0, scale_max].  Returns (users, items, ratings) exactly
+    as :func:`_scan_lines` would, or None for anything else."""
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # universal newlines
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    sep = grammar.sep.encode()
+    if grammar.header:
+        head, _, rest = data.partition(b"\n")
+        parts = head.decode("utf-8", errors="replace").strip().split(grammar.sep)
+        if len(parts) == grammar.n_fields and not _is_int(parts[0]):
+            data = rest
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    filled = ends > starts
+    starts, ends = starts[filled], ends[filled]
+    hits = np.flatnonzero(buf == sep[0])
+    if len(sep) == 2:  # "::" — every colon must sit in a pair of its own
+        if hits.size % 2 or np.any(hits[1::2] - hits[0::2] != 1) or np.any(hits[2::2] - hits[1:-1:2] == 1):
+            return None
+        hits = hits[0::2]
+    # Row r of `seps` is taken as non-empty line r's separators.  With the
+    # total count right, the non-empty, newline-free fields that _field_bytes
+    # demands place each of them inside its line.
+    if not starts.size or hits.size != starts.size * (grammar.n_fields - 1):
+        return None
+    seps = hits.reshape(-1, grammar.n_fields - 1)
+
+    def field(col: int, allowed: bytes):
+        lo = starts if col == 0 else seps[:, col - 1] + len(sep)
+        return _field_bytes(buf, lo, seps[:, col] if col < seps.shape[1] else ends, allowed)
+
+    ids = []
+    for col in (0, 1):
+        digits = field(col, _DIGIT_BYTES)
+        if digits is None or digits.shape[1] > 18:
+            return None
+        value = np.zeros(digits.shape[0], dtype=np.int64)
+        for k in range(digits.shape[1]):
+            value = np.where(digits[:, k] != 0, value * 10 + (digits[:, k] - ord("0")), value)
+        ids.append(value)
+    users, items = ids
+    text = field(2, _NUMBER_BYTES)
+    if text is None:
+        return None
+    try:
+        ratings = text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+    except ValueError:
+        return None
+    bad_id = (users < grammar.first_id) | (items < grammar.first_id)
+    if bad_id.any() or not np.all((ratings >= 0.0) & (ratings <= scale_max)):
+        return None
+    return users, items - grammar.first_id, ratings
+
+
+def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
+    with open(path, "rb") as fh:
+        triples = _parse_canonical(fh.read(), grammar, scale_max)
+    if triples is None:
+        triples = _scan_lines(path, grammar, scale_max)
+    return _build_dataset(*triples, scale_max, str(path))
 
 
 def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
@@ -144,28 +294,7 @@ def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
     Timestamps are discarded.  Duplicate (user, item) pairs keep the last
     occurrence and are counted in a warning.
     """
-    users, items, ratings = [], [], []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("::")
-            if len(parts) != 4:
-                raise ValueError(f"{path}, line {lineno}: expected UserID::MovieID::Rating::Timestamp")
-            try:
-                u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            if u < 1 or i < 1:
-                raise ValueError(f"{path}, line {lineno}: MovieLens ids are 1-based, got user={u} item={i}")
-            if not 0.0 <= r <= scale_max:
-                raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
-            users.append(u)
-            items.append(i - 1)
-            ratings.append(r)
-    n_items = max(items) + 1 if items else 0
-    return _build_dataset(users, items, ratings, n_items, scale_max, str(path))
+    return _load(path, _MOVIELENS, scale_max)
 
 
 def load_csv_triples(path, scale_max: float) -> RatingDataset:
@@ -175,33 +304,26 @@ def load_csv_triples(path, scale_max: float) -> RatingDataset:
     Ratings outside [0, scale_max] are rejected with the offending line
     number.  Users are re-indexed densely; the item axis spans [0, max id].
     """
-    users, items, ratings = [], [], []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}, line {lineno}: expected user,item,rating")
-            if lineno == 1:
-                try:
-                    int(parts[0])
-                except ValueError:
-                    continue  # header row
-            try:
-                u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            if u < 0 or i < 0:
-                raise ValueError(f"{path}, line {lineno}: ids must be nonnegative, got user={u} item={i}")
-            if not 0.0 <= r <= scale_max:
-                raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
-            users.append(u)
-            items.append(i)
-            ratings.append(r)
-    n_items = max(items) + 1 if items else 0
-    return _build_dataset(users, items, ratings, n_items, scale_max, str(path))
+    return _load(path, _CSV, scale_max)
+
+
+def atomic_write(path, chunks) -> None:
+    """Write the text chunks to `path` whole or not at all.
+
+    They go to a temporary file beside `path` that then replaces it, so a
+    reader never sees a half-written file; if writing fails, `path` keeps its
+    old content and the temporary file is removed.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_csv_triples(ds: RatingDataset, path) -> None:
@@ -218,16 +340,21 @@ def normalize(ds: RatingDataset) -> RatingDataset:
     return replace(ds, ratings=ds.ratings / ds.scale_max, scale_max=1.0)
 
 
+def _select_ids(old: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries of `old` (ids in [0, n)) are among `ids`, and those
+    entries renumbered by their position in `ids` (so sorted ids keep their
+    order): (keep mask, new ids of the kept entries)."""
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[ids] = np.arange(len(ids))
+    new = remap[old]
+    keep = new >= 0
+    return keep, new[keep]
+
+
 def _restrict_users(ds: RatingDataset, user_ids: np.ndarray) -> RatingDataset:
     """Dataset over the given (sorted) original user ids, re-indexed densely."""
-    keep = np.isin(ds.users, user_ids)
-    return replace(
-        ds,
-        users=np.searchsorted(user_ids, ds.users[keep]).astype(np.int64),
-        items=ds.items[keep],
-        ratings=ds.ratings[keep],
-        n_users=len(user_ids),
-    )
+    keep, users = _select_ids(ds.users, user_ids, ds.n_users)
+    return replace(ds, users=users, items=ds.items[keep], ratings=ds.ratings[keep], n_users=len(user_ids))
 
 
 def split_base_eval(ds: RatingDataset, k: int, seed=None) -> CorpusSplit:
@@ -274,25 +401,18 @@ def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> R
     n_items = ds.n_items
     if max_items is not None and max_items < ds.n_items:
         item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
-        keep = np.isin(items, item_ids)
+        keep, items = _select_ids(items, item_ids, ds.n_items)
         users, ratings = users[keep], ratings[keep]
-        items = np.searchsorted(item_ids, items[keep]).astype(np.int64)
         n_items = max_items
     if max_users is not None and max_users < ds.n_users:
         user_ids = rng.choice(ds.n_users, size=max_users, replace=False)
-        keep = np.isin(users, np.sort(user_ids))
+        keep, _ = _select_ids(users, user_ids, ds.n_users)
         users, items, ratings = users[keep], items[keep], ratings[keep]
     if len(ratings) == 0:
         raise ValueError("subsample removed every rating")
-    uniq, dense = np.unique(users, return_inverse=True)
-    return replace(
-        ds,
-        users=dense.astype(np.int64),
-        items=items,
-        ratings=ratings,
-        n_users=len(uniq),
-        n_items=n_items,
-    )
+    rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
+    _, users = _select_ids(users, rated, ds.n_users)
+    return replace(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
 
 
 def filter_min_ratings(ds: RatingDataset, min_ratings: int = 1) -> RatingDataset:

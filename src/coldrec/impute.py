@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import RatingDataset
+from .data import RatingDataset, atomic_write
 
 __all__ = [
     "Zero",
@@ -179,6 +179,4 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
 
 def write_base_csv(base_matrix: BaseMatrix, path) -> None:
     """Debug dump of the filled X as a CSV grid, one row per base user."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in base_matrix.X:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    atomic_write(path, ["".join(",".join(map(repr, row)) + "\n" for row in base_matrix.X.tolist())])

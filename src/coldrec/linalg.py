@@ -86,13 +86,25 @@ def truncated_svd(M, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nonincreasing singular values s (length r), so that M ≈ U @ diag(s) @ V.T.
     Inputs of lower actual rank simply come back with trailing zero singular
     values.
+
+    Only the leading triplets are computed, by implicitly restarted Lanczos
+    (ARPACK) to full precision from a fixed start vector, so reruns are
+    bit-identical.  ARPACK needs rank < min(p, q) and a nonzero M; the other
+    inputs take a full LAPACK SVD.
     """
     M = _finite_matrix(M)
     p, q = M.shape
     if not 1 <= rank <= min(p, q):
         raise ValueError(f"rank must be in [1, {min(p, q)}] for a {p}x{q} matrix, got {rank}")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return U[:, :rank].copy(), s[:rank].copy(), Vt[:rank].T.copy()
+    if rank == min(p, q) or not M.any():
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        return U[:, :rank].copy(), s[:rank].copy(), Vt[:rank].T.copy()
+    from scipy.sparse.linalg import svds  # here, not at the top: a 4 MB import only factorizations need
+
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, min(p, q))
+    U, s, Vt = svds(M, k=rank, tol=0, v0=start, solver="arpack")
+    order = np.argsort(s, kind="stable")[::-1]
+    return U[:, order], s[order], Vt[order].T
 
 
 def als_wr_objective(M, mask, U, V, lam: float) -> float:
@@ -110,24 +122,23 @@ def als_wr_objective(M, mask, U, V, lam: float) -> float:
     return float(resid @ resid + penalty)
 
 
-def _als_half_sweep(M, mask, fixed, lam, axis):
+def _als_half_sweep(W, MW, fixed, lam):
     """Exactly re-solve one side of the factorization, observed entries only.
 
-    axis=0 solves the row factors against `fixed` (the column factors);
-    axis=1 the reverse, on the transposed view.
+    W is the sparse 0/1 observation mask (rows = the side being solved) and
+    MW the observed values on the same pattern.  Row i's normal equations
+    (Σ_{j∈obs(i)} f_j f_jᵀ + λ n_i I) x_i = Σ_{j∈obs(i)} m_ij f_j are formed
+    for every row at once — the Gram blocks as W times the upper triangles
+    of f_j f_jᵀ — and solved as one stacked system.
     """
-    if axis == 1:
-        M, mask = M.T, mask.T
-    rank = fixed.shape[1]
-    out = np.zeros((M.shape[0], rank))
-    eye = np.eye(rank)
-    for i in range(M.shape[0]):
-        obs = mask[i]
-        F = fixed[obs]
-        n_obs = F.shape[0]
-        G = F.T @ F + (lam * n_obs) * eye
-        out[i] = np.linalg.solve(G, F.T @ M[i, obs])
-    return out
+    p, rank = W.shape[0], fixed.shape[1]
+    iu, ju = np.triu_indices(rank)
+    slot = np.empty((rank, rank), dtype=np.intp)  # (a, b) → column of the upper triangle
+    slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
+    G = (W @ (fixed[:, iu] * fixed[:, ju]))[:, slot]
+    diag = np.arange(rank)
+    G[:, diag, diag] += lam * W.sum(axis=1)[:, None]
+    return np.linalg.solve(G, (MW @ fixed)[:, :, None])[:, :, 0]
 
 
 def als_wr_factorize(
@@ -180,13 +191,19 @@ def als_wr_factorize(
     if rank > 1:
         V[:, 1:] = rng.uniform(-0.5 / rank, 0.5 / rank, size=(q, rank - 1))
 
-    history = np.empty(iters)
-    U = np.zeros((p, rank))
-    for it in range(iters):
-        U = _als_half_sweep(M, mask, V, lam, axis=0)
-        V = _als_half_sweep(M, mask, U, lam, axis=1)
-        history[it] = als_wr_objective(M, mask, U, V, lam)
+    from scipy.sparse import csr_array  # here, not at the top: see truncated_svd
+
+    rows, cols = np.nonzero(mask)
+    W = csr_array((np.ones(rows.size), (rows, cols)), shape=(p, q))
+    MW = csr_array((M[rows, cols], (rows, cols)), shape=(p, q))
+    Wt, MWt = W.T.tocsr(), MW.T.tocsr()
+    history = []
+    for _ in range(iters):
+        U = _als_half_sweep(W, MW, V, lam)
+        V = _als_half_sweep(Wt, MWt, U, lam)
+        if return_objective:
+            history.append(als_wr_objective(M, mask, U, V, lam))
 
     if return_objective:
-        return U, V, history
+        return U, V, np.array(history)
     return U, V

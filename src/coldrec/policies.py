@@ -110,6 +110,14 @@ def _check_reward(reward: float) -> float:
     return reward
 
 
+def _check_hyper(name: str, value: float, positive: bool = False) -> float:
+    """A hyper-parameter must be finite and nonnegative (or positive); NaN
+    would make every score NaN and the argmax a fixed arm."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value}")
+    return value
+
+
 def _context_matrix(X) -> BaseMatrix:
     return X if isinstance(X, BaseMatrix) else BaseMatrix(np.asarray(X))
 
@@ -213,11 +221,9 @@ class EpsilonGreedyPolicy(_CountsPolicy):
     seeded = True
 
     def __init__(self, n_arms: int, c: float = DEFAULT_C, d: float = DEFAULT_D, seed=None):
-        if c <= 0 or d <= 0:
-            raise ValueError(f"c and d must be positive, got c={c} d={d}")
         super().__init__(n_arms)
-        self.c = c
-        self.d = d
+        self.c = _check_hyper("c", c, positive=True)
+        self.d = _check_hyper("d", d, positive=True)
         self.rng = np.random.default_rng(seed)
 
     def select(self, available, t):
@@ -299,8 +305,7 @@ class ThompsonPolicy(Policy):
     seeded = True
 
     def __init__(self, X, v: float = DEFAULT_V, seed=None):
-        if v < 0:
-            raise ValueError(f"noise scale v must be nonnegative, got {v}")
+        _check_hyper("v", v)
         base = _context_matrix(X)
         self.X = base.X
         self.n_arms = base.n_arms
@@ -358,8 +363,7 @@ class LinUcbPolicy(Policy):
     contextual = True
 
     def __init__(self, X, alpha: float = DEFAULT_ALPHA, dense_inversion: bool = True):
-        if alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        _check_hyper("alpha", alpha)
         base = _context_matrix(X)
         self.X = base.X
         self.n_arms = base.n_arms
@@ -408,8 +412,7 @@ class ALinUcbPolicy(Policy):
     contextual = True
 
     def __init__(self, X, alpha: float = DEFAULT_ALPHA):
-        if alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        _check_hyper("alpha", alpha)
         base = _context_matrix(X)
         self.X = base.X
         self.n_arms = base.n_arms

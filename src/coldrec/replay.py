@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset
+from .data import RatingDataset, atomic_write
 from .policies import Policy
 
 __all__ = [
@@ -189,16 +189,15 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
-    """One row per step; floats use shortest-repr formatting so identical
-    runs produce identical bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for i in range(trace.steps):
-            fh.write(
-                f"{trace.t[i]},{trace.user[i]},{trace.arm[i]},"
-                f"{float(trace.revealed[i])!r},{float(trace.best[i])!r},"
-                f"{float(trace.increment[i])!r},{float(trace.cumulative[i])!r}\n"
-            )
+    """One row per step, written atomically; floats use shortest-repr
+    formatting so identical runs produce identical bytes."""
+    ints = [np.asarray(col).tolist() for col in (trace.t, trace.user, trace.arm)]
+    floats = [
+        np.asarray(col, dtype=np.float64).tolist()
+        for col in (trace.revealed, trace.best, trace.increment, trace.cumulative)
+    ]
+    rows = "".join(f"{t},{u},{a},{r!r},{b!r},{i!r},{c!r}\n" for t, u, a, r, b, i, c in zip(*ints, *floats))
+    atomic_write(path, [TRACE_HEADER + "\n", rows])
 
 
 def read_trace_csv(path) -> RegretTrace:

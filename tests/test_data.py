@@ -1,12 +1,15 @@
 """Loader grammar, normalization, splitting, and role-swap behavior."""
 
 import logging
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coldrec import data
 from coldrec.data import (
     ProblemKind,
     RatingDataset,
@@ -236,3 +239,202 @@ class TestDenseRoundTrip:
         ds = toy_dataset(7, 5, seed=6)
         dense, mask = ds.to_dense()
         assert dataset_from_dense(dense, mask).same_as(ds)
+
+
+# ---------------------------------------------------------------- loader oracle
+
+
+def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
+    """Line-by-line parse with a dict keeping each (user, item)'s last rating."""
+    sep, n_fields = ("::", 4) if movielens else (",", 3)
+    first_id = 1 if movielens else 0
+    last = {}
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(sep)
+            if len(parts) != n_fields:
+                raise ValueError(f"{path}, line {lineno}: field count")
+            if not movielens and lineno == 1:
+                try:
+                    int(parts[0])
+                except ValueError:
+                    continue  # header row
+            try:
+                u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if u < first_id or i < first_id:
+                raise ValueError(f"{path}, line {lineno}: id below {first_id}")
+            if not 0.0 <= r <= scale_max:
+                raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
+            last[(u, i - first_id)] = r
+    if not last:
+        raise ValueError(f"{path}: no ratings")
+    pairs = np.array(sorted(last), dtype=np.int64)
+    uniq, dense = np.unique(pairs[:, 0], return_inverse=True)
+    return RatingDataset(
+        users=dense.astype(np.int64),
+        items=pairs[:, 1],
+        ratings=np.array([last[(u, i)] for u, i in pairs.tolist()]),
+        n_users=len(uniq),
+        n_items=int(pairs[:, 1].max()) + 1,
+        scale_max=scale_max,
+    )
+
+
+def assert_same_dataset(got: RatingDataset, want: RatingDataset):
+    for name in ("users", "items", "ratings"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert (got.n_users, got.n_items, got.scale_max) == (want.n_users, want.n_items, want.scale_max)
+
+
+HALF_STARS = [f"{k / 2:g}" for k in range(11)]  # "0", "0.5", ..., "5"
+triple = st.tuples(st.integers(1, 12), st.integers(1, 15), st.sampled_from(HALF_STARS), st.integers(0, 10**10))
+
+
+def render(rows, movielens, newline, header, blank_every):
+    lines = ["user,item,rating"] if header else []
+    for n, (u, i, r, stamp) in enumerate(rows):
+        if blank_every and n % blank_every == 0:
+            lines.append("")
+        lines.append(f"{u}::{i}::{r}::{stamp}" if movielens else f"{u - 1},{i - 1},{r}")
+    return newline.join(lines) + (newline if rows and rows[0][3] % 2 else "")
+
+
+class TestLoaderAgainstLineByLineReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(triple, min_size=1, max_size=60),
+        movielens=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        header=st.booleans(),
+        blank_every=st.integers(0, 5),
+    )
+    def test_canonical_files_parse_in_bulk(self, tmp_path_factory, rows, movielens, newline, header, blank_every):
+        """Duplicates, blank lines, CRLF, a CSV header, half stars: the bulk
+        parse alone gives the reference's arrays."""
+        header = header and not movielens
+        path = tmp_path_factory.mktemp("load") / "ratings.txt"
+        path.write_bytes(render(rows, movielens, newline, header, blank_every).encode())
+        load = load_movielens if movielens else load_csv_triples
+        with mock.patch.object(data, "_scan_lines", side_effect=AssertionError("line-by-line path taken")):
+            got = load(path, scale_max=5.0)
+        assert_same_dataset(got, reference_load(path, movielens, 5.0))
+
+    @pytest.mark.parametrize(
+        "movielens,text",
+        [
+            (True, " 1::2::4::0\n2 :: 3 ::4.5::x\n\t\n+3::1::5::\n1::2::3::7 \n"),
+            (True, "1::2::4e0::0\n2::3::.5::0\n2::3::1_0e-1::0\n"),
+            (False, "0, 1, 4.5\n  \n1,2,+3 \n0,1,0.25\n"),
+            (False, "u,i,r\n3,4,1e-05\n3,4,0.6000000000000001\n-0,0,-0.0\n"),
+        ],
+    )
+    def test_other_valid_lines_read_line_by_line(self, tmp_path, movielens, text):
+        path = write(tmp_path, "odd.txt", text)
+        load = load_movielens if movielens else load_csv_triples
+        assert_same_dataset(load(path, scale_max=5.0), reference_load(path, movielens, 5.0))
+
+    @pytest.mark.parametrize(
+        "movielens,text,lineno,message",
+        [
+            (True, "1::1::5::0\n1::2::3::4::5\n2::3::4\n", 2, "expected UserID::MovieID::Rating::Timestamp"),
+            (False, "0,1,5\n0,1,2,3\n0,2\n", 2, "expected user,item,rating"),
+            (True, "1::1::5::0\n\n1.5::2::3::0\n", 3, "invalid literal for int() with base 10: '1.5'"),
+            (False, "0,1,5\n0,1.5,3\n", 2, "invalid literal for int() with base 10: '1.5'"),
+            (True, "1::1::5::0\n2::2::nan::0\n", 2, "rating nan outside [0, 5.0]"),
+            (False, "a,b,c\n0,1,nan\n", 2, "rating nan outside [0, 5.0]"),
+            (True, "1::1::5::0\n0::2::3::0\n", 2, "MovieLens ids are 1-based, got user=0 item=2"),
+            (False, "0,1,5\n0,-1,3\n", 2, "ids must be nonnegative, got user=0 item=-1"),
+            (True, "1::1::5::0\r\n1::2::3::0\r\n1::3::5.5::0\r\n", 3, "rating 5.5 outside [0, 5.0]"),
+            (False, "0,1,5\n0,2,7\n", 2, "rating 7.0 outside [0, 5.0]"),
+        ],
+    )
+    def test_errors_name_the_first_bad_line(self, tmp_path, movielens, text, lineno, message):
+        path = write(tmp_path, "bad.txt", text)
+        load = load_movielens if movielens else load_csv_triples
+        with pytest.raises(ValueError) as got:
+            load(path, scale_max=5.0)
+        assert str(got.value) == f"{path}, line {lineno}: {message}"
+        with pytest.raises(ValueError, match=f"line {lineno}:"):
+            reference_load(path, movielens, 5.0)
+
+
+def test_keys_that_would_overflow_are_rejected(tmp_path):
+    rows = "".join(f"{u},{10**17},1\n" for u in range(100))
+    with pytest.raises(ValueError, match="100 users x 100000000000000001 items overflow"):
+        load_csv_triples(write(tmp_path, "wide.csv", rows), scale_max=5)
+
+
+# ---------------------------------------------------------------- subsample oracle
+
+
+def reference_restrict_users(ds, user_ids):
+    keep = np.isin(ds.users, user_ids)
+    return replace(
+        ds,
+        users=np.searchsorted(user_ids, ds.users[keep]).astype(np.int64),
+        items=ds.items[keep],
+        ratings=ds.ratings[keep],
+        n_users=len(user_ids),
+    )
+
+
+def reference_subsample(ds, max_users, max_items, seed):
+    """Id subsample by np.isin membership and searchsorted renumbering."""
+    rng = np.random.default_rng(seed)
+    users, items, ratings, n_items = ds.users, ds.items, ds.ratings, ds.n_items
+    if max_items is not None and max_items < ds.n_items:
+        item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
+        keep = np.isin(items, item_ids)
+        users, ratings = users[keep], ratings[keep]
+        items = np.searchsorted(item_ids, items[keep]).astype(np.int64)
+        n_items = max_items
+    if max_users is not None and max_users < ds.n_users:
+        user_ids = rng.choice(ds.n_users, size=max_users, replace=False)
+        keep = np.isin(users, np.sort(user_ids))
+        users, items, ratings = users[keep], items[keep], ratings[keep]
+    if len(ratings) == 0:
+        raise ValueError("subsample removed every rating")
+    uniq, dense = np.unique(users, return_inverse=True)
+    return replace(ds, users=dense.astype(np.int64), items=items, ratings=ratings, n_users=len(uniq), n_items=n_items)
+
+
+class TestSubsampleAgainstIsinReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_users=st.integers(2, 30),
+        n_items=st.integers(1, 25),
+        density=st.floats(0.05, 1.0),
+        max_users=st.one_of(st.none(), st.integers(1, 35)),
+        max_items=st.one_of(st.none(), st.integers(1, 30)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_same_arrays(self, n_users, n_items, density, max_users, max_items, seed):
+        ds = toy_dataset(n_users, n_items, seed=seed)
+        rng = np.random.default_rng(seed)
+        keep = rng.random(ds.n_ratings) < density
+        keep[0] = True
+        ds = replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
+        try:
+            want = reference_subsample(ds, max_users, max_items, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="removed every rating"):
+                subsample(ds, max_users, max_items, seed=seed)
+            return
+        assert_same_dataset(subsample(ds, max_users, max_items, seed=seed), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_users=st.integers(2, 30), n_items=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_split_restricts_users_like_the_reference(self, n_users, n_items, seed):
+        ds = toy_dataset(n_users, n_items, seed=seed)
+        k = int(np.random.default_rng(seed).integers(1, ds.n_users))
+        split = split_base_eval(ds, k, seed=seed)
+        eval_ids = np.setdiff1d(np.arange(ds.n_users), split.base_user_ids)
+        assert_same_dataset(split.base, reference_restrict_users(ds, split.base_user_ids))
+        assert_same_dataset(split.evaluation, reference_restrict_users(ds, eval_ids))

@@ -1,12 +1,14 @@
 """Kernel correctness against independent dense-algebra oracles.
 
 The closed forms are checked against explicit LAPACK inversions/solves, the
-truncated SVD against a brute-force eigendecomposition of the Gram matrix,
-and the masked ALS against its own exact-blockwise-minimization guarantee.
+truncated SVD against a brute-force eigendecomposition of the Gram matrix
+and against a truncated full LAPACK SVD, and the masked ALS against its own
+exact-blockwise-minimization guarantee and against a row-by-row reference.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from coldrec.linalg import (
     als_wr_factorize,
@@ -223,3 +225,136 @@ class TestAlsWr:
         U2, V2 = als_wr_factorize(M, mask, rank=3, lam=0.05, iters=4, rng=9)
         np.testing.assert_array_equal(U1, U2)
         np.testing.assert_array_equal(V1, V2)
+
+
+def als_half_sweep_reference(M, mask, fixed, lam, axis):
+    """Row-by-row ALS-WR half sweep: one dense solve per row (axis=0) or
+    per column (axis=1) of its observed entries."""
+    if axis == 1:
+        M, mask = M.T, mask.T
+    rank = fixed.shape[1]
+    out = np.zeros((M.shape[0], rank))
+    for i in range(M.shape[0]):
+        F = fixed[mask[i]]
+        G = F.T @ F + (lam * F.shape[0]) * np.eye(rank)
+        out[i] = np.linalg.solve(G, F.T @ M[i, mask[i]])
+    return out
+
+
+def als_reference(M, mask, rank, lam, iters, rng):
+    """ALS-WR from the same initial V as als_wr_factorize, swept row by row."""
+    q = M.shape[1]
+    V = np.zeros((q, rank))
+    V[:, 0] = np.where(mask, M, 0.0).sum(axis=0) / mask.sum(axis=0)
+    if rank > 1:
+        V[:, 1:] = np.random.default_rng(rng).uniform(-0.5 / rank, 0.5 / rank, size=(q, rank - 1))
+    history = []
+    for _ in range(iters):
+        U = als_half_sweep_reference(M, mask, V, lam, axis=0)
+        V = als_half_sweep_reference(M, mask, U, lam, axis=1)
+        history.append(als_wr_objective(M, mask, U, V, lam))
+    return U, V, np.array(history)
+
+
+def random_observed(rng, p, q, density):
+    """A [0, 1] matrix with a random mask that has every row and column."""
+    M = rng.uniform(size=(p, q))
+    mask = rng.random((p, q)) < density
+    mask[np.arange(p), rng.integers(q, size=p)] = True
+    mask[rng.integers(p, size=q), np.arange(q)] = True
+    return M, mask
+
+
+class TestAlsWrBatchedAgainstRowByRow:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        p, q = rng.integers(5, 40, size=2)
+        M, mask = random_observed(rng, p, q, rng.uniform(0.05, 0.6))
+        rank = int(rng.integers(1, min(p, q) + 1))
+        U, V, history = als_wr_factorize(M, mask, rank, 0.05, 6, rng=seed, return_objective=True)
+        U_ref, V_ref, history_ref = als_reference(M, mask, rank, 0.05, 6, rng=seed)
+        np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(history, history_ref, rtol=1e-12)
+
+    def test_fully_observed_prefilled_columns(self):
+        # the imputer marks never-rated columns fully observed at 0
+        rng = np.random.default_rng(7)
+        M, mask = random_observed(rng, 30, 25, 0.1)
+        M[:, [3, 11, 12]] = 0.0
+        mask[:, [3, 11, 12]] = True
+        U, V = als_wr_factorize(M, mask, 8, 0.05, 5, rng=3)
+        U_ref, V_ref, _ = als_reference(M, mask, 8, 0.05, 5, rng=3)
+        np.testing.assert_allclose(U @ V.T, U_ref @ V_ref.T, rtol=0, atol=1e-12)
+
+    def test_rank_above_the_smallest_row_count(self):
+        # rows with one or two observations: the Gram block is rank-deficient
+        # and only the λ n_i I term makes it invertible
+        rng = np.random.default_rng(9)
+        M, mask = random_observed(rng, 20, 18, 0.3)
+        mask[:4] = False
+        mask[np.arange(4), np.arange(4)] = True
+        mask[1, 7] = True
+        U, V = als_wr_factorize(M, mask, 6, 0.05, 4, rng=5)
+        U_ref, V_ref, _ = als_reference(M, mask, 6, 0.05, 4, rng=5)
+        assert mask.sum(axis=1).min() < 6
+        np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
+
+    def test_objective_only_on_request(self):
+        rng = np.random.default_rng(11)
+        M, mask = random_observed(rng, 9, 7, 0.5)
+        assert len(als_wr_factorize(M, mask, 2, 0.1, 3, rng=0)) == 2
+        U, V, history = als_wr_factorize(M, mask, 2, 0.1, 3, rng=0, return_objective=True)
+        assert history.shape == (3,)
+
+
+def spectrum_matrix(rng, p, q, singular_values):
+    """p×q matrix with the given singular values and random singular vectors."""
+    r = len(singular_values)
+    U, _ = np.linalg.qr(rng.standard_normal((p, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((q, r)))
+    return (U * singular_values) @ V.T
+
+
+class TestTruncatedSvdAgainstFullSvd:
+    def test_small_gap_300x200(self):
+        rng = np.random.default_rng(61)
+        rank = 16
+        s_true = np.concatenate([np.linspace(40.0, 3.77, rank), np.linspace(3.72, 0.01, 184)])
+        M = spectrum_matrix(rng, 300, 200, s_true)
+        U, s, V = truncated_svd(M, rank)
+        Uf, sf, Vtf = np.linalg.svd(M, full_matrices=False)
+        np.testing.assert_allclose(s, sf[:rank], rtol=1e-12)
+        np.testing.assert_allclose((U * s) @ V.T, (Uf[:, :rank] * sf[:rank]) @ Vtf[:rank], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(U.T @ U, np.eye(rank), atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(rank), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (6, 6)])
+    def test_dispatch_boundary(self, shape, monkeypatch):
+        calls = []
+        svds = scipy.sparse.linalg.svds
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", lambda *a, **kw: calls.append(1) or svds(*a, **kw))
+        rng = np.random.default_rng(67)
+        M = rng.uniform(size=shape)
+        Uf, sf, Vtf = np.linalg.svd(M, full_matrices=False)
+        for rank, lanczos in ((min(shape) - 1, True), (min(shape), False)):
+            calls.clear()
+            U, s, V = truncated_svd(M, rank)
+            assert bool(calls) == lanczos
+            np.testing.assert_allclose(s, sf[:rank], rtol=1e-10)
+            oracle = (Uf[:, :rank] * sf[:rank]) @ Vtf[:rank]
+            np.testing.assert_allclose((U * s) @ V.T, oracle, rtol=0, atol=1e-10)
+
+    def test_zero_matrix_takes_the_full_svd(self, monkeypatch):
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", None)  # calling it would raise
+        U, s, V = truncated_svd(np.zeros((9, 7)), 3)
+        np.testing.assert_array_equal(s, np.zeros(3))
+
+    def test_reruns_bit_identical(self):
+        rng = np.random.default_rng(71)
+        M = rng.uniform(size=(60, 45))
+        first = truncated_svd(M, 8)
+        for a, b in zip(first, truncated_svd(M, 8)):
+            np.testing.assert_array_equal(a, b)

@@ -448,6 +448,15 @@ class TestMakePolicy:
         with pytest.raises(ValueError):
             make_policy("alinucb", X=base, alpha=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "policy_id,key", [("linucb", "alpha"), ("alinucb", "alpha"), ("thompson", "v"), ("egreedy", "c"), ("egreedy", "d")]
+    )
+    def test_non_finite_hyper_parameter_names_its_key(self, policy_id, key, value):
+        base = random_base(k=3, n=4, seed=35)
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_policy(policy_id, X=base, seed=0, **{key: value})
+
     def test_hyper_parameters_by_name(self):
         base = random_base(k=3, n=4, seed=34)
         pol = make_policy("egreedy", X=base, alpha=0.5, c=0.2, d=0.3, gamma=0.4, v=0.6, seed=0)

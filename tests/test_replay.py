@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coldrec.data import dataset_from_dense
+from coldrec.data import atomic_write, dataset_from_dense
 from coldrec.impute import Zero, fill
 from coldrec.policies import ALinUcbPolicy, Exp3Policy, OraclePolicy, Policy, RandomPolicy
 from coldrec.replay import RevealLog, best_surrogate, read_trace_csv, run_replay, write_trace_csv
@@ -183,3 +183,51 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         assert path.read_text().splitlines()[0] == "t,user,arm,revealed,best,increment,cumulative"
+
+
+def row_by_row_trace_text(trace) -> str:
+    """The trace format written one formatted row at a time."""
+    text = "t,user,arm,revealed,best,increment,cumulative\n"
+    for i in range(trace.steps):
+        text += (
+            f"{trace.t[i]},{trace.user[i]},{trace.arm[i]},"
+            f"{float(trace.revealed[i])!r},{float(trace.best[i])!r},"
+            f"{float(trace.increment[i])!r},{float(trace.cumulative[i])!r}\n"
+        )
+    return text
+
+
+class TestAtomicWrites:
+    def test_trace_bytes_match_row_by_row_format(self, tmp_path):
+        base, evaluation = linear_environment(30, 30, 40, seed=5)
+        X = fill(base, Zero())
+        trace = run_replay(ALinUcbPolicy(X, alpha=0.3), evaluation, 300, seed=2)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text() == row_by_row_trace_text(trace)
+
+    def test_failure_mid_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        atomic_write(path, ["first version\n"])
+
+        def chunks():
+            yield "half of the second version\n" * 10_000
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, chunks())
+        assert path.read_text() == "first version\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_trace_write_failing_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        _, evaluation = linear_environment(8, 8, 10, seed=6)
+        trace = run_replay(RandomPolicy(8, seed=1), evaluation, 20, seed=3)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        before = path.read_bytes()
+        monkeypatch.setattr("os.replace", lambda *args: (_ for _ in ()).throw(OSError("rename failed")))
+        longer = run_replay(RandomPolicy(8, seed=2), evaluation, 40, seed=4)
+        with pytest.raises(OSError, match="rename failed"):
+            write_trace_csv(longer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
