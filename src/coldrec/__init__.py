@@ -50,7 +50,7 @@ from .policies import (
     UcbPolicy,
     make_policy,
 )
-from .replay import RegretTrace, best_surrogate, read_trace_csv, run_replay, write_trace_csv
+from .replay import RegretTrace, read_trace_csv, run_replay, write_trace_csv
 from .synthetic import linear_environment
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "Zero",
     "als_wr_factorize",
     "als_wr_objective",
-    "best_surrogate",
     "dataset_from_dense",
     "fill",
     "filter_min_ratings",

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "ProblemKind",
     "RatingDataset",
+    "UserRows",
     "CorpusSplit",
     "load_movielens",
     "load_csv_triples",
@@ -94,6 +95,33 @@ class RatingDataset:
         return all(np.array_equal(a, b) for a, b in zip(self.sorted_triples(), other.sorted_triples()))
 
 
+class UserRows:
+    """A dataset's ratings grouped by user, items ascending within each
+    user, in O(ratings) memory.
+
+    Triples already in canonical (user, item) order, as the loaders and
+    splits leave them, are used as they are; others are sorted once.  A
+    repeated (user, item) pair is rejected: it would have two ratings.
+    """
+
+    def __init__(self, dataset: RatingDataset):
+        keys = dataset.users * dataset.n_items + dataset.items
+        if np.all(keys[1:] > keys[:-1]):
+            self.items, self.ratings = dataset.items, dataset.ratings
+        else:
+            order = np.argsort(keys, kind="stable")
+            if np.any(np.diff(keys[order]) == 0):
+                raise ValueError("dataset repeats a (user, item) pair")
+            self.items, self.ratings = dataset.items[order], dataset.ratings[order]
+        self.starts = np.zeros(dataset.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dataset.users, minlength=dataset.n_users), out=self.starts[1:])
+
+    def row(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """One user's items, ascending, and their ratings (views)."""
+        lo, hi = self.starts.item(user), self.starts.item(user + 1)
+        return self.items[lo:hi], self.ratings[lo:hi]
+
+
 @dataclass(frozen=True)
 class CorpusSplit:
     """Row-disjoint base/evaluation partition of a dataset.
@@ -148,7 +176,7 @@ class _Grammar:
     first_id: int  # ids below it are rejected; items are shifted down by it
     expected: str  # the message for a wrong field count
     id_rule: str  # the message for an id below first_id
-    header: bool  # line 1 may be a header (non-integer first field)
+    header: bool  # the first non-blank line may be a header (non-integer first field)
 
 
 _MOVIELENS = _Grammar("::", 4, 1, "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based", False)
@@ -174,6 +202,7 @@ def _scan_lines(path, grammar: _Grammar, scale_max: float):
     subset of it in bulk and hands everything else here.
     """
     users, items, ratings = [], [], []
+    may_be_header = grammar.header
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -182,8 +211,10 @@ def _scan_lines(path, grammar: _Grammar, scale_max: float):
             parts = line.split(grammar.sep)
             if len(parts) != grammar.n_fields:
                 raise ValueError(f"{path}, line {lineno}: {grammar.expected}")
-            if grammar.header and lineno == 1 and not _is_int(parts[0]):
-                continue
+            if may_be_header:
+                may_be_header = False
+                if not _is_int(parts[0]):
+                    continue
             try:
                 u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
@@ -230,7 +261,7 @@ def _parse_canonical(data: bytes, grammar: _Grammar, scale_max: float):
         data += b"\n"
     sep = grammar.sep.encode()
     if grammar.header:
-        head, _, rest = data.partition(b"\n")
+        head, _, rest = data.lstrip(b"\n").partition(b"\n")
         parts = head.decode("utf-8", errors="replace").strip().split(grammar.sep)
         if len(parts) == grammar.n_fields and not _is_int(parts[0]):
             data = rest
@@ -300,7 +331,8 @@ def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
 def load_csv_triples(path, scale_max: float) -> RatingDataset:
     """Load a ``user,item,rating`` file with 0-based ids.
 
-    A header line is tolerated (detected by a non-numeric first field).
+    A header line is tolerated (detected by a non-numeric first field) as
+    the first non-blank line.
     Ratings outside [0, scale_max] are rejected with the offending line
     number.  Users are re-indexed densely; the item axis spans [0, max id].
     """

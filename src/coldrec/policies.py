@@ -1,10 +1,11 @@
 """Arm-selection policies behind one select/update protocol.
 
-All policies implement: ``select(available, t) -> arm`` followed by exactly
+All policies implement: ``select(revealed, t) -> arm`` followed by exactly
 one ``update(arm, reward)`` with the arm that select returned and the
-revealed reward in [0, 1].  ``available`` is an ascending array of arm
-indices; ties always break toward the lowest index, so runs are fully
-reproducible given the seeds.
+revealed reward in [0, 1].  ``revealed`` is the ascending array of arms
+already revealed to the current user, which select must not return; every
+other arm is available.  Ties always break toward the lowest index, so runs
+are fully reproducible given the seeds.
 
 The contextual policies score arms against the columns of the base matrix.
 The adapted-LinUCB policy freezes each arm's design matrix at I + x xᵀ,
@@ -21,7 +22,7 @@ import math
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .data import RatingDataset
+from .data import RatingDataset, UserRows
 from .impute import BaseMatrix
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "ucb_score",
     "exp3_distribution",
     "argmax_lowest",
+    "nth_open_arm",
     "DEFAULT_ALPHA",
     "DEFAULT_C",
     "DEFAULT_D",
@@ -56,14 +58,44 @@ DEFAULT_GAMMA = 0.01
 DEFAULT_V = 0.1
 
 
-def argmax_lowest(scores: np.ndarray, available: np.ndarray) -> int:
-    """Arm in `available` with the highest score, lowest index on ties.
-
-    Requires `available` sorted ascending (np.argmax keeps the first max).
-    """
-    if len(available) == 0:
+def _check_open(n_arms: int, revealed: np.ndarray) -> int:
+    """Number of arms not in `revealed`; raises if there is none."""
+    n_open = n_arms - len(revealed)
+    if n_open <= 0:
         raise ValueError("available arm set is empty")
-    return int(available[np.argmax(scores[available])])
+    return n_open
+
+
+def _is_revealed(revealed: np.ndarray, arm: int) -> bool:
+    pos = revealed.searchsorted(arm)
+    return pos < len(revealed) and revealed[pos] == arm
+
+
+def nth_open_arm(revealed: np.ndarray, idx: int) -> int:
+    """The idx-th (0-based) arm not in the ascending array `revealed`.
+
+    revealed[i] − i counts the open arms below revealed[i], so the answer is
+    idx plus the number of revealed arms whose count is at most idx.
+    """
+    return idx + int((revealed - np.arange(len(revealed))).searchsorted(idx, side="right"))
+
+
+def argmax_lowest(scores: np.ndarray, revealed: np.ndarray) -> int:
+    """Arm outside the ascending array `revealed` with the highest score,
+    lowest index on ties.
+
+    One global argmax (np.argmax keeps the first max) decides unless it lands
+    on a revealed arm; only then are the revealed arms masked out.
+    """
+    _check_open(len(scores), revealed)
+    arm = int(scores.argmax())
+    if len(revealed) and _is_revealed(revealed, arm):
+        masked = np.array(scores, dtype=np.float64)
+        masked[revealed] = -np.inf
+        arm = int(masked.argmax())
+        if _is_revealed(revealed, arm):  # every open arm scores -inf
+            arm = nth_open_arm(revealed, 0)
+    return arm
 
 
 def egreedy_epsilon(c: float, d: float, n: int, t: int) -> float:
@@ -85,11 +117,9 @@ def ucb_score(mean, t: int, t_j):
     """
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    mean = np.asarray(mean, dtype=np.float64)
-    t_j = np.asarray(t_j, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.sqrt(2.0 * math.log(t) / t_j)
-        out = np.where(t_j > 0, mean + radius, np.inf)
+    out = np.divide(2.0 * math.log(t), t_j, out=np.full(np.shape(t_j), np.inf), where=np.greater(t_j, 0))
+    np.sqrt(out, out=out)
+    out += mean
     return float(out) if out.ndim == 0 else out
 
 
@@ -143,7 +173,7 @@ class Policy:
         across users); only the cheating oracle overrides this.
         """
 
-    def select(self, available: np.ndarray, t: int) -> int:
+    def select(self, revealed: np.ndarray, t: int) -> int:
         raise NotImplementedError
 
     def update(self, arm: int, reward: float) -> None:
@@ -159,33 +189,28 @@ class RandomPolicy(Policy):
         self.n_arms = n_arms
         self.rng = np.random.default_rng(seed)
 
-    def select(self, available, t):
-        if len(available) == 0:
-            raise ValueError("available arm set is empty")
-        return int(available[self.rng.integers(len(available))])
+    def select(self, revealed, t):
+        return nth_open_arm(revealed, int(self.rng.integers(_check_open(self.n_arms, revealed))))
 
     def update(self, arm, reward):
         _check_reward(reward)
 
 
 class _CountsPolicy(Policy):
-    """Per-arm play counts and reward sums, shared by the policies that score
-    arms by their observed average reward."""
+    """Per-arm play counts, reward sums and their averages (0 for arms never
+    played), shared by the policies that score arms by average reward."""
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
         self.sums = np.zeros(n_arms)
         self.counts = np.zeros(n_arms, dtype=np.int64)
-
-    def _means(self, unplayed: float = 0.0) -> np.ndarray:
-        """Observed average per arm; `unplayed` for arms never played."""
-        with np.errstate(invalid="ignore"):
-            return np.where(self.counts > 0, self.sums / self.counts, unplayed)
+        self.means = np.zeros(n_arms)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
         self.sums[arm] += reward
         self.counts[arm] += 1
+        self.means[arm] = self.sums[arm] / self.counts[arm]
 
 
 class AveragePolicy(_CountsPolicy):
@@ -200,9 +225,9 @@ class AveragePolicy(_CountsPolicy):
         self.total_sum = 0.0
         self.total_count = 0
 
-    def select(self, available, t):
+    def select(self, revealed, t):
         global_mean = self.total_sum / self.total_count if self.total_count else 0.0
-        return argmax_lowest(self._means(global_mean), available)
+        return argmax_lowest(np.where(self.counts > 0, self.means, global_mean), revealed)
 
     def update(self, arm, reward):
         super().update(arm, reward)
@@ -226,20 +251,19 @@ class EpsilonGreedyPolicy(_CountsPolicy):
         self.d = _check_hyper("d", d, positive=True)
         self.rng = np.random.default_rng(seed)
 
-    def select(self, available, t):
-        if len(available) == 0:
-            raise ValueError("available arm set is empty")
+    def select(self, revealed, t):
+        n_open = _check_open(self.n_arms, revealed)
         eps = egreedy_epsilon(self.c, self.d, self.n_arms, t)
         if self.rng.random() < eps:
-            return int(available[self.rng.integers(len(available))])
-        return argmax_lowest(self._means(), available)
+            return nth_open_arm(revealed, int(self.rng.integers(n_open)))
+        return argmax_lowest(self.means, revealed)
 
 
 class UcbPolicy(_CountsPolicy):
     """Classic frequentist UCB on observed averages (no context)."""
 
-    def select(self, available, t):
-        return argmax_lowest(ucb_score(self._means(), t, self.counts), available)
+    def select(self, revealed, t):
+        return argmax_lowest(ucb_score(self.means, t, self.counts), revealed)
 
 
 class Exp3Policy(Policy):
@@ -263,9 +287,13 @@ class Exp3Policy(Policy):
         self.weights = np.ones(n_arms)
         self._pending = None  # (arm, probability) from the last select
 
-    def select(self, available, t):
-        if len(available) == 0:
-            raise ValueError("available arm set is empty")
+    def select(self, revealed, t):
+        _check_open(self.n_arms, revealed)
+        # The compact set, not a zero-masked p: p.sum() rounds differently
+        # with zeros inserted.
+        is_open = np.ones(self.n_arms, dtype=bool)
+        is_open[revealed] = False
+        available = is_open.nonzero()[0]
         p = exp3_distribution(self.weights, self.gamma)[available]
         p /= p.sum()
         idx = self.rng.choice(len(available), p=p)
@@ -334,8 +362,8 @@ class ThompsonPolicy(Policy):
         noise += self.b
         return self.A_inv @ noise
 
-    def select(self, available, t):
-        return argmax_lowest(self.sample_theta() @ self.X, available)
+    def select(self, revealed, t):
+        return argmax_lowest(self.sample_theta() @ self.X, revealed)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
@@ -389,8 +417,8 @@ class LinUcbPolicy(Policy):
         q = s / (1.0 + self.counts[j] * s)
         return self.reward_sums[j] * q + self.alpha * math.sqrt(q)
 
-    def select(self, available, t):
-        return argmax_lowest(self._scores, available)
+    def select(self, revealed, t):
+        return argmax_lowest(self._scores, revealed)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
@@ -426,8 +454,8 @@ class ALinUcbPolicy(Policy):
     def score(self, j: int) -> float:
         return float(self._scores[j])
 
-    def select(self, available, t):
-        return argmax_lowest(self._scores, available)
+    def select(self, revealed, t):
+        return argmax_lowest(self._scores, revealed)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
@@ -442,21 +470,33 @@ class OraclePolicy(Policy):
     (0 for unrated arms), which achieves the best-known value every step and
     hence exactly zero cumulative regret.  Never a real policy — it reads
     the answer key — but it pins down the evaluator's regret accounting.
+
+    It reads each user's ratings from per-user rating lists, O(ratings)
+    memory in all.
     """
 
     def __init__(self, evaluation: RatingDataset):
+        if evaluation.n_ratings and (evaluation.ratings.min() < 0.0 or evaluation.ratings.max() > 1.0):
+            raise ValueError("evaluation ratings must be normalized to [0, 1]")
         self.n_arms = evaluation.n_items
-        self._ratings = np.zeros((evaluation.n_users, evaluation.n_items))
-        self._ratings[evaluation.users, evaluation.items] = evaluation.ratings
+        self._rows = UserRows(evaluation)
         self._user = None
 
     def observe_user(self, user):
         self._user = user
 
-    def select(self, available, t):
+    def select(self, revealed, t):
         if self._user is None:
             raise RuntimeError("oracle needs observe_user before select")
-        return argmax_lowest(self._ratings[self._user], available)
+        _check_open(self.n_arms, revealed)
+        items, ratings = self._rows.row(self._user)
+        # revealed ratings drop below every open arm's; items ascend, so
+        # argmax keeps the lowest of tied arms
+        hidden = np.where(np.isin(items, revealed), -1.0, ratings)
+        if len(hidden) and hidden.max() > 0.0:
+            return int(items[hidden.argmax()])
+        # every open arm is unrated or rated 0: the lowest one ties for best
+        return nth_open_arm(revealed, 0)
 
     def update(self, arm, reward):
         _check_reward(reward)

@@ -4,7 +4,9 @@ Each step draws an evaluation user uniformly among those who still have
 un-revealed arms, asks the policy for one of that user's un-revealed arms,
 reveals the held-out rating (zero when the user never rated the arm), and
 charges regret against the user's best still-hidden known rating.  A
-(user, arm) pair is revealed at most once over the whole run.
+(user, arm) pair is revealed at most once over the whole run, and the
+bookkeeping for it takes memory in proportion to the ratings, never to
+users × items.
 
 User draws and policy randomness come from separate generators, so swapping
 the policy never perturbs the user sequence for a given replay seed.
@@ -12,18 +14,18 @@ the policy never perturbs the user sequence for a given replay seed.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, atomic_write
+from .data import RatingDataset, UserRows, atomic_write
 from .policies import Policy
 
 __all__ = [
     "RegretTrace",
     "RevealLog",
-    "best_surrogate",
     "run_replay",
     "write_trace_csv",
     "read_trace_csv",
@@ -33,54 +35,76 @@ __all__ = [
 TRACE_HEADER = "t,user,arm,revealed,best,increment,cumulative"
 
 
-def best_surrogate(ratings_by_arm, already_revealed) -> float:
-    """Highest known rating among arms not yet revealed to this user; 0 if
-    nothing known remains.
+class _UserState:
+    """One user's held-out ratings and what has been revealed to them."""
 
-    Stand-in for the unobservable per-step optimum: the best the recommender
-    could still have scored with this user's held-out ratings.
-    """
-    best = 0.0
-    for arm, rating in ratings_by_arm.items():
-        if arm not in already_revealed and rating > best:
-            best = float(rating)
-    return best
+    __slots__ = ("items", "ratings", "desc", "cursor", "seen", "ascending", "array")
+
+    def __init__(self, items, ratings):
+        self.items = items  # ascending, for the reveal lookup
+        self.ratings = ratings
+        self.desc = None  # indices by rating, descending; built after the first reveal
+        self.cursor = 0  # every entry of desc before it is revealed
+        self.seen = set()  # the revealed arms
+        self.ascending = []  # the same arms, sorted
+        self.array = None  # ascending as an array, built when asked for
 
 
 class RevealLog:
-    """Reveal bookkeeping for one replay run.
+    """Reveal bookkeeping for one replay run, in O(ratings) memory.
 
-    Holds the held-out ratings as dense lookups and guarantees each
+    The held-out ratings are grouped by user up front; a user's state is
+    built the first time the user is drawn, and the user's ratings are
+    sorted by value only once something has been revealed to them.  Every
     (user, arm) pair is revealed at most once.
     """
 
     def __init__(self, evaluation: RatingDataset):
-        m, n = evaluation.n_users, evaluation.n_items
-        self.n_arms = n
-        self.ratings = np.zeros((m, n))
-        self.known = np.zeros((m, n), dtype=bool)
-        self.ratings[evaluation.users, evaluation.items] = evaluation.ratings
-        self.known[evaluation.users, evaluation.items] = True
-        self.revealed = np.zeros((m, n), dtype=bool)
-        self.arms_left = np.full(m, n, dtype=np.int64)
+        self.n_arms = evaluation.n_items
+        self.arms_left = np.full(evaluation.n_users, self.n_arms, dtype=np.int64)
+        self._rows = UserRows(evaluation)
+        self._users: dict[int, _UserState] = {}
 
-    def available(self, user: int) -> np.ndarray:
-        """Arms not yet revealed to this user, ascending."""
-        return np.flatnonzero(~self.revealed[user])
+    def _state(self, user: int) -> _UserState:
+        state = self._users.get(user)
+        if state is None:
+            state = self._users[user] = _UserState(*self._rows.row(user))
+        return state
+
+    def revealed(self, user: int) -> np.ndarray:
+        """Arms already revealed to this user, ascending."""
+        state = self._state(user)
+        if state.array is None:
+            state.array = np.array(state.ascending, dtype=np.int64)
+        return state.array
 
     def best_hidden_known(self, user: int) -> float:
-        """The best-surrogate value: max known rating still unrevealed."""
-        hidden = self.known[user] & ~self.revealed[user]
-        return float(self.ratings[user][hidden].max()) if hidden.any() else 0.0
+        """The best-surrogate value: the highest known rating of this user
+        not yet revealed, 0 if none is left.  Amortised O(1): the cursor
+        only ever moves past revealed entries."""
+        state = self._state(user)
+        if state.desc is None:
+            if not state.seen:
+                return state.ratings.max().item() if len(state.ratings) else 0.0
+            state.desc = np.argsort(-state.ratings, kind="stable")
+        c, desc, items, seen = state.cursor, state.desc, state.items, state.seen
+        while c < len(desc) and items.item(desc.item(c)) in seen:
+            c += 1
+        state.cursor = c
+        return state.ratings.item(desc.item(c)) if c < len(desc) else 0.0
 
     def reveal(self, user: int, arm: int) -> float:
         """Consume one (user, arm) pair: the held-out rating, or the zero
         fill when the user never rated the arm.  Repeats are rejected."""
-        if not 0 <= arm < self.n_arms or self.revealed[user, arm]:
+        state = self._state(user)
+        if not 0 <= arm < self.n_arms or arm in state.seen:
             raise RuntimeError(f"arm {arm} is not available for user {user}")
-        self.revealed[user, arm] = True
+        state.seen.add(arm)
+        bisect.insort(state.ascending, arm)
+        state.array = None
         self.arms_left[user] -= 1
-        return float(self.ratings[user, arm]) if self.known[user, arm] else 0.0
+        i = state.items.searchsorted(arm)
+        return state.ratings.item(i) if i < len(state.items) and state.items.item(i) == arm else 0.0
 
 
 @dataclass
@@ -109,8 +133,8 @@ class RegretTrace:
 def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
     """Run the replay protocol for T steps (or until every user is spent).
 
-    The wall clock covers the decision loop only; building the dense lookup
-    tables happens outside the timed region.
+    The wall clock covers the decision loop, including building the rows
+    of the users it draws; grouping the ratings by user happens before it.
     """
     if T < 1:
         raise ValueError(f"horizon T must be >= 1, got {T}")
@@ -125,64 +149,53 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
         raise ValueError("evaluation ratings must be normalized to [0, 1]")
 
     log = RevealLog(evaluation)
+    arms_left = log.arms_left
     pool = np.arange(evaluation.n_users)
     pool_size = evaluation.n_users
-
     user_rng = np.random.default_rng(seed)
 
-    t_log = np.empty(T, dtype=np.int64)
-    user_log = np.empty(T, dtype=np.int64)
-    arm_log = np.empty(T, dtype=np.int64)
-    revealed_log = np.empty(T)
-    best_log = np.empty(T)
-    increment_log = np.empty(T)
-    cumulative_log = np.empty(T)
-
-    steps = 0
-    total = 0.0
+    users, arms, rewards, bests = [], [], [], []
+    t = 0
     exhausted = False
     start = time.perf_counter()
-    for t in range(1, T + 1):
+    while t < T:
         if pool_size == 0:
             exhausted = True
             break
-        idx = user_rng.integers(pool_size)
-        user = int(pool[idx])
-
-        policy.observe_user(user)
-        available = log.available(user)
-        best = log.best_hidden_known(user)
-
-        arm = int(policy.select(available, t))
-        try:
-            reward = log.reveal(user, arm)
-        except RuntimeError as exc:
-            raise RuntimeError(f"policy violated the protocol at step {t}: {exc}") from None
-        if log.arms_left[user] == 0:
-            pool_size -= 1
-            pool[idx] = pool[pool_size]
-
-        policy.update(arm, reward)
-
-        total += best - reward
-        t_log[steps] = t
-        user_log[steps] = user
-        arm_log[steps] = arm
-        revealed_log[steps] = reward
-        best_log[steps] = best
-        increment_log[steps] = best - reward
-        cumulative_log[steps] = total
-        steps += 1
+        # No user in the pool can run out before the block's last step, so
+        # the pool stays as it is and one batched draw equals `block` draws.
+        block = min(T - t, int(arms_left[pool[:pool_size]].min()))
+        for idx in user_rng.integers(pool_size, size=block).tolist():
+            t += 1
+            user = pool.item(idx)
+            policy.observe_user(user)
+            best = log.best_hidden_known(user)
+            arm = int(policy.select(log.revealed(user), t))
+            try:
+                reward = log.reveal(user, arm)
+            except RuntimeError as exc:
+                raise RuntimeError(f"policy violated the protocol at step {t}: {exc}") from None
+            if arms_left[user] == 0:
+                pool_size -= 1
+                pool[idx] = pool[pool_size]
+            policy.update(arm, reward)
+            users.append(user)
+            arms.append(arm)
+            rewards.append(reward)
+            bests.append(best)
     wall = time.perf_counter() - start
 
+    best = np.array(bests, dtype=np.float64)
+    revealed = np.array(rewards, dtype=np.float64)
+    increment = best - revealed
     return RegretTrace(
-        t=t_log[:steps],
-        user=user_log[:steps],
-        arm=arm_log[:steps],
-        revealed=revealed_log[:steps],
-        best=best_log[:steps],
-        increment=increment_log[:steps],
-        cumulative=cumulative_log[:steps],
+        t=np.arange(1, len(users) + 1, dtype=np.int64),
+        user=np.array(users, dtype=np.int64),
+        arm=np.array(arms, dtype=np.int64),
+        revealed=revealed,
+        best=best,
+        increment=increment,
+        cumulative=np.cumsum(increment),  # sequential, as the step-by-step running sum
         wall_time_seconds=wall,
         exhausted=exhausted,
     )

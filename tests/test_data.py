@@ -99,6 +99,27 @@ class TestLoadCsvTriples:
         with pytest.raises(ValueError, match="line 2"):
             load_csv_triples(path, scale_max=5)
 
+    @pytest.mark.parametrize(
+        "text,in_bulk",
+        [("\nuser,item,rating\n0,1,2\n", True), ("\r\n\n  \nuser,item,rating\n0,1,2\n", False)],
+    )
+    def test_header_after_blank_lines(self, tmp_path, text, in_bulk):
+        """The header may follow blank lines, in the bulk parser and in the
+        line-by-line one alike (a whitespace-only line is left to the latter)."""
+        path = write(tmp_path, "e.csv", text)
+        ds = load_csv_triples(path, scale_max=5)
+        assert (ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()) == ([0], [1], [2.0])
+        assert [a.tolist() for a in data._scan_lines(path, data._CSV, 5.0)] == [[0], [1], [2.0]]
+        bulk = data._parse_canonical(path.read_bytes(), data._CSV, 5.0)
+        assert (bulk is not None) == in_bulk
+        if in_bulk:
+            assert [a.tolist() for a in bulk] == [[0], [1], [2.0]]
+
+    def test_header_only_before_the_first_rating(self, tmp_path):
+        path = write(tmp_path, "f.csv", "\n0,1,2\nuser,item,rating\n")
+        with pytest.raises(ValueError, match="line 3: invalid literal"):
+            load_csv_triples(path, scale_max=5)
+
     def test_round_trip_100_users(self, tmp_path):
         rng = np.random.default_rng(0)
         grid = rng.uniform(0, 5, size=(100, 30))
@@ -249,6 +270,7 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
     sep, n_fields = ("::", 4) if movielens else (",", 3)
     first_id = 1 if movielens else 0
     last = {}
+    first = True
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -257,7 +279,8 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
             parts = line.split(sep)
             if len(parts) != n_fields:
                 raise ValueError(f"{path}, line {lineno}: field count")
-            if not movielens and lineno == 1:
+            if not movielens and first:
+                first = False
                 try:
                     int(parts[0])
                 except ValueError:

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coldrec.data import dataset_from_dense
 from coldrec.impute import BaseMatrix
 from coldrec.policies import (
     ALinUcbPolicy,
@@ -21,9 +24,26 @@ from coldrec.policies import (
     egreedy_epsilon,
     exp3_distribution,
     make_policy,
+    nth_open_arm,
     ucb_score,
 )
 from coldrec.synthetic import linear_environment
+
+
+NONE = np.empty(0, dtype=np.int64)
+
+
+def closed(n, available):
+    """The exclusion set that leaves exactly `available` open among n arms."""
+    return np.setdiff1d(np.arange(n), available)
+
+
+def argmax_over(scores, available):
+    """Reference: the highest-scoring arm of the ascending `available`,
+    lowest index on ties."""
+    if len(available) == 0:
+        raise ValueError("available arm set is empty")
+    return int(available[np.argmax(scores[available])])
 
 
 def random_base(k=6, n=9, seed=0):
@@ -73,6 +93,15 @@ class TestUcbScore:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             ucb_score(0.5, 0, 1)
+
+    def test_array_matches_masked_formula_bitwise(self):
+        rng = np.random.default_rng(40)
+        counts = rng.integers(0, 4, size=50)
+        means = np.where(counts > 0, rng.uniform(size=50), 0.0)
+        for t in (1, 2, 17, 10**6):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.where(counts > 0, means + np.sqrt(2.0 * math.log(t) / counts), np.inf)
+            np.testing.assert_array_equal(ucb_score(means, t, counts), expected)
 
 
 class TestExp3Distribution:
@@ -243,7 +272,7 @@ def rel_err(a, b):
 class TestThompson:
     def test_v_zero_fresh_ties_to_lowest(self):
         pol = ThompsonPolicy(random_base(), v=0.0, seed=0)
-        assert pol.select(np.array([3, 5, 7]), 1) == 3
+        assert pol.select(closed(9, [3, 5, 7]), 1) == 3
 
     def test_v_zero_is_deterministic_argmax(self):
         base = random_base(k=4, n=6, seed=18)
@@ -251,8 +280,8 @@ class TestThompson:
         pol.update(2, 1.0)
         pol.update(2, 1.0)
         _, theta = dense_thompson_posterior(base.X, pol.counts, pol.b)
-        expected = argmax_lowest(theta @ base.X, np.arange(6))
-        assert pol.select(np.arange(6), 3) == expected
+        expected = argmax_over(theta @ base.X, np.arange(6))
+        assert pol.select(NONE, 3) == expected
 
     def test_sherman_morrison_inverse_matches_dense(self):
         """2500 rank-one downdates at k = n = 50 stay within 1e-8 of the
@@ -280,8 +309,8 @@ class TestThompson:
         for t in range(1, 201):
             available = np.sort(rng.choice(30, size=int(rng.integers(1, 31)), replace=False))
             _, theta = dense_thompson_posterior(base.X, counts, b)
-            arm = pol.select(available, t)
-            assert arm == argmax_lowest(theta @ base.X, available), t
+            arm = pol.select(closed(30, available), t)
+            assert arm == argmax_over(theta @ base.X, available), t
             reward = float(rng.uniform())
             pol.update(arm, reward)
             counts[arm] += 1
@@ -322,14 +351,14 @@ class TestSelectProtocol:
     def test_singleton_available(self):
         base = random_base(k=4, n=6, seed=22)
         for pol in self.make_all(base):
-            assert pol.select(np.array([4]), 1) == 4
+            assert pol.select(closed(6, [4]), 1) == 4
 
     def test_returns_member_of_available(self):
         base = random_base(k=4, n=10, seed=23)
         available = np.array([1, 4, 8])
         for pol in self.make_all(base):
             for t in range(1, 20):
-                arm = pol.select(available, t)
+                arm = pol.select(closed(10, available), t)
                 assert arm in available
                 pol.update(arm, 0.5)
 
@@ -337,27 +366,28 @@ class TestSelectProtocol:
         base = random_base(k=3, n=4, seed=24)
         for pol in self.make_all(base):
             with pytest.raises(ValueError):
-                pol.select(np.array([], dtype=np.int64), 1)
+                pol.select(np.arange(4), 1)
 
     def test_alinucb_tie_break_lowest(self):
         X = BaseMatrix(np.tile(np.ones((3, 1)) / 2, (1, 4)))  # identical columns
         pol = ALinUcbPolicy(X, alpha=0.0)
-        assert pol.select(np.arange(4), 1) == 0
+        assert pol.select(NONE, 1) == 0
         pol_explore = ALinUcbPolicy(X, alpha=0.5)
-        assert pol_explore.select(np.array([2, 3]), 1) == 2
+        assert pol_explore.select(closed(4, [2, 3]), 1) == 2
 
     def test_argmax_prefers_highest_then_lowest_index(self):
         scores = np.array([0.2, 0.9, 0.9])
-        assert argmax_lowest(scores, np.arange(3)) == 1
+        assert argmax_lowest(scores, NONE) == 1
+        assert argmax_lowest(scores, np.array([1])) == 2
 
     def test_argmax_scale_invariant(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
             scores = rng.uniform(size=12)
-            available = np.sort(rng.choice(12, size=5, replace=False))
-            picked = argmax_lowest(scores, available)
+            revealed = np.sort(rng.choice(12, size=5, replace=False))
+            picked = argmax_lowest(scores, revealed)
             for scale in (1e-6, 3.7, 1e6):
-                assert argmax_lowest(scores * scale, available) == picked
+                assert argmax_lowest(scores * scale, revealed) == picked
 
     def test_seeded_reproducibility(self):
         base = random_base(k=5, n=8, seed=26)
@@ -373,24 +403,97 @@ class TestSelectProtocol:
                 pol = factory(99)
                 seq = []
                 for t, r in enumerate(rewards, start=1):
-                    arm = pol.select(np.arange(8), t)
+                    arm = pol.select(NONE, t)
                     seq.append(arm)
                     pol.update(arm, float(r))
                 picks.append(seq)
             assert picks[0] == picks[1]
 
 
+SCORE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, -np.inf, np.inf, np.nan])
+
+
+@st.composite
+def scores_and_revealed(draw):
+    n = draw(st.integers(1, 12))
+    scores = np.array(draw(st.lists(SCORE_VALUES, min_size=n, max_size=n)))
+    revealed = np.array(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
+    return scores, revealed
+
+
+class TestExclusionSetProtocol:
+    """The exclusion-set helpers against the available-array references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores_and_revealed())
+    def test_argmax_lowest_matches_reference(self, case):
+        scores, revealed = case
+        available = np.setdiff1d(np.arange(len(scores)), revealed)
+        if len(available) == 0:
+            with pytest.raises(ValueError, match="empty"):
+                argmax_lowest(scores, revealed)
+        else:
+            assert argmax_lowest(scores, revealed) == argmax_over(scores, available)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores_and_revealed())
+    def test_nth_open_arm_matches_reference(self, case):
+        scores, revealed = case
+        available = np.setdiff1d(np.arange(len(scores)), revealed)
+        assert [nth_open_arm(revealed, i) for i in range(len(available))] == available.tolist()
+
+    def test_seeded_picks_match_available_array_reference(self):
+        """random, egreedy (both branches) and exp3 draw from their streams
+        exactly as they did when select took the available array; exp3's
+        selection probability is bit-identical too."""
+        n, steps = 40, 300
+        rng = np.random.default_rng(41)
+        revealed_sets = [np.sort(rng.choice(n, size=rng.integers(0, n), replace=False)) for _ in range(steps)]
+        rewards = rng.uniform(size=steps)
+        policies = [RandomPolicy(n, seed=5), EpsilonGreedyPolicy(n, c=0.05, d=0.5, seed=5), Exp3Policy(n, seed=5)]
+        for pol in policies:
+            ref_rng = np.random.default_rng(5)
+            for t, (revealed, reward) in enumerate(zip(revealed_sets, rewards), start=1):
+                available = np.setdiff1d(np.arange(n), revealed)
+                if isinstance(pol, RandomPolicy):
+                    expected = int(available[ref_rng.integers(len(available))])
+                elif isinstance(pol, EpsilonGreedyPolicy):
+                    means = np.where(pol.counts > 0, pol.sums / np.maximum(pol.counts, 1), 0.0)
+                    if ref_rng.random() < egreedy_epsilon(pol.c, pol.d, n, t):
+                        expected = int(available[ref_rng.integers(len(available))])
+                    else:
+                        expected = argmax_over(means, available)
+                else:
+                    p = exp3_distribution(pol.weights, pol.gamma)[available]
+                    p /= p.sum()
+                    idx = ref_rng.choice(len(available), p=p)
+                    expected = int(available[idx])
+                assert pol.select(revealed, t) == expected, (type(pol).__name__, t)
+                if isinstance(pol, Exp3Policy):
+                    assert pol._pending == (expected, float(p[idx])), t
+                pol.update(expected, float(reward))
+
+    def test_counts_means_are_the_observed_averages(self):
+        rng = np.random.default_rng(42)
+        for pol in (AveragePolicy(7), EpsilonGreedyPolicy(7, seed=0), UcbPolicy(7)):
+            for _ in range(40):
+                pol.update(int(rng.integers(5)), float(rng.uniform()))
+            expected = np.where(pol.counts > 0, pol.sums / np.maximum(pol.counts, 1), 0.0)
+            np.testing.assert_array_equal(pol.means, expected)
+            assert pol.means[5] == pol.means[6] == 0.0
+
+
 class TestExp3Protocol:
     def test_update_requires_selected_arm(self):
         pol = Exp3Policy(5, seed=0)
-        arm = pol.select(np.arange(5), 1)
+        arm = pol.select(NONE, 1)
         with pytest.raises(RuntimeError):
             pol.update((arm + 1) % 5, 0.5)
 
     def test_weights_stay_positive_finite(self):
         pol = Exp3Policy(4, gamma=0.3, seed=1)
         for t in range(1, 500):
-            arm = pol.select(np.arange(4), t)
+            arm = pol.select(NONE, t)
             pol.update(arm, 1.0)
         assert np.all(pol.weights > 0)
         assert np.all(np.isfinite(pol.weights))
@@ -401,16 +504,16 @@ class TestAveragePolicy:
         pol = AveragePolicy(3)
         pol.update(0, 0.2)
         pol.update(1, 0.9)
-        assert pol.select(np.arange(3), 3) == 1
+        assert pol.select(NONE, 3) == 1
 
     def test_unplayed_scores_global_average(self):
         pol = AveragePolicy(3)
         pol.update(0, 0.4)
         # arm 1 and 2 unplayed -> global mean 0.4; tie with arm 0 -> lowest
-        assert pol.select(np.arange(3), 2) == 0
+        assert pol.select(NONE, 2) == 0
         pol.update(1, 0.1)
         # global mean 0.25: arm 0 (0.4) still wins over unplayed arm 2 (0.25)
-        assert pol.select(np.array([1, 2]), 3) == 2
+        assert pol.select(np.array([0]), 3) == 2
 
 
 class TestOraclePolicy:
@@ -419,13 +522,40 @@ class TestOraclePolicy:
         pol = OraclePolicy(evaluation)
         pol.observe_user(2)
         dense, _ = evaluation.to_dense()
-        assert pol.select(np.arange(6), 1) == int(np.argmax(dense[2]))
+        assert pol.select(NONE, 1) == int(np.argmax(dense[2]))
 
     def test_requires_observe_user(self):
         _, evaluation = linear_environment(3, 6, 4, noise=0.0, seed=31)
         pol = OraclePolicy(evaluation)
         with pytest.raises(RuntimeError):
-            pol.select(np.arange(6), 1)
+            pol.select(NONE, 1)
+
+    def test_rejects_unnormalized_ratings(self):
+        with pytest.raises(ValueError, match="normalized"):
+            OraclePolicy(dataset_from_dense(np.array([[0.5, 2.0]])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_dense_argmax(self, m, n, seed, dense):
+        """Quarter-step ratings make ties and known zeros common; each user's
+        exclusion set only grows, as under replay."""
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(0, 5, size=(m, n)) / 4
+        mask = np.ones((m, n), dtype=bool) if dense else rng.random((m, n)) < 0.5
+        mask[np.arange(m), rng.integers(n, size=m)] = True
+        evaluation = dataset_from_dense(grid, mask)
+        table = np.where(mask, grid, 0.0)
+        pol = OraclePolicy(evaluation)
+        revealed = [set() for _ in range(m)]
+        for t in range(1, m * n + 1):
+            user = int(rng.choice([u for u in range(m) if len(revealed[u]) < n]))
+            pol.observe_user(user)
+            excluded = np.array(sorted(revealed[user]), dtype=np.int64)
+            available = np.setdiff1d(np.arange(n), excluded)
+            arm = pol.select(excluded, t)
+            assert arm == argmax_over(table[user], available)
+            # reveal the pick or, now and then, another open arm
+            revealed[user].add(int(rng.choice(available)) if rng.random() < 0.3 else arm)
 
 
 class TestMakePolicy:

@@ -1,13 +1,109 @@
-"""Replay protocol: regret accounting, reveal bookkeeping, determinism."""
+"""Replay protocol: regret accounting, reveal bookkeeping, determinism.
+
+The evaluator's fast paths are checked against slow references kept here:
+a dense m×n reveal log, a dict-walking best-surrogate, and the replay loop
+that draws one user per step.
+"""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coldrec.data import atomic_write, dataset_from_dense
-from coldrec.impute import Zero, fill
-from coldrec.policies import ALinUcbPolicy, Exp3Policy, OraclePolicy, Policy, RandomPolicy
-from coldrec.replay import RevealLog, best_surrogate, read_trace_csv, run_replay, write_trace_csv
+from coldrec.data import RatingDataset, atomic_write, dataset_from_dense
+from coldrec.impute import Zero, fill, method_from_name
+from coldrec.policies import (
+    POLICY_IDS,
+    ALinUcbPolicy,
+    Exp3Policy,
+    OraclePolicy,
+    Policy,
+    RandomPolicy,
+    make_policy,
+    nth_open_arm,
+)
+from coldrec.replay import RegretTrace, RevealLog, read_trace_csv, run_replay, write_trace_csv
 from coldrec.synthetic import linear_environment
+
+
+def best_surrogate(ratings_by_arm, already_revealed) -> float:
+    """Reference: highest known rating among arms not yet revealed to this
+    user; 0 if nothing known remains."""
+    best = 0.0
+    for arm, rating in ratings_by_arm.items():
+        if arm not in already_revealed and rating > best:
+            best = float(rating)
+    return best
+
+
+class DenseRevealLog:
+    """Reference reveal log over three dense m×n tables."""
+
+    def __init__(self, evaluation: RatingDataset):
+        m, n = evaluation.n_users, evaluation.n_items
+        self.n_arms = n
+        self.ratings = np.zeros((m, n))
+        self.known = np.zeros((m, n), dtype=bool)
+        self.ratings[evaluation.users, evaluation.items] = evaluation.ratings
+        self.known[evaluation.users, evaluation.items] = True
+        self.revealed = np.zeros((m, n), dtype=bool)
+        self.arms_left = np.full(m, n, dtype=np.int64)
+
+    def best_hidden_known(self, user: int) -> float:
+        hidden = self.known[user] & ~self.revealed[user]
+        return float(self.ratings[user][hidden].max()) if hidden.any() else 0.0
+
+    def reveal(self, user: int, arm: int) -> float:
+        if not 0 <= arm < self.n_arms or self.revealed[user, arm]:
+            raise RuntimeError(f"arm {arm} is not available for user {user}")
+        self.revealed[user, arm] = True
+        self.arms_left[user] -= 1
+        return float(self.ratings[user, arm]) if self.known[user, arm] else 0.0
+
+
+def reference_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
+    """Reference loop: one scalar user draw per step over the dense log,
+    with the running sums kept step by step."""
+    log = DenseRevealLog(evaluation)
+    pool = np.arange(evaluation.n_users)
+    pool_size = evaluation.n_users
+    user_rng = np.random.default_rng(seed)
+    rows = []
+    total = 0.0
+    exhausted = False
+    for t in range(1, T + 1):
+        if pool_size == 0:
+            exhausted = True
+            break
+        idx = user_rng.integers(pool_size)
+        user = int(pool[idx])
+        policy.observe_user(user)
+        revealed = np.flatnonzero(log.revealed[user])
+        best = log.best_hidden_known(user)
+        arm = int(policy.select(revealed, t))
+        reward = log.reveal(user, arm)
+        if log.arms_left[user] == 0:
+            pool_size -= 1
+            pool[idx] = pool[pool_size]
+        policy.update(arm, reward)
+        total += best - reward
+        rows.append((t, user, arm, reward, best, best - reward, total))
+    cols = list(zip(*rows)) if rows else [()] * 7
+    ints = [np.array(c, dtype=np.int64) for c in cols[:3]]
+    floats = [np.array(c, dtype=np.float64) for c in cols[3:]]
+    return RegretTrace(*ints, *floats, wall_time_seconds=0.0, exhausted=exhausted)
+
+
+TRACE_FIELDS = ("t", "user", "arm", "revealed", "best", "increment", "cumulative")
+
+
+def assert_same_trace(a: RegretTrace, b: RegretTrace):
+    for field in TRACE_FIELDS:
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+    assert a.exhausted == b.exhausted
 
 
 class TestBestSurrogate:
@@ -43,6 +139,13 @@ class TestRevealLog:
         with pytest.raises(RuntimeError, match="not available"):
             log.reveal(0, 2)
 
+    def test_out_of_range_arm_rejected(self):
+        log = self.make_log()
+        for arm in (-1, 3):
+            with pytest.raises(RuntimeError, match="not available"):
+                log.reveal(0, arm)
+        assert log.arms_left[0] == 3
+
     def test_matches_best_surrogate_reference(self):
         log = self.make_log()
         by_arm = {0: 0.6, 2: 0.3}
@@ -54,6 +157,65 @@ class TestRevealLog:
         log.reveal(0, 2)
         revealed.add(2)
         assert log.best_hidden_known(0) == best_surrogate(by_arm, revealed) == 0.0
+
+    def test_repeated_pair_rejected(self):
+        evaluation = RatingDataset(np.array([0, 0]), np.array([1, 1]), np.array([0.2, 0.9]), 1, 2, 1.0)
+        with pytest.raises(ValueError, match="repeats a"):
+            RevealLog(evaluation)
+
+    def test_revealed_is_ascending(self):
+        log = self.make_log()
+        assert log.revealed(0).tolist() == []
+        for arm in (2, 0, 1):
+            log.reveal(0, arm)
+        assert log.revealed(0).tolist() == [0, 1, 2]
+        assert log.arms_left[0] == 0
+
+
+@st.composite
+def evaluation_and_reveals(draw):
+    """A random evaluation set, sparse or dense, with quarter-step ratings
+    (so ties and known zeros occur), plus a random reveal sequence that
+    includes repeats and out-of-range arms."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, 5, size=(m, n)) / 4
+    if draw(st.booleans()):
+        mask = np.ones((m, n), dtype=bool)
+    else:
+        mask = rng.random((m, n)) < draw(st.sampled_from([0.2, 0.5, 0.8]))
+        mask[np.arange(m), rng.integers(n, size=m)] = True
+    evaluation = dataset_from_dense(grid, mask)
+    # shuffle the triples: the log must not rely on canonical order
+    order = rng.permutation(evaluation.n_ratings)
+    evaluation = RatingDataset(
+        evaluation.users[order], evaluation.items[order], evaluation.ratings[order], m, n, 1.0
+    )
+    steps = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-1, n)), max_size=3 * m * n))
+    return evaluation, steps
+
+
+class TestRevealLogOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(evaluation_and_reveals())
+    def test_matches_dense_reference(self, case):
+        evaluation, steps = case
+        fast, slow = RevealLog(evaluation), DenseRevealLog(evaluation)
+        for user, arm in steps:
+            assert fast.best_hidden_known(user) == slow.best_hidden_known(user)
+            np.testing.assert_array_equal(fast.revealed(user), np.flatnonzero(slow.revealed[user]))
+            try:
+                expected = slow.reveal(user, arm)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="not available"):
+                    fast.reveal(user, arm)
+            else:
+                assert fast.reveal(user, arm) == expected
+            np.testing.assert_array_equal(fast.arms_left, slow.arms_left)
+        for user in range(evaluation.n_users):
+            assert fast.best_hidden_known(user) == slow.best_hidden_known(user)
 
 
 def tiny_env(seed=0):
@@ -130,8 +292,8 @@ class TestRunReplay:
         class StubbornPolicy(Policy):
             n_arms = 8
 
-            def select(self, available, t):
-                return 0  # ignores availability after arm 0 is spent
+            def select(self, revealed, t):
+                return 0  # ignores the exclusion set after arm 0 is spent
 
             def update(self, arm, reward):
                 pass
@@ -153,8 +315,8 @@ class TestRunReplay:
         class FixedOrder(Policy):
             n_arms = 2
 
-            def select(self, available, t):
-                return int(available[0])
+            def select(self, revealed, t):
+                return nth_open_arm(revealed, 0)
 
             def update(self, arm, reward):
                 pass
@@ -231,3 +393,124 @@ class TestAtomicWrites:
             write_trace_csv(longer, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def pinned_corpus():
+    """A 5-user base and a 9-user × 7-arm sparse evaluation set with
+    quarter-step ratings; at T = 50 three users run out of arms."""
+    rng = np.random.default_rng(20140901)
+    base_grid = np.round(rng.uniform(size=(5, 7)) * 4) / 4
+    base_mask = rng.random((5, 7)) < 0.7
+    base_mask[np.arange(5), rng.integers(7, size=5)] = True
+    eval_grid = np.round(rng.uniform(size=(9, 7)) * 4) / 4
+    eval_mask = rng.random((9, 7)) < 0.5
+    eval_mask[np.arange(9), rng.integers(7, size=9)] = True
+    return dataset_from_dense(base_grid, base_mask), dataset_from_dense(eval_grid, eval_mask)
+
+
+# sha256 of the trace CSVs of pinned_corpus, T = 50, policy seed 7, user
+# seed 11, fills at rank 3 with seed 1.  Recorded with the dense evaluator
+# and the available-array select protocol; the traces must not change.
+PINNED_TRACE_SHA256 = {
+    "random": ("1945232fe06a22d6a7233f644ae929f44572eb31647f6c616535a9cde74a9adf",) * 2,
+    "aver": ("f2b491be8cd94e206cf6d711bebcb39c9db45c090e84265a121fae80e15c1f07",) * 2,
+    "egreedy": ("d38c2551ceda7a0c7a4ab29c0defb25b828d67aebd5cbc91a307e66c6ca81711",) * 2,
+    "ucb": ("bc15b0ad550c2cdc1a1d6cd6d5438e53bee403ea4bbff097c93fdca695fa2ad1",) * 2,
+    "exp3": ("a67e966599c82cb686ff9f284c787797d2b4bc57078f72c6586fd6fa60c9c364",) * 2,
+    "thompson": (
+        "ee55fc640114189b0a06d648a664504b4a43994087c4559b63db044c729957c9",
+        "c4cf7a65fa3fbb12cbb665cb48a288e94e346c2c243f4973ea0b83a0ef88a056",
+    ),
+    "linucb": (
+        "1077a4f44f59bf3507257037e65d0c0cf39ffcf81ec2cf9f66306e07e91d8c7e",
+        "c0b07b9922377077ae9cc668eebddb3a02ad4670a8d0679ca7ec99e33c988398",
+    ),
+    "alinucb": (
+        "a975e2535f38c06704ff37b3ce2e5d5833c64f15070f723473a4cf41c1215966",
+        "4a831e44bf9263ed520976d54075dd4ae6abe4aa8b5a8090efa293ce6d7851dc",
+    ),
+}
+PINNED_ORACLE_SHA256 = "59bf68427ba279d4b0643988b6c06e1d18f3d28bd8df1929670dabc642e1011f"
+
+
+def trace_sha256(trace, path) -> str:
+    write_trace_csv(trace, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedTraces:
+    def test_pinned_corpus_runs_users_out(self):
+        _, evaluation = pinned_corpus()
+        trace = run_replay(RandomPolicy(7, seed=7), evaluation, 50, seed=11)
+        spent = np.bincount(trace.user, minlength=evaluation.n_users) == evaluation.n_items
+        assert 0 < spent.sum() < evaluation.n_users and not trace.exhausted
+
+    @pytest.mark.parametrize("impute_index,impute", [(0, "zero"), (1, "svd")])
+    def test_policy_trace_bytes(self, tmp_path, impute_index, impute):
+        base, evaluation = pinned_corpus()
+        X = fill(base, method_from_name(impute, rank=3), seed=1)
+        digests = {
+            policy_id: trace_sha256(run_replay(make_policy(policy_id, X=X, seed=7), evaluation, 50, seed=11),
+                                    tmp_path / f"{policy_id}.csv")
+            for policy_id in POLICY_IDS
+        }
+        assert digests == {policy_id: pair[impute_index] for policy_id, pair in PINNED_TRACE_SHA256.items()}
+
+    def test_oracle_trace_bytes(self, tmp_path):
+        _, evaluation = pinned_corpus()
+        trace = run_replay(OraclePolicy(evaluation), evaluation, 50, seed=11)
+        assert trace_sha256(trace, tmp_path / "oracle.csv") == PINNED_ORACLE_SHA256
+
+
+def all_policies(evaluation, seed=0):
+    X = fill(dataset_from_dense(np.random.default_rng(seed).uniform(size=(3, evaluation.n_items))), Zero())
+    return {"oracle": lambda: OraclePolicy(evaluation)} | {
+        policy_id: (lambda policy_id=policy_id: make_policy(policy_id, X=X, seed=seed)) for policy_id in POLICY_IDS
+    }
+
+
+RUN_OUT_SETS = {
+    "2x2": dataset_from_dense(np.array([[0.5, 0.2], [0.1, 0.9]])),
+    "5x3": dataset_from_dense(
+        np.array([[0.5, 0.0, 0.25], [1.0, 0.75, 0.75], [0.0, 0.5, 0.0], [0.25, 0.25, 1.0], [0.5, 0.5, 0.5]]),
+        np.array([[1, 0, 1], [1, 1, 1], [0, 1, 0], [1, 0, 1], [0, 0, 1]], dtype=bool),
+    ),
+}
+
+
+class TestBatchedDraws:
+    """run_replay draws users in blocks; the reference draws one per step."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_OUT_SETS))
+    @pytest.mark.parametrize("T", [1, 3, 4, 6, 15, 100])
+    def test_matches_per_step_reference_until_users_run_out(self, name, T):
+        evaluation = RUN_OUT_SETS[name]
+        for seed in range(4):
+            for policy_id, make in all_policies(evaluation, seed).items():
+                fast = run_replay(make(), evaluation, T, seed=seed)
+                slow = reference_replay(make(), evaluation, T, seed=seed)
+                assert_same_trace(fast, slow)
+        assert fast.exhausted == (T > evaluation.n_users * evaluation.n_items)
+
+    def test_matches_per_step_reference_on_pinned_corpus(self):
+        _, evaluation = pinned_corpus()
+        for policy_id, make in all_policies(evaluation, 3).items():
+            assert_same_trace(run_replay(make(), evaluation, 70, seed=5), reference_replay(make(), evaluation, 70, seed=5))
+
+
+def test_memory_grows_with_ratings_not_users_times_items():
+    """20,000 users × 5,000 arms with 50k ratings: one dense float table
+    would be 800 MB, the three of the dense log ≈1 GB."""
+    rng = np.random.default_rng(0)
+    m, n = 20_000, 5_000
+    users, items = np.divmod(np.unique(rng.integers(0, m * n, size=51_000))[:50_000], n)
+    evaluation = RatingDataset(users, items, rng.uniform(size=users.size), m, n, 1.0)
+    policy = ALinUcbPolicy(rng.uniform(size=(4, n)))
+    tracemalloc.start()
+    try:
+        trace = run_replay(policy, evaluation, 5_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 5_000
+    assert peak < 30 * 2**20, f"replay peaked at {peak / 2**20:.1f} MB"
