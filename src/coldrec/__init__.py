@@ -32,9 +32,6 @@ from .impute import (
 from .linalg import (
     als_wr_factorize,
     als_wr_objective,
-    fixed_quadratic_form,
-    psd_order_holds,
-    rank_one_identity_inverse,
     truncated_svd,
 )
 from .policies import (
@@ -80,7 +77,6 @@ __all__ = [
     "dataset_from_dense",
     "fill",
     "filter_min_ratings",
-    "fixed_quadratic_form",
     "linear_environment",
     "load_csv_triples",
     "load_movielens",
@@ -88,8 +84,6 @@ __all__ = [
     "method_from_name",
     "normalize",
     "orient",
-    "psd_order_holds",
-    "rank_one_identity_inverse",
     "read_trace_csv",
     "run_replay",
     "save_csv_triples",

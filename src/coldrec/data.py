@@ -83,17 +83,6 @@ class RatingDataset:
         order = np.lexsort((self.items, self.users))
         return self.users[order], self.items[order], self.ratings[order]
 
-    def same_as(self, other: "RatingDataset") -> bool:
-        """Equality as a set of triples plus dimensions and scale."""
-        if (self.n_users, self.n_items, self.n_ratings, self.scale_max) != (
-            other.n_users,
-            other.n_items,
-            other.n_ratings,
-            other.scale_max,
-        ):
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self.sorted_triples(), other.sorted_triples()))
-
 
 class UserRows:
     """A dataset's ratings grouped by user, items ascending within each
@@ -182,139 +171,146 @@ class _Grammar:
 _MOVIELENS = _Grammar("::", 4, 1, "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based", False)
 _CSV = _Grammar(",", 3, 0, "expected user,item,rating", "ids must be nonnegative", True)
 
-_DIGIT_BYTES = b"0123456789"
-_NUMBER_BYTES = _DIGIT_BYTES + b".eE+-"
-_MAX_FIELD = 32  # wider numeric fields are read line by line
+_DIGITS = b"0123456789"
+_MAX_ID_DIGITS = 18  # every id of at most 18 digits fits in an int64
+_MAX_RATING_WIDTH = 32  # wider ratings are read by _parse_line
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: bool, where: str):
+    """The (user, item, rating) triple of one stripped, non-empty line, or
+    None for a header; any other line raises a ValueError that starts with
+    `where`.
 
-
-def _scan_lines(path, grammar: _Grammar, scale_max: float):
-    """Parse line by line, raising on the first bad line with its number.
-
-    This defines the grammar; :func:`_parse_canonical` reads the common
-    subset of it in bulk and hands everything else here.
+    This defines the grammar: :func:`_plain_lines` reads the common form in
+    bulk, exactly as this would, and :func:`_read_triples` hands every other
+    line here.
     """
-    users, items, ratings = [], [], []
-    may_be_header = grammar.header
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(grammar.sep)
-            if len(parts) != grammar.n_fields:
-                raise ValueError(f"{path}, line {lineno}: {grammar.expected}")
-            if may_be_header:
-                may_be_header = False
-                if not _is_int(parts[0]):
-                    continue
-            try:
-                u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            if u < grammar.first_id or i < grammar.first_id:
-                raise ValueError(f"{path}, line {lineno}: {grammar.id_rule}, got user={u} item={i}")
-            if not 0.0 <= r <= scale_max:
-                raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
-            users.append(u)
-            items.append(i - grammar.first_id)
-            ratings.append(r)
-    return (
-        np.array(users, dtype=np.int64),
-        np.array(items, dtype=np.int64),
-        np.array(ratings, dtype=np.float64),
-    )
-
-
-def _field_bytes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, allowed: bytes):
-    """The fields buf[lo:hi] as a zero-padded (n, width) byte matrix, or None
-    if one is empty, wider than _MAX_FIELD or holds a byte not in `allowed`."""
-    width = hi - lo
-    if width.size and (width.min() < 1 or width.max() > _MAX_FIELD):
-        return None
-    table = np.zeros(256, dtype=bool)
-    table[list(allowed)] = True
-    out = np.zeros((width.size, int(width.max(initial=0))), dtype=np.uint8)
-    for k in range(out.shape[1]):
-        live = width > k
-        column = buf[np.minimum(lo + k, hi - 1)]
-        if not np.all(table[column] | ~live):
+    parts = line.split(grammar.sep)
+    if len(parts) != grammar.n_fields:
+        raise ValueError(f"{where}: {grammar.expected}")
+    if may_be_header:
+        try:
+            int(parts[0])
+        except ValueError:
             return None
-        out[:, k] = np.where(live, column, 0)
-    return out
+    try:
+        u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if u < grammar.first_id or i < grammar.first_id:
+        raise ValueError(f"{where}: {grammar.id_rule}, got user={u} item={i}")
+    if not 0.0 <= r <= scale_max:
+        raise ValueError(f"{where}: rating {r} outside [0, {scale_max}]")
+    return u, i - grammar.first_id, r
 
 
-def _parse_canonical(data: bytes, grammar: _Grammar, scale_max: float):
-    """Bulk-parse the common form of the grammar: every non-empty line has
-    exactly n_fields fields, ids are plain digit strings and ratings plain
-    numbers inside [0, scale_max].  Returns (users, items, ratings) exactly
-    as :func:`_scan_lines` would, or None for anything else."""
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # universal newlines
+def _field_bytes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_width: int):
+    """The fields buf[lo:hi] right-aligned in an (n, width) byte matrix,
+    padded on the left with b"0", and their widths.  A width is at most 0
+    for a field that is empty, wider than max_width, or overlapped by its
+    separators (hi < lo, as in ":::"); its row then holds stray bytes."""
+    width = hi - lo
+    width[width > max_width] = 0
+    out = np.empty((width.size, max(int(width.max(initial=0)), 1)), dtype=np.uint8)
+    for k in range(out.shape[1]):
+        pos = hi - (out.shape[1] - k)
+        pad = pos < lo
+        column = buf[np.maximum(pos, lo)]
+        column[pad] = ord("0")
+        out[:, k] = column
+    return out, width
+
+
+def _id_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, first_id: int):
+    """The id fields buf[lo:hi] as int64, and which are plain: 1 to 18
+    digits, at least first_id."""
+    digits, width = _field_bytes(buf, lo, hi, _MAX_ID_DIGITS)
+    value = np.zeros(width.size, dtype=np.int64)
+    for k in range(digits.shape[1]):
+        value = value * 10 + (digits[:, k] - ord("0"))
+    return value, (width > 0) & (digits - ord("0") < 10).all(axis=1) & (value >= first_id)
+
+
+def _rating_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale_max: float):
+    """The rating fields buf[lo:hi] as float64, and which are plain: digits
+    with at most one '.', not '.' alone, at most scale_max."""
+    text, width = _field_bytes(buf, lo, hi, _MAX_RATING_WIDTH)
+    digit = text - ord("0") < 10
+    ok = (width > 0) & (digit | (text == ord("."))).all(axis=1) & ((~digit).sum(axis=1) <= 1)
+    ok &= (width > 1) | digit[:, -1]  # not "." alone
+    # numpy and float() read this form identically; "0" stands in for the rest
+    text[~ok] = ord("0")
+    value = text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+    return value, ok & (value <= scale_max)
+
+
+def _plain_lines(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, grammar: _Grammar, scale_max: float):
+    """The lines buf[starts:ends] of the plain form, and their triples.
+
+    A plain line has exactly n_fields − 1 separators, none overlapping
+    another, plain ids and a plain rating (see :func:`_id_field` and
+    :func:`_rating_field`); :func:`_parse_line` reads such a line the same
+    way.  Separators are counted overlapping ("::" twice in ":::"), so an
+    overlap leaves a field that no field check passes.  Returns (line
+    indices, users, items, ratings).
+    """
+    sep = grammar.sep.encode()
+    n_seps = grammar.n_fields - 1
+    is_sep = buf[: buf.size - len(sep) + 1] == sep[0]
+    for k in range(1, len(sep)):
+        is_sep &= buf[k : buf.size - len(sep) + 1 + k] == sep[k]
+    hits = np.flatnonzero(is_sep)
+    del is_sep
+    counts = np.diff(np.searchsorted(hits, ends), prepend=0)  # separators per line
+    plain = counts == n_seps
+    seps = hits[np.repeat(plain, counts)].reshape(-1, n_seps)
+    del hits, counts
+    lines = np.flatnonzero(plain)
+    rating_end = seps[:, 2] if n_seps > 2 else ends[lines]  # MovieLens: a timestamp follows
+    users, ok = _id_field(buf, starts[lines], seps[:, 0], grammar.first_id)
+    items, item_ok = _id_field(buf, seps[:, 0] + len(sep), seps[:, 1], grammar.first_id)
+    ratings, rating_ok = _rating_field(buf, seps[:, 1] + len(sep), rating_end, scale_max)
+    del seps, rating_end
+    ok &= item_ok & rating_ok
+    items -= grammar.first_id
+    return lines[ok], users[ok], items[ok], ratings[ok]
+
+
+def _read_triples(path, grammar: _Grammar, scale_max: float):
+    """(users, items, ratings) of the file's lines, in file order, read in
+    one pass: the plain lines in bulk, every other non-empty line through
+    :func:`_parse_line`.  Errors name the physical line."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # universal newlines
     if not data.endswith(b"\n"):
         data += b"\n"
-    sep = grammar.sep.encode()
-    if grammar.header:
-        head, _, rest = data.lstrip(b"\n").partition(b"\n")
-        parts = head.decode("utf-8", errors="replace").strip().split(grammar.sep)
-        if len(parts) == grammar.n_fields and not _is_int(parts[0]):
-            data = rest
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    filled = ends > starts
-    starts, ends = starts[filled], ends[filled]
-    hits = np.flatnonzero(buf == sep[0])
-    if len(sep) == 2:  # "::" — every colon must sit in a pair of its own
-        if hits.size % 2 or np.any(hits[1::2] - hits[0::2] != 1) or np.any(hits[2::2] - hits[1:-1:2] == 1):
-            return None
-        hits = hits[0::2]
-    # Row r of `seps` is taken as non-empty line r's separators.  With the
-    # total count right, the non-empty, newline-free fields that _field_bytes
-    # demands place each of them inside its line.
-    if not starts.size or hits.size != starts.size * (grammar.n_fields - 1):
-        return None
-    seps = hits.reshape(-1, grammar.n_fields - 1)
-
-    def field(col: int, allowed: bytes):
-        lo = starts if col == 0 else seps[:, col - 1] + len(sep)
-        return _field_bytes(buf, lo, seps[:, col] if col < seps.shape[1] else ends, allowed)
-
-    ids = []
-    for col in (0, 1):
-        digits = field(col, _DIGIT_BYTES)
-        if digits is None or digits.shape[1] > 18:
-            return None
-        value = np.zeros(digits.shape[0], dtype=np.int64)
-        for k in range(digits.shape[1]):
-            value = np.where(digits[:, k] != 0, value * 10 + (digits[:, k] - ord("0")), value)
-        ids.append(value)
-    users, items = ids
-    text = field(2, _NUMBER_BYTES)
-    if text is None:
-        return None
-    try:
-        ratings = text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
-    except ValueError:
-        return None
-    bad_id = (users < grammar.first_id) | (items < grammar.first_id)
-    if bad_id.any() or not np.all((ratings >= 0.0) & (ratings <= scale_max)):
-        return None
-    return users, items - grammar.first_id, ratings
+    lines, users, items, ratings = _plain_lines(buf, starts, ends, grammar, scale_max)
+    rest = ends > starts
+    rest[lines] = False
+    first_plain = lines[0] if lines.size else ends.size
+    may_be_header = grammar.header
+    at, triples = [], []
+    for i, lo, hi in zip(np.flatnonzero(rest).tolist(), starts[rest].tolist(), ends[rest].tolist()):
+        line = data[lo:hi].decode("utf-8", errors="replace").strip()
+        if not line:
+            continue
+        triple = _parse_line(line, grammar, scale_max, may_be_header and i < first_plain, f"{path}, line {i + 1}")
+        may_be_header = False
+        if triple is not None:
+            at.append(i)
+            triples.append(triple)
+    if triples:
+        pos = np.searchsorted(lines, at)
+        users, items, ratings = (np.insert(a, pos, v) for a, v in zip((users, items, ratings), zip(*triples)))
+    return users, items, ratings
 
 
 def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
-    with open(path, "rb") as fh:
-        triples = _parse_canonical(fh.read(), grammar, scale_max)
-    if triples is None:
-        triples = _scan_lines(path, grammar, scale_max)
-    return _build_dataset(*triples, scale_max, str(path))
+    # The parse's buffers are freed before the dataset is built.
+    return _build_dataset(*_read_triples(path, grammar, scale_max), scale_max, str(path))
 
 
 def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
@@ -360,11 +356,10 @@ def atomic_write(path, chunks) -> None:
 
 def save_csv_triples(ds: RatingDataset, path) -> None:
     """Write the canonical save format: ``user,item,rating``, 0-based ids,
-    one triple per line in (user, item) order."""
-    users, items, ratings = ds.sorted_triples()
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i, r in zip(users, items, ratings):
-            fh.write(f"{u},{i},{float(r)!r}\n")
+    one triple per line in (user, item) order, atomically (see
+    :func:`atomic_write`)."""
+    columns = [col.tolist() for col in ds.sorted_triples()]
+    atomic_write(path, ["".join(f"{u},{i},{float(r)!r}\n" for u, i, r in zip(*columns))])
 
 
 def normalize(ds: RatingDataset) -> RatingDataset:

@@ -1,10 +1,7 @@
-"""Dense linear-algebra kernels for the bandit policies and the imputers.
+"""Dense linear-algebra kernels for the matrix-completion imputers: the
+truncated SVD and masked ALS with weighted regularization.
 
-Everything here is a pure function of its inputs: closed-form inverses of
-rank-one identity updates, the Loewner-order check used to justify the
-frozen confidence width, and the two factorization routines
-(truncated SVD, masked ALS with weighted regularization) that back the
-matrix-completion imputers.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -12,71 +9,19 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "rank_one_identity_inverse",
-    "fixed_quadratic_form",
-    "psd_order_holds",
     "truncated_svd",
     "als_wr_factorize",
     "als_wr_objective",
 ]
 
 
-def _finite_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"expected a non-empty 1-d vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector contains non-finite entries")
-    return x
-
-
-def _finite_matrix(M, name: str = "matrix") -> np.ndarray:
+def _finite_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {M.shape}")
+        raise ValueError(f"matrix must be 2-d, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return M
-
-
-def rank_one_identity_inverse(x) -> np.ndarray:
-    """Exact inverse of (I + x xᵀ).
-
-    Sherman-Morrison collapses the inverse to I − x xᵀ / (1 + ‖x‖²), so no
-    factorization is needed; the result is symmetric positive definite.
-    """
-    x = _finite_vector(x)
-    k = x.size
-    return np.eye(k) - np.outer(x, x) / (1.0 + x @ x)
-
-
-def fixed_quadratic_form(x) -> float:
-    """xᵀ (I + x xᵀ)⁻¹ x, which reduces to ‖x‖² / (1 + ‖x‖²).
-
-    This is the (squared) confidence width of an arm whose design matrix is
-    frozen at I + x xᵀ.  Always in [0, 1) and increasing in ‖x‖².
-    """
-    x = _finite_vector(x)
-    s = float(x @ x)
-    return s / (1.0 + s)
-
-
-def psd_order_holds(A, B, tol: float = 1e-12) -> bool:
-    """True iff A ≤ B in the Loewner (positive-semidefinite) order.
-
-    Checked as: smallest eigenvalue of (B − A) ≥ −tol.  Both inputs must be
-    symmetric within tol; anything else is a usage bug, not a "false".
-    """
-    A = _finite_matrix(A, "A")
-    B = _finite_matrix(B, "B")
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError(f"need square matrices of equal shape, got {A.shape} and {B.shape}")
-    for name, M in (("A", A), ("B", B)):
-        if np.abs(M - M.T).max() > tol:
-            raise ValueError(f"{name} is not symmetric within tol={tol}")
-    diff = B - A
-    diff = 0.5 * (diff + diff.T)
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol)
 
 
 def truncated_svd(M, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -125,12 +125,8 @@ def ucb_score(mean, t: int, t_j):
 
 def exp3_distribution(weights: np.ndarray, gamma: float) -> np.ndarray:
     """Mixture of the weight-proportional and uniform distributions:
-    p_j = (1 − γ)·w_j/Σw + γ/n."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be positive and finite")
-    n = weights.size
-    return (1.0 - gamma) * weights / weights.sum() + gamma / n
+    p_j = (1 − γ)·w_j/Σw + γ/n, for positive finite weights."""
+    return (1.0 - gamma) * weights / weights.sum() + gamma / weights.size
 
 
 def _check_reward(reward: float) -> float:
@@ -296,7 +292,10 @@ class Exp3Policy(Policy):
         available = is_open.nonzero()[0]
         p = exp3_distribution(self.weights, self.gamma)[available]
         p /= p.sum()
-        idx = self.rng.choice(len(available), p=p)
+        # Generator.choice(p=p)'s own draw, without its O(n) checks of p
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(self.rng.random(), side="right"))
         arm = int(available[idx])
         self._pending = (arm, float(p[idx]))
         return arm

@@ -18,8 +18,7 @@ import pytest
 from coldrec.cli import parse_config, run_matrix
 from coldrec.data import RatingDataset, dataset_from_dense, save_csv_triples, split_base_eval, subsample
 from coldrec.impute import AlsWr, ImputedSvd, ItemAverage, Zero, fill
-from coldrec.linalg import als_wr_factorize, psd_order_holds, rank_one_identity_inverse
-from coldrec.linalg import fixed_quadratic_form
+from coldrec.linalg import als_wr_factorize
 from coldrec.policies import (
     ALinUcbPolicy,
     EpsilonGreedyPolicy,
@@ -40,19 +39,15 @@ def report(criterion, passed, detail):
 
 
 def test_criterion_1_closed_form_correctness():
-    """Rank-1 inverse, fixed quadratic form, and the frozen-design score all
-    agree with dense-inversion oracles within 1e-10 on 1000 random vectors."""
+    """The frozen-design policy's squared width (the fixed quadratic form) and
+    score agree with dense-inversion oracles within 1e-10 on 1000 random
+    vectors."""
     start = time.perf_counter()
     rng = np.random.default_rng(1001)
     worst = 0.0
     for _ in range(1000):
         k = int(rng.integers(2, 51))
         x = rng.uniform(-2.0, 2.0, size=k)
-        A_inv = np.linalg.inv(np.eye(k) + np.outer(x, x))
-
-        worst = max(worst, float(np.abs(rank_one_identity_inverse(x) - A_inv).max()))
-        worst = max(worst, abs(fixed_quadratic_form(x) - float(x @ A_inv @ x)))
-
         alpha = float(rng.uniform(0.0, 1.0))
         pol = ALinUcbPolicy(np.abs(x)[:, None], alpha=alpha)
         rewards = rng.uniform(size=3)
@@ -60,6 +55,7 @@ def test_criterion_1_closed_form_correctness():
             pol.update(0, float(r))
         xs = np.abs(x)
         B_inv = np.linalg.inv(np.eye(k) + np.outer(xs, xs))
+        worst = max(worst, abs(float(pol.widths[0]) ** 2 - float(xs @ B_inv @ xs)))
         theta = B_inv @ (rewards.sum() * xs)
         oracle = float(theta @ xs + alpha * np.sqrt(xs @ B_inv @ xs))
         worst = max(worst, abs(pol.score(0) - oracle))
@@ -80,7 +76,6 @@ def test_criterion_2_shrinking_inverse_order():
             grown = np.linalg.inv(t * np.outer(x, x) + np.eye(k))
             diff = base - grown
             worst = min(worst, float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]))
-            assert psd_order_holds(grown, base, 1e-12)
     elapsed = time.perf_counter() - start
     report(2, worst >= -1e-12 and elapsed < 5.0, f"min eigenvalue {worst:.2e} in {elapsed:.2f}s (< 5s)")
 

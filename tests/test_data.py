@@ -1,5 +1,6 @@
 """Loader grammar, normalization, splitting, and role-swap behavior."""
 
+import errno
 import logging
 from dataclasses import replace
 from unittest import mock
@@ -29,6 +30,14 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def assert_same_dataset(got: RatingDataset, want: RatingDataset):
+    for name in ("users", "items", "ratings"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert (got.n_users, got.n_items, got.scale_max) == (want.n_users, want.n_items, want.scale_max)
 
 
 class TestLoadMovielens:
@@ -99,21 +108,13 @@ class TestLoadCsvTriples:
         with pytest.raises(ValueError, match="line 2"):
             load_csv_triples(path, scale_max=5)
 
-    @pytest.mark.parametrize(
-        "text,in_bulk",
-        [("\nuser,item,rating\n0,1,2\n", True), ("\r\n\n  \nuser,item,rating\n0,1,2\n", False)],
-    )
-    def test_header_after_blank_lines(self, tmp_path, text, in_bulk):
-        """The header may follow blank lines, in the bulk parser and in the
-        line-by-line one alike (a whitespace-only line is left to the latter)."""
+    @pytest.mark.parametrize("text", ["\nuser,item,rating\n0,1,2\n", "\r\n\n  \nuser,item,rating\n0,1,2\n"])
+    def test_header_after_blank_lines(self, tmp_path, text):
+        """The header may follow blank and whitespace-only lines."""
         path = write(tmp_path, "e.csv", text)
         ds = load_csv_triples(path, scale_max=5)
         assert (ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()) == ([0], [1], [2.0])
-        assert [a.tolist() for a in data._scan_lines(path, data._CSV, 5.0)] == [[0], [1], [2.0]]
-        bulk = data._parse_canonical(path.read_bytes(), data._CSV, 5.0)
-        assert (bulk is not None) == in_bulk
-        if in_bulk:
-            assert [a.tolist() for a in bulk] == [[0], [1], [2.0]]
+        assert_same_dataset(ds, reference_load(path, False, 5.0))
 
     def test_header_only_before_the_first_rating(self, tmp_path):
         path = write(tmp_path, "f.csv", "\n0,1,2\nuser,item,rating\n")
@@ -129,7 +130,33 @@ class TestLoadCsvTriples:
         ds = dataset_from_dense(grid, mask, scale_max=5)
         path = tmp_path / "round.csv"
         save_csv_triples(ds, path)
-        assert load_csv_triples(path, scale_max=5).same_as(ds)
+        assert_same_dataset(load_csv_triples(path, scale_max=5), ds)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        """A write that fails part-way (a full disk) leaves the previous
+        file as it was, and no temporary file beside it."""
+
+        class FullDisk:
+            def __init__(self, file, mode="r", **kwargs):
+                self.fh = open(file, mode, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:5])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        path = tmp_path / "ratings.csv"
+        path.write_text("0,0,1.0\n")
+        ds = dataset_from_dense(np.array([[1.0, 2.0], [3.0, 4.0]]), scale_max=5)
+        with mock.patch.object(data, "open", FullDisk, create=True), pytest.raises(OSError, match="No space"):
+            save_csv_triples(ds, path)
+        assert path.read_text() == "0,0,1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ratings.csv"]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -147,7 +174,7 @@ class TestLoadCsvTriples:
         ds = dataset_from_dense(grid, mask, scale_max=5)
         path = tmp_path_factory.mktemp("fuzz") / "ds.csv"
         save_csv_triples(ds, path)
-        assert load_csv_triples(path, scale_max=5).same_as(ds)
+        assert_same_dataset(load_csv_triples(path, scale_max=5), ds)
 
 
 class TestNormalize:
@@ -186,7 +213,7 @@ class TestSplitBaseEval:
         a = split_base_eval(ds, k=3, seed=123)
         b = split_base_eval(ds, k=3, seed=123)
         np.testing.assert_array_equal(a.base_user_ids, b.base_user_ids)
-        assert a.base.same_as(b.base)
+        assert_same_dataset(a.base, b.base)
 
     def test_partition_for_many_seeds(self):
         ds = toy_dataset(12)
@@ -238,7 +265,7 @@ class TestSubsampleAndFilter:
 
     def test_no_caps_returns_same_content(self):
         ds = toy_dataset(6, 4, seed=3)
-        assert subsample(ds, None, None, seed=0).same_as(ds)
+        assert_same_dataset(subsample(ds, None, None, seed=0), ds)
 
     def test_filter_min_ratings(self):
         users = np.array([0, 0, 0, 1, 2])
@@ -259,18 +286,24 @@ class TestDenseRoundTrip:
     def test_to_dense_and_back(self):
         ds = toy_dataset(7, 5, seed=6)
         dense, mask = ds.to_dense()
-        assert dataset_from_dense(dense, mask).same_as(ds)
+        assert_same_dataset(dataset_from_dense(dense, mask), ds)
 
 
 # ---------------------------------------------------------------- loader oracle
 
 
 def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
-    """Line-by-line parse with a dict keeping each (user, item)'s last rating."""
-    sep, n_fields = ("::", 4) if movielens else (",", 3)
-    first_id = 1 if movielens else 0
+    """The loaders' grammar read line by line, with a dict keeping each
+    (user, item)'s last rating: the same arrays, and the same error messages
+    naming the same lines."""
+    if movielens:
+        sep, n_fields, first_id = "::", 4, 1
+        expected, id_rule = "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based"
+    else:
+        sep, n_fields, first_id = ",", 3, 0
+        expected, id_rule = "expected user,item,rating", "ids must be nonnegative"
     last = {}
-    first = True
+    may_be_header = not movielens
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -278,9 +311,9 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
                 continue
             parts = line.split(sep)
             if len(parts) != n_fields:
-                raise ValueError(f"{path}, line {lineno}: field count")
-            if not movielens and first:
-                first = False
+                raise ValueError(f"{path}, line {lineno}: {expected}")
+            if may_be_header:
+                may_be_header = False
                 try:
                     int(parts[0])
                 except ValueError:
@@ -290,7 +323,7 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             if u < first_id or i < first_id:
-                raise ValueError(f"{path}, line {lineno}: id below {first_id}")
+                raise ValueError(f"{path}, line {lineno}: {id_rule}, got user={u} item={i}")
             if not 0.0 <= r <= scale_max:
                 raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
             last[(u, i - first_id)] = r
@@ -308,25 +341,62 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
     )
 
 
-def assert_same_dataset(got: RatingDataset, want: RatingDataset):
-    for name in ("users", "items", "ratings"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=name)
-    assert (got.n_users, got.n_items, got.scale_max) == (want.n_users, want.n_items, want.scale_max)
+def assert_loads_like_reference(path, movielens: bool):
+    """Both give the same dataset, or both raise the same message."""
+    load = load_movielens if movielens else load_csv_triples
+    try:
+        want = reference_load(path, movielens, 5.0)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load(path, scale_max=5.0)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_dataset(load(path, scale_max=5.0), want)
+
+
+def count_line_parses(load, path):
+    """The dataset `load` reads from `path`, and how many lines it handed to
+    the line-by-line parser."""
+    with mock.patch.object(data, "_parse_line", wraps=data._parse_line) as spy:
+        ds = load(path, scale_max=5.0)
+    return ds, spy.call_count
 
 
 HALF_STARS = [f"{k / 2:g}" for k in range(11)]  # "0", "0.5", ..., "5"
 triple = st.tuples(st.integers(1, 12), st.integers(1, 15), st.sampled_from(HALF_STARS), st.integers(0, 10**10))
 
 
+def render_line(row, movielens, template=None):
+    u, i, r, stamp = row
+    if template is None:
+        template = "{u}::{i}::{r}::{s}" if movielens else "{u},{i},{r}"
+    return template.format(u=u if movielens else u - 1, i=i if movielens else i - 1, r=r, s=stamp)
+
+
 def render(rows, movielens, newline, header, blank_every):
     lines = ["user,item,rating"] if header else []
-    for n, (u, i, r, stamp) in enumerate(rows):
+    for n, row in enumerate(rows):
         if blank_every and n % blank_every == 0:
             lines.append("")
-        lines.append(f"{u}::{i}::{r}::{stamp}" if movielens else f"{u - 1},{i - 1},{r}")
+        lines.append(render_line(row, movielens))
     return newline.join(lines) + (newline if rows and rows[0][3] % 2 else "")
+
+
+# Valid lines outside the plain form: stray whitespace, signs, exponents,
+# digit separators, a lone-colon timestamp.
+IRREGULAR = {
+    True: ["  {u}::{i}::{r}::{s}", "{u} :: {i} ::{r}::x", "+{u}::{i}::{r}::", "{u}::{i}::{r}e0::{s}",
+           "{u}::{i}::{r}::{s}\t", "{u}::{i}::{r}::{s}:{s}", "1_{u}::{i}::{r}::{s}", "{u}::{i}::{r}:::"],
+    False: ["{u}, {i}, {r}", " {u},{i},+{r} ", "{u},{i},{r}e0", "1_{u},{i},{r}", "{u},+{i},{r}\x0b"],
+}
+# Lines that every loader must reject.
+BAD = {
+    True: ["{u}::{i}", "{u}::{i}::{r}::{s}::{s}", "{u}::x::{r}::{s}", "0::{i}::{r}::{s}", "{u}::{i}::9::{s}",
+           "{u}:::{i}::{r}::{s}", "{u}::{i}::nan::{s}", "{u}::{i}::-1::{s}", "{u}::{i}::.::{s}", "a::b::c::d",
+           "{u}::{i}::1.2.3::{s}", "{u}:::{i}::{r}", "{u}::{i}:::{r}"],
+    False: ["{u},{i}", "{u},{i},{r},{s}", "{u},x,{r}", "-1,{i},{r}", "{u},{i},9", "{u},{i},nan", "{u},{i},.",
+            "{u},,{r}", "{u},{i},5.5", "x,{i},{r}", "{u},{i},1..5"],
+}
 
 
 class TestLoaderAgainstLineByLineReference:
@@ -340,13 +410,61 @@ class TestLoaderAgainstLineByLineReference:
     )
     def test_canonical_files_parse_in_bulk(self, tmp_path_factory, rows, movielens, newline, header, blank_every):
         """Duplicates, blank lines, CRLF, a CSV header, half stars: the bulk
-        parse alone gives the reference's arrays."""
+        parse gives the reference's arrays and reads no line one by one but
+        the header."""
         header = header and not movielens
         path = tmp_path_factory.mktemp("load") / "ratings.txt"
         path.write_bytes(render(rows, movielens, newline, header, blank_every).encode())
-        load = load_movielens if movielens else load_csv_triples
-        with mock.patch.object(data, "_scan_lines", side_effect=AssertionError("line-by-line path taken")):
-            got = load(path, scale_max=5.0)
+        got, parsed = count_line_parses(load_movielens if movielens else load_csv_triples, path)
+        assert parsed == int(header)
+        assert_same_dataset(got, reference_load(path, movielens, 5.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.sampled_from(["plain", "plain", "irregular", "blank"]), triple, st.integers(0, 99)),
+            min_size=1,
+            max_size=30,
+        ),
+        movielens=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        header=st.booleans(),
+        bad=st.one_of(st.none(), st.tuples(st.integers(0, 30), triple, st.integers(0, 99))),
+    )
+    def test_mixed_lines_match_the_reference(self, tmp_path_factory, lines, movielens, newline, header, bad):
+        """Plain, irregular and blank lines in any order, with at most one bad
+        line anywhere: the reference's arrays, or its error and line number."""
+        text = ["user,item,rating"] if header and not movielens else []
+        for kind, row, pick in lines:
+            if kind == "blank":
+                text.append(["", "  "][pick % 2])
+            else:
+                templates = IRREGULAR[movielens] if kind == "irregular" else [None]
+                text.append(render_line(row, movielens, templates[pick % len(templates)]))
+        if bad is not None:
+            at, row, pick = bad
+            text.insert(min(at, len(text)), render_line(row, movielens, BAD[movielens][pick % len(BAD[movielens])]))
+        path = tmp_path_factory.mktemp("mixed") / "ratings.txt"
+        path.write_bytes(newline.join(text).encode())
+        assert_loads_like_reference(path, movielens)
+
+    @pytest.mark.parametrize(
+        "movielens,text,parsed",
+        [
+            (True, "1::10::5::978300760\n2::12::3.5::978300761\n\n3::1::0.5::0\n", 0),
+            (False, "0,1,5\n1,2,2.5\n", 0),
+            (False, "user,item,rating\n0,1,5\n1,2,2.5\n", 1),
+            (True, "1::10::5::1\n 1::1::5::0\n2::3::4::2\n", 1),
+            (False, "0,1,5\n0, 2,4\n1,2,2.5\n", 1),
+            (False, "0,1,5\n1,2,2.5\n0,1,4e0\n", 1),
+            (True, "1::2::3::0\n0000000000000000002::3::4::0\n", 1),  # a 19-digit id
+            (False, "0,1,2.50000000000000000000000000000001\n1,1,1\n", 1),  # a 34-byte rating
+        ],
+    )
+    def test_only_irregular_lines_are_read_one_by_one(self, tmp_path, movielens, text, parsed):
+        path = write(tmp_path, "r.txt", text)
+        got, calls = count_line_parses(load_movielens if movielens else load_csv_triples, path)
+        assert calls == parsed
         assert_same_dataset(got, reference_load(path, movielens, 5.0))
 
     @pytest.mark.parametrize(
@@ -376,6 +494,11 @@ class TestLoaderAgainstLineByLineReference:
             (False, "0,1,5\n0,-1,3\n", 2, "ids must be nonnegative, got user=0 item=-1"),
             (True, "1::1::5::0\r\n1::2::3::0\r\n1::3::5.5::0\r\n", 3, "rating 5.5 outside [0, 5.0]"),
             (False, "0,1,5\n0,2,7\n", 2, "rating 7.0 outside [0, 5.0]"),
+            (True, "1::1::5::0\n1::2::.::0\n", 2, "could not convert string to float: '.'"),
+            (True, "1::1::5::0\n\r1:::2::3::0\n", 3, "invalid literal for int() with base 10: ':2'"),
+            (True, "1::1::5::0\n1:::2::5\n", 2, "expected UserID::MovieID::Rating::Timestamp"),
+            (False, "0,1,5\n0,2,1.2.5\n", 2, "could not convert string to float: '1.2.5'"),
+            (False, "user,item,rating\nuser,item,rating\n", 2, "invalid literal for int() with base 10: 'user'"),
         ],
     )
     def test_errors_name_the_first_bad_line(self, tmp_path, movielens, text, lineno, message):
@@ -384,8 +507,9 @@ class TestLoaderAgainstLineByLineReference:
         with pytest.raises(ValueError) as got:
             load(path, scale_max=5.0)
         assert str(got.value) == f"{path}, line {lineno}: {message}"
-        with pytest.raises(ValueError, match=f"line {lineno}:"):
+        with pytest.raises(ValueError) as want:
             reference_load(path, movielens, 5.0)
+        assert str(want.value) == str(got.value)
 
 
 def test_keys_that_would_overflow_are_rejected(tmp_path):

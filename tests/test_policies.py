@@ -127,10 +127,6 @@ class TestExp3Distribution:
             assert np.all(p >= gamma / n - 1e-15)
             assert np.all(p <= 1 - gamma + gamma / n + 1e-15)
 
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            exp3_distribution(np.array([1.0, 0.0]), 0.1)
-
 
 class TestALinUcbScoring:
     def test_no_rewards_no_exploration(self):
@@ -146,6 +142,15 @@ class TestALinUcbScoring:
         assert pol.score(0) == pytest.approx(1.0, abs=1e-12)
         pol2 = ALinUcbPolicy(X, alpha=0.001)
         assert pol2.score(1) == pytest.approx(0.001 / math.sqrt(2), abs=1e-15)
+
+    def test_squared_widths_in_unit_interval_and_growing_with_norm(self):
+        """widths² = q = ‖x‖²/(1+‖x‖²): 0 for a zero context, below 1, and
+        strictly increasing in ‖x‖."""
+        x = np.random.default_rng(13).uniform(size=6)
+        q = ALinUcbPolicy(np.outer(x, np.linspace(0.0, 10.0, 26))).widths ** 2
+        assert q[0] == 0.0
+        assert np.all(q < 1.0)
+        assert np.all(np.diff(q) > 0.0)
 
     def test_update_examples(self):
         pol = ALinUcbPolicy(random_base(), alpha=0.0)
@@ -484,6 +489,22 @@ class TestExclusionSetProtocol:
 
 
 class TestExp3Protocol:
+    def test_draw_matches_generator_choice(self):
+        """select's cumulative-weight draw picks what Generator.choice(p=...)
+        picks from the same stream, over weights spread across 40 decades."""
+        n = 1000
+        rng = np.random.default_rng(43)
+        pol = Exp3Policy(n, gamma=0.05, seed=9)
+        ref_rng = np.random.default_rng(9)
+        for t in range(1, 2001):
+            pol.weights = 10.0 ** rng.uniform(-20, 20, size=n)
+            revealed = np.sort(rng.choice(n, size=rng.integers(0, n), replace=False))
+            available = np.setdiff1d(np.arange(n), revealed)
+            p = exp3_distribution(pol.weights, pol.gamma)[available]
+            p /= p.sum()
+            assert pol.select(revealed, t) == int(available[ref_rng.choice(len(available), p=p)]), t
+            pol._pending = None
+
     def test_update_requires_selected_arm(self):
         pol = Exp3Policy(5, seed=0)
         arm = pol.select(NONE, 1)
