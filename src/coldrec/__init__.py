@@ -31,7 +31,6 @@ from .impute import (
 )
 from .linalg import (
     als_wr_factorize,
-    als_wr_objective,
     truncated_svd,
 )
 from .policies import (
@@ -73,7 +72,6 @@ __all__ = [
     "UcbPolicy",
     "Zero",
     "als_wr_factorize",
-    "als_wr_objective",
     "dataset_from_dense",
     "fill",
     "filter_min_ratings",

@@ -13,6 +13,7 @@ import enum
 import logging
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,10 +79,10 @@ class RatingDataset:
         mask[self.users, self.items] = True
         return dense, mask
 
-    def sorted_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Triples in canonical (user, item) order."""
-        order = np.lexsort((self.items, self.users))
-        return self.users[order], self.items[order], self.ratings[order]
+    @cached_property
+    def user_rows(self) -> UserRows:
+        """The ratings grouped by user, built once per dataset."""
+        return UserRows(self)
 
 
 class UserRows:
@@ -95,13 +96,14 @@ class UserRows:
 
     def __init__(self, dataset: RatingDataset):
         keys = dataset.users * dataset.n_items + dataset.items
+        self.order = None  # the grouped order's positions in the dataset; None: the same
         if np.all(keys[1:] > keys[:-1]):
             self.items, self.ratings = dataset.items, dataset.ratings
         else:
-            order = np.argsort(keys, kind="stable")
-            if np.any(np.diff(keys[order]) == 0):
+            self.order = np.argsort(keys, kind="stable")
+            if np.any(np.diff(keys[self.order]) == 0):
                 raise ValueError("dataset repeats a (user, item) pair")
-            self.items, self.ratings = dataset.items[order], dataset.ratings[order]
+            self.items, self.ratings = dataset.items[self.order], dataset.ratings[self.order]
         self.starts = np.zeros(dataset.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(dataset.users, minlength=dataset.n_users), out=self.starts[1:])
 
@@ -109,6 +111,13 @@ class UserRows:
         """One user's items, ascending, and their ratings (views)."""
         lo, hi = self.starts.item(user), self.starts.item(user + 1)
         return self.items[lo:hi], self.ratings[lo:hi]
+
+    def positions(self, users: np.ndarray) -> np.ndarray:
+        """Where the given distinct users' ratings sit in the dataset's own
+        arrays, ascending: O(their ratings), not O(all ratings)."""
+        lo, counts = self.starts[users], np.diff(self.starts)[users]
+        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        return np.sort(pos if self.order is None else self.order[pos])
 
 
 @dataclass(frozen=True)
@@ -171,9 +180,9 @@ class _Grammar:
 _MOVIELENS = _Grammar("::", 4, 1, "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based", False)
 _CSV = _Grammar(",", 3, 0, "expected user,item,rating", "ids must be nonnegative", True)
 
-_DIGITS = b"0123456789"
 _MAX_ID_DIGITS = 18  # every id of at most 18 digits fits in an int64
-_MAX_RATING_WIDTH = 32  # wider ratings are read by _parse_line
+_MAX_RATING_WIDTH = 16  # wider ratings are read by _parse_line
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(_MAX_RATING_WIDTH)])
 
 
 def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: bool, where: str):
@@ -232,15 +241,25 @@ def _id_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, first_id: int):
 
 
 def _rating_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale_max: float):
-    """The rating fields buf[lo:hi] as float64, and which are plain: digits
-    with at most one '.', not '.' alone, at most scale_max."""
+    """The rating fields buf[lo:hi] as float64, and which are plain: at most
+    16 bytes of digits with at most one '.', not '.' alone, at most scale_max.
+
+    A plain rating is int(digits) / 10**n_frac, which is float(text) bit for
+    bit: with a '.' there are at most 15 digits, so both operands are exact
+    and the division rounds correctly; without one, only the conversion
+    rounds, correctly."""
     text, width = _field_bytes(buf, lo, hi, _MAX_RATING_WIDTH)
     digit = text - ord("0") < 10
-    ok = (width > 0) & (digit | (text == ord("."))).all(axis=1) & ((~digit).sum(axis=1) <= 1)
-    ok &= (width > 1) | digit[:, -1]  # not "." alone
-    # numpy and float() read this form identically; "0" stands in for the rest
-    text[~ok] = ord("0")
-    value = text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+    n_dots = (~digit).sum(axis=1, dtype=np.uint8)
+    ok = (width > n_dots) & (digit | (text == ord("."))).all(axis=1) & (n_dots <= 1)
+    del width
+    value = np.zeros(ok.size, dtype=np.int64)
+    for k in range(text.shape[1]):
+        np.multiply(value, 10, out=value, where=digit[:, k])
+        np.add(value, text[:, k] - ord("0"), out=value, where=digit[:, k])
+    # n_frac: the columns from the '.' on, less the '.'
+    scale = _POWERS_OF_TEN[np.logical_or.accumulate(~digit, axis=1).sum(axis=1, dtype=np.uint8) - n_dots]
+    value = np.divide(value, scale, out=scale)
     return value, ok & (value <= scale_max)
 
 
@@ -358,7 +377,9 @@ def save_csv_triples(ds: RatingDataset, path) -> None:
     """Write the canonical save format: ``user,item,rating``, 0-based ids,
     one triple per line in (user, item) order, atomically (see
     :func:`atomic_write`)."""
-    columns = [col.tolist() for col in ds.sorted_triples()]
+    rows = ds.user_rows
+    users = np.repeat(np.arange(ds.n_users), np.diff(rows.starts))
+    columns = [users.tolist(), rows.items.tolist(), rows.ratings.tolist()]
     atomic_write(path, ["".join(f"{u},{i},{float(r)!r}\n" for u, i, r in zip(*columns))])
 
 
@@ -421,24 +442,25 @@ def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> R
 
     Sampled items keep their slot even if no rating survives (the catalog
     shrinks to exactly max_items); sampled users that end up rating-less are
-    dropped, matching the loader's elimination rule.
+    dropped, matching the loader's elimination rule.  Kept ratings keep
+    their order.  Only the sampled users' rows are read, through
+    :attr:`RatingDataset.user_rows`.
     """
     rng = np.random.default_rng(seed)
-    users, items, ratings = ds.users, ds.items, ds.ratings
-    n_items = ds.n_items
+    item_ids, pos = None, slice(None)
     if max_items is not None and max_items < ds.n_items:
         item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
+    if max_users is not None and max_users < ds.n_users:
+        pos = ds.user_rows.positions(np.sort(rng.choice(ds.n_users, size=max_users, replace=False)))
+    users, items, ratings = ds.users[pos], ds.items[pos], ds.ratings[pos]
+    if item_ids is not None:
         keep, items = _select_ids(items, item_ids, ds.n_items)
         users, ratings = users[keep], ratings[keep]
-        n_items = max_items
-    if max_users is not None and max_users < ds.n_users:
-        user_ids = rng.choice(ds.n_users, size=max_users, replace=False)
-        keep, _ = _select_ids(users, user_ids, ds.n_users)
-        users, items, ratings = users[keep], items[keep], ratings[keep]
     if len(ratings) == 0:
         raise ValueError("subsample removed every rating")
     rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
     _, users = _select_ids(users, rated, ds.n_users)
+    n_items = ds.n_items if item_ids is None else max_items
     return replace(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
 
 

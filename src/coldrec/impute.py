@@ -125,15 +125,28 @@ class BaseMatrix:
         return self.X[:, j]
 
 
-def _column_means(dense: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-column observed means; columns without observations get 0."""
-    counts = mask.sum(axis=0)
-    sums = np.where(mask, dense, 0.0).sum(axis=0)
+def _column_means(base: RatingDataset) -> np.ndarray:
+    """Per-item observed means; items without observations get 0."""
+    counts = np.bincount(base.items, minlength=base.n_items)
+    sums = np.bincount(base.items, weights=base.ratings, minlength=base.n_items)
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
-def _mean_filled(dense: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.where(mask, dense, _column_means(dense, mask)[None, :])
+def _mean_filled(base: RatingDataset, means: np.ndarray):
+    """The mean-filled base as a LinearOperator, never built densely: the
+    sparse residuals r_ij − means_j plus the rank-one 1 meansᵀ."""
+    from scipy.sparse import csr_array  # here, not at the top: a 4 MB import only factorizations need
+    from scipy.sparse.linalg import LinearOperator
+
+    S = csr_array((base.ratings - means[base.items], (base.users, base.items)), shape=(base.n_users, base.n_items))
+
+    def matmat(X):  # X of shape (q,), (q, 1) or (q, k), as Y in rmatmat
+        return S @ X + means @ X
+
+    def rmatmat(Y):
+        return S.T @ Y + np.multiply.outer(means, Y.sum(axis=0))
+
+    return LinearOperator(S.shape, matvec=matmat, rmatvec=rmatmat, matmat=matmat, rmatmat=rmatmat, dtype=np.float64)
 
 
 def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix:
@@ -141,40 +154,45 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
 
     The base must already be normalized (ratings in [0, 1]); otherwise the
     bounded-output and observed-entries-preserved guarantees cannot both
-    hold.  `seed` feeds the ALS-WR initialization only.
+    hold.  `seed` feeds the ALS-WR initialization only.  The factorization
+    methods work on the ratings alone; only their p×q reconstruction is
+    dense.
     """
     if base.n_ratings == 0:
         raise ValueError("base split is empty")
     if base.ratings.min() < 0.0 or base.ratings.max() > 1.0:
         raise ValueError("base split must be normalized to [0, 1] before imputation")
-    dense, mask = base.to_dense()
 
     if isinstance(method, Zero):
-        return BaseMatrix(dense)
+        return BaseMatrix(base.to_dense()[0])
+    means = _column_means(base)
     if isinstance(method, ItemAverage):
-        return BaseMatrix(_mean_filled(dense, mask))
+        dense, mask = base.to_dense()
+        return BaseMatrix(np.where(mask, dense, means))
 
-    rank = min(method.rank, base.n_users, base.n_items)
+    p, q = base.n_users, base.n_items
+    rank = min(method.rank, p, q)
     if isinstance(method, ImputedSvd):
-        U, s, V = linalg.truncated_svd(_mean_filled(dense, mask), rank)
-        return BaseMatrix(np.clip((U * s) @ V.T, 0.0, 1.0))
+        U, s, V = linalg.truncated_svd(_mean_filled(base, means), rank)
+        X = (U * s) @ V.T
+    elif isinstance(method, AlsWr):
+        from scipy.sparse import coo_array  # see _mean_filled
 
-    if isinstance(method, AlsWr):
-        # Deficient slices make the masked problem ill-posed; pre-fill them
-        # by the item-average rule (0 for never-observed columns).
-        empty_cols = ~mask.any(axis=0)
-        if empty_cols.any():
-            dense[:, empty_cols] = 0.0
-            mask[:, empty_cols] = True
-        empty_rows = ~mask.any(axis=1)
-        if empty_rows.any():
-            col_means = _column_means(dense, mask)
-            dense[empty_rows] = col_means[None, :]
-            mask[empty_rows] = True
-        U, V = linalg.als_wr_factorize(dense, mask, rank, method.lam, method.iters, rng=seed)
-        return BaseMatrix(np.clip(U @ V.T, 0.0, 1.0))
-
-    raise TypeError(f"unknown imputation method {method!r}")
+        # A never-rated item counts as observed 0 in every row, in
+        # als_wr_factorize's closed form.  With none, rated-less rows (only
+        # the new-item orientation has them) are pre-filled with the means.
+        users, items, ratings = base.users, base.items, base.ratings
+        empty_rows = np.flatnonzero(np.bincount(users, minlength=p) == 0)
+        if empty_rows.size and np.bincount(items, minlength=q).all():
+            users = np.concatenate([users, np.repeat(empty_rows, q)])
+            items = np.concatenate([items, np.tile(np.arange(q), empty_rows.size)])
+            ratings = np.concatenate([ratings, np.tile(means, empty_rows.size)])
+        R = coo_array((ratings, (users, items)), shape=(p, q))
+        U, V = linalg.als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
+        X = U @ V.T
+    else:
+        raise TypeError(f"unknown imputation method {method!r}")
+    return BaseMatrix(np.clip(X, 0.0, 1.0, out=X))
 
 
 def write_base_csv(base_matrix: BaseMatrix, path) -> None:

@@ -1,5 +1,6 @@
-"""Dense linear-algebra kernels for the matrix-completion imputers: the
-truncated SVD and masked ALS with weighted regularization.
+"""Linear-algebra kernels for the matrix-completion imputers: the truncated
+SVD and masked ALS with weighted regularization, both at the cost of the
+observed entries where the input is sparse.
 
 Everything here is a pure function of its inputs.
 """
@@ -11,7 +12,6 @@ import numpy as np
 __all__ = [
     "truncated_svd",
     "als_wr_factorize",
-    "als_wr_objective",
 ]
 
 
@@ -27,128 +27,104 @@ def _finite_matrix(M) -> np.ndarray:
 def truncated_svd(M, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-`rank` factorization of M in the Frobenius norm.
 
-    Returns (U, s, V) with orthonormal-column U (p×r) and V (q×r) and
-    nonincreasing singular values s (length r), so that M ≈ U @ diag(s) @ V.T.
-    Inputs of lower actual rank simply come back with trailing zero singular
-    values.
+    M is a dense matrix or a ``scipy.sparse.linalg.LinearOperator`` (the
+    imputer's mean-filled base is one).  Returns (U, s, V) with
+    orthonormal-column U (p×r) and V (q×r) and nonincreasing singular values
+    s (length r), so that M ≈ U @ diag(s) @ V.T.  Inputs of lower actual
+    rank simply come back with trailing zero singular values.
 
     Only the leading triplets are computed, by implicitly restarted Lanczos
-    (ARPACK) to full precision from a fixed start vector, so reruns are
-    bit-identical.  ARPACK needs rank < min(p, q) and a nonzero M; the other
-    inputs take a full LAPACK SVD.
+    (ARPACK) on M's products to full precision from a fixed start vector,
+    so reruns are bit-identical.  ARPACK needs rank < min(p, q) and a
+    nonzero M; the other inputs take a full LAPACK SVD of M made dense.
     """
-    M = _finite_matrix(M)
+    from scipy.sparse.linalg import LinearOperator, svds  # here, not at the top: a 4 MB import
+
+    M = M if isinstance(M, LinearOperator) else _finite_matrix(M)
     p, q = M.shape
     if not 1 <= rank <= min(p, q):
         raise ValueError(f"rank must be in [1, {min(p, q)}] for a {p}x{q} matrix, got {rank}")
-    if rank == min(p, q) or not M.any():
+    if isinstance(M, LinearOperator) and (rank == min(p, q) or not (M @ np.ones(q)).any()):
+        M = M @ np.eye(q)  # for LAPACK, or to tell a zero M (M @ 1 ≠ 0 proves M ≠ 0)
+    if rank == min(p, q) or isinstance(M, np.ndarray) and not M.any():
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         return U[:, :rank].copy(), s[:rank].copy(), Vt[:rank].T.copy()
-    from scipy.sparse.linalg import svds  # here, not at the top: a 4 MB import only factorizations need
-
     start = np.random.default_rng(0).uniform(-1.0, 1.0, min(p, q))
     U, s, Vt = svds(M, k=rank, tol=0, v0=start, solver="arpack")
     order = np.argsort(s, kind="stable")[::-1]
     return U[:, order], s[order], Vt[order].T
 
 
-def als_wr_objective(M, mask, U, V, lam: float) -> float:
-    """Regularized observed-entry objective of a masked factorization.
-
-    Σ_obs (M − U Vᵀ)² + λ(Σ_i n_i‖u_i‖² + Σ_j n_j‖v_j‖²), where n_i / n_j
-    count the observations in row i / column j (the weighted-λ convention).
-    """
-    M = np.asarray(M, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    resid = (M - U @ V.T)[mask]
-    n_row = mask.sum(axis=1)
-    n_col = mask.sum(axis=0)
-    penalty = lam * (n_row @ np.sum(U * U, axis=1) + n_col @ np.sum(V * V, axis=1))
-    return float(resid @ resid + penalty)
-
-
-def _als_half_sweep(W, MW, fixed, lam):
+def _als_half_sweep(W, RW, fixed, lam, n_obs, extra_gram):
     """Exactly re-solve one side of the factorization, observed entries only.
 
-    W is the sparse 0/1 observation mask (rows = the side being solved) and
-    MW the observed values on the same pattern.  Row i's normal equations
-    (Σ_{j∈obs(i)} f_j f_jᵀ + λ n_i I) x_i = Σ_{j∈obs(i)} m_ij f_j are formed
+    W is the sparse 0/1 observation pattern (rows = the side being solved)
+    and RW the observed values on it.  Row i's normal equations
+    (Σ_{j∈obs(i)} f_j f_jᵀ + λ n_i I) x_i = Σ_{j∈obs(i)} r_ij f_j are formed
     for every row at once — the Gram blocks as W times the upper triangles
-    of f_j f_jᵀ — and solved as one stacked system.
+    of f_j f_jᵀ, plus `extra_gram` for observed zeros W leaves out, and
+    n_i from `n_obs` — and solved as one stacked system.
     """
-    p, rank = W.shape[0], fixed.shape[1]
+    rank = fixed.shape[1]
     iu, ju = np.triu_indices(rank)
     slot = np.empty((rank, rank), dtype=np.intp)  # (a, b) → column of the upper triangle
     slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
     G = (W @ (fixed[:, iu] * fixed[:, ju]))[:, slot]
+    G += extra_gram
     diag = np.arange(rank)
-    G[:, diag, diag] += lam * W.sum(axis=1)[:, None]
-    return np.linalg.solve(G, (MW @ fixed)[:, :, None])[:, :, 0]
+    G[:, diag, diag] += lam * n_obs[:, None]
+    return np.linalg.solve(G, (RW @ fixed)[:, :, None])[:, :, 0]
 
 
-def als_wr_factorize(
-    M,
-    mask,
-    rank: int,
-    lam: float,
-    iters: int,
-    rng=None,
-    return_objective: bool = False,
-):
-    """Alternating least squares with weighted-λ regularization on a mask.
+def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):
+    """Alternating least squares with weighted-λ regularization.
 
-    Factors M ≈ U Vᵀ using only the entries where `mask` is True.  Each half
-    sweep solves its block of the joint objective exactly, so the value
-    reported by :func:`als_wr_objective` never increases across iterations.
-
-    Every row and column of `mask` must contain at least one observation;
-    callers with deficient slices pre-fill them (the imputer does).
+    Factors M ≈ U Vᵀ on the observations only: the stored entries of the
+    scipy sparse array R (explicit zeros too) and, for each column E with
+    none, a 0 in every row (the imputer's rule for never-rated items).
+    Those zeros are in closed form: E's factor is 0 from the first column
+    sweep on, and a row sweep gets V_Eᵀ V_E in each Gram block and |E| in
+    each count.  Each half sweep exactly minimizes, over its side,
+    Σ_obs (m_ij − u_i·v_j)² + λ(Σ_i n_i‖u_i‖² + Σ_j n_j‖v_j‖²), with n_i / n_j
+    the observations in row i / column j (the weighted-λ convention), so
+    that objective never increases across iterations.  Every row needs an
+    observation; callers with empty rows pre-fill them (the imputer does).
 
     V is initialized with per-column observed means in its first factor and
     small uniform noise in [−0.5/rank, 0.5/rank] elsewhere, drawn from `rng`.
-
-    Returns (U, V), or (U, V, objective_per_iteration) when
-    `return_objective` is set.
+    The sweeps draw nothing, so the run with `iters` = k returns iterate k
+    of any longer run.  Returns (U, V).
     """
-    M = _finite_matrix(M)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != M.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match matrix shape {M.shape}")
-    p, q = M.shape
+    from scipy.sparse import csr_array  # here, not at the top: see truncated_svd
+
+    R = csr_array(R, dtype=np.float64, copy=True)
+    R.sum_duplicates()
+    if not np.all(np.isfinite(R.data)):
+        raise ValueError("observations contain non-finite entries")
+    p, q = R.shape
     if not 1 <= rank <= min(p, q):
         raise ValueError(f"rank must be in [1, {min(p, q)}] for a {p}x{q} matrix, got {rank}")
     if lam <= 0:
         raise ValueError(f"regularization must be positive, got {lam}")
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
-    row_counts = mask.sum(axis=1)
-    col_counts = mask.sum(axis=0)
+    Rt = R.T.tocsr()
+    empty = np.diff(Rt.indptr) == 0
+    row_counts = np.diff(R.indptr) + empty.sum()
     if (row_counts == 0).any():
-        raise ValueError(f"row {int(np.argmin(row_counts))} of the observation mask has no entries")
-    if (col_counts == 0).any():
-        raise ValueError(f"column {int(np.argmin(col_counts))} of the observation mask has no entries")
+        raise ValueError(f"row {int(np.argmin(row_counts))} of the observations has no entries")
+    # E's right-hand side is 0, so its solution is 0 whatever its Gram block: λ p I stands in
+    col_counts = np.where(empty, p, np.diff(Rt.indptr))
 
     rng = np.random.default_rng(rng)
     V = np.zeros((q, rank))
-    with np.errstate(invalid="ignore"):
-        col_means = np.where(mask, M, 0.0).sum(axis=0) / col_counts
-    V[:, 0] = col_means
+    V[:, 0] = (Rt @ np.ones(p)) / col_counts
     if rank > 1:
         V[:, 1:] = rng.uniform(-0.5 / rank, 0.5 / rank, size=(q, rank - 1))
 
-    from scipy.sparse import csr_array  # here, not at the top: see truncated_svd
-
-    rows, cols = np.nonzero(mask)
-    W = csr_array((np.ones(rows.size), (rows, cols)), shape=(p, q))
-    MW = csr_array((M[rows, cols], (rows, cols)), shape=(p, q))
-    Wt, MWt = W.T.tocsr(), MW.T.tocsr()
-    history = []
+    W, Wt = R.copy(), Rt.copy()
+    W.data[:] = Wt.data[:] = 1.0
     for _ in range(iters):
-        U = _als_half_sweep(W, MW, V, lam)
-        V = _als_half_sweep(Wt, MWt, U, lam)
-        if return_objective:
-            history.append(als_wr_objective(M, mask, U, V, lam))
-
-    if return_objective:
-        return U, V, np.array(history)
+        U = _als_half_sweep(W, R, V, lam, row_counts, V[empty].T @ V[empty])
+        V = _als_half_sweep(Wt, Rt, U, lam, col_counts, 0.0)
     return U, V

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .data import RatingDataset, UserRows
+from .data import RatingDataset
 from .impute import BaseMatrix
 
 __all__ = [
@@ -478,7 +478,7 @@ class OraclePolicy(Policy):
         if evaluation.n_ratings and (evaluation.ratings.min() < 0.0 or evaluation.ratings.max() > 1.0):
             raise ValueError("evaluation ratings must be normalized to [0, 1]")
         self.n_arms = evaluation.n_items
-        self._rows = UserRows(evaluation)
+        self._rows = evaluation.user_rows
         self._user = None
 
     def observe_user(self, user):

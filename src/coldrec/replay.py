@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, UserRows, atomic_write
+from .data import RatingDataset, atomic_write
 from .policies import Policy
 
 __all__ = [
@@ -62,7 +62,7 @@ class RevealLog:
     def __init__(self, evaluation: RatingDataset):
         self.n_arms = evaluation.n_items
         self.arms_left = np.full(evaluation.n_users, self.n_arms, dtype=np.int64)
-        self._rows = UserRows(evaluation)
+        self._rows = evaluation.user_rows
         self._users: dict[int, _UserState] = {}
 
     def _state(self, user: int) -> _UserState:

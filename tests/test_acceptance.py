@@ -18,7 +18,6 @@ import pytest
 from coldrec.cli import parse_config, run_matrix
 from coldrec.data import RatingDataset, dataset_from_dense, save_csv_triples, split_base_eval, subsample
 from coldrec.impute import AlsWr, ImputedSvd, ItemAverage, Zero, fill
-from coldrec.linalg import als_wr_factorize
 from coldrec.policies import (
     ALinUcbPolicy,
     EpsilonGreedyPolicy,
@@ -241,6 +240,7 @@ def test_criterion_8_imputation_suite():
     nonincreasing ALS-WR objective."""
     start = time.perf_counter()
     from test_impute import AVERAGE_EXPECTED, FIXTURE_MASK, FIXTURE_VALUES
+    from test_linalg import objective_history, observed
 
     base = dataset_from_dense(FIXTURE_VALUES, FIXTURE_MASK)
     zero_exact = np.array_equal(fill(base, Zero()).X, FIXTURE_VALUES)
@@ -255,7 +255,7 @@ def test_criterion_8_imputation_suite():
     mask = rng.random((50, 40)) < 0.5
     mask[np.arange(50), rng.integers(40, size=50)] = True
     mask[rng.integers(50, size=40), np.arange(40)] = True
-    _, _, history = als_wr_factorize(grid, mask, rank=8, lam=0.05, iters=12, rng=3, return_objective=True)
+    history = objective_history(observed(grid, mask), grid, mask, rank=8, lam=0.05, iters=12, rng=3)
     monotone = bool(np.all(np.diff(history) <= 1e-9))
 
     elapsed = time.perf_counter() - start

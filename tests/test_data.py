@@ -512,6 +512,33 @@ class TestLoaderAgainstLineByLineReference:
         assert str(want.value) == str(got.value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.from_regex(r"[0-9]{0,18}(\.[0-9]{0,18})?", fullmatch=True), min_size=1, max_size=25))
+def test_plain_ratings_read_bit_for_bit_as_float(texts):
+    """Every field of at most 16 bytes of digits and at most one '.' (but
+    '.' alone) is plain, and reads bit for bit as float() reads it."""
+    text = "".join(t + "\n" for t in texts).encode()
+    buf = np.frombuffer(text, dtype=np.uint8)
+    hi = np.flatnonzero(buf == ord("\n"))
+    lo = np.concatenate(([0], hi[:-1] + 1))
+    value, ok = data._rating_field(buf, lo, hi, np.inf)
+    for t, v, plain in zip(texts, value.tolist(), ok.tolist()):
+        assert plain == (0 < len(t) <= 16 and t != "."), t
+        if plain:
+            assert np.float64(v).tobytes() == np.float64(float(t)).tobytes(), t
+
+
+@pytest.mark.parametrize(
+    "rating,parsed",
+    [("0.1", 0), ("4.99999999999999", 0), ("0.00000000000003", 0), ("3.", 0), (".25", 0), ("002.5", 0),
+     ("4.999999999999999", 1)],  # 17 bytes: read line by line
+)
+def test_ratings_load_as_float_reads_them(tmp_path, rating, parsed):
+    path = write(tmp_path, "r.csv", f"0,0,{rating}\n1,1,1\n")
+    got, calls = count_line_parses(load_csv_triples, path)
+    assert calls == parsed and got.ratings[0] == float(rating)
+
+
 def test_keys_that_would_overflow_are_rejected(tmp_path):
     rows = "".join(f"{u},{10**17},1\n" for u in range(100))
     with pytest.raises(ValueError, match="100 users x 100000000000000001 items overflow"):
@@ -561,12 +588,16 @@ class TestSubsampleAgainstIsinReference:
         max_users=st.one_of(st.none(), st.integers(1, 35)),
         max_items=st.one_of(st.none(), st.integers(1, 30)),
         seed=st.integers(0, 10_000),
+        shuffled=st.booleans(),
     )
-    def test_same_arrays(self, n_users, n_items, density, max_users, max_items, seed):
+    def test_same_arrays(self, n_users, n_items, density, max_users, max_items, seed, shuffled):
+        """Canonical triples, and shuffled ones, which user_rows groups by sorting."""
         ds = toy_dataset(n_users, n_items, seed=seed)
         rng = np.random.default_rng(seed)
         keep = rng.random(ds.n_ratings) < density
         keep[0] = True
+        if shuffled:
+            keep = rng.permutation(np.flatnonzero(keep))
         ds = replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
         try:
             want = reference_subsample(ds, max_users, max_items, seed)

@@ -1,9 +1,15 @@
-"""Imputation strategies against hand-computed fills and exact-rank fixtures."""
+"""Imputation strategies against hand-computed fills, exact-rank fixtures,
+and the dense mean-filled and dense-mask factorization fills kept here as
+references."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_linalg import als_reference
 
-from coldrec.data import dataset_from_dense
+from coldrec.data import RatingDataset, dataset_from_dense
+from coldrec.linalg import truncated_svd
 from coldrec.impute import (
     AlsWr,
     BaseMatrix,
@@ -146,6 +152,90 @@ class TestReconstructionFills:
     def test_rank_clamped_to_matrix_shape(self, fixture_base):
         X = fill(fixture_base, ImputedSvd(rank=50)).X
         assert X.shape == (5, 5)
+
+
+def reference_svd_fill(base, rank):
+    """Truncated SVD of the mean-filled base built as a dense matrix."""
+    dense, mask = base.to_dense()
+    counts = mask.sum(axis=0)
+    means = np.divide(dense.sum(axis=0), counts, out=np.zeros(base.n_items), where=counts > 0)
+    U, s, V = truncated_svd(np.where(mask, dense, means), min(rank, *dense.shape))
+    return np.clip((U * s) @ V.T, 0.0, 1.0)
+
+
+def reference_alswr_fill(base, method, seed):
+    """ALS-WR swept row by row on the dense base, pre-filled as a dense
+    mask: never-rated items observed at 0 in every row, then rows still
+    without an observation observed at the item means."""
+    dense, mask = base.to_dense()
+    empty_cols = ~mask.any(axis=0)
+    mask[:, empty_cols] = True
+    empty_rows = ~mask.any(axis=1)
+    dense[empty_rows] = dense.sum(axis=0) / mask.sum(axis=0)
+    mask[empty_rows] = True
+    rank = min(method.rank, *dense.shape)
+    U, V, _ = als_reference(dense, mask, rank, method.lam, method.iters, rng=seed)
+    return np.clip(U @ V.T, 0.0, 1.0)
+
+
+def random_base(seed, p, q, density, empty_items=(), empty_users=()):
+    """A random [0, 1] base with the given items never rated and the given
+    users (as the new-item orientation produces) without ratings."""
+    rng = np.random.default_rng(seed)
+    keys = np.flatnonzero(rng.random(p * q) < density)
+    users, items = np.divmod(keys, q)
+    keep = ~np.isin(items, empty_items) & ~np.isin(users, empty_users)
+    users, items = users[keep], items[keep]
+    return RatingDataset(users, items, np.round(rng.uniform(size=users.size) * 8) / 8, p, q, 1.0)
+
+
+FACTORIZATION_BASES = {
+    "plain": dict(p=40, q=30, density=0.2),
+    "wide": dict(p=25, q=60, density=0.15),
+    "empty items": dict(p=40, q=30, density=0.2, empty_items=[2, 3, 29]),
+    "empty users": dict(p=30, q=40, density=0.2, empty_users=[0, 7, 8]),
+    "both": dict(p=30, q=40, density=0.2, empty_items=[5, 6], empty_users=[0, 29]),
+}
+
+
+class TestFactorizationFillsAgainstDenseReferences:
+    @pytest.mark.parametrize("name", sorted(FACTORIZATION_BASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_svd_fill_matches_the_dense_mean_filled_matrix(self, name, seed):
+        base = random_base(seed, **FACTORIZATION_BASES[name])
+        for rank in (1, 4, 16):
+            X = fill(base, ImputedSvd(rank=rank)).X
+            X_ref = reference_svd_fill(base, rank)
+            np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+            # the same pick in every row and column whose best entry leads
+            # by more than the tolerance (all-zero columns are ties)
+            for axis in (0, 1):
+                top = np.sort(X_ref, axis=axis).take([-1, -2], axis=axis)
+                clear = np.abs(np.diff(top, axis=axis)).squeeze(axis) > 2e-10
+                assert clear.mean() > 0.5
+                np.testing.assert_array_equal(X.argmax(axis=axis)[clear], X_ref.argmax(axis=axis)[clear])
+
+    @pytest.mark.parametrize("name", sorted(FACTORIZATION_BASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_alswr_fill_matches_the_dense_mask(self, name, seed):
+        base = random_base(seed, **FACTORIZATION_BASES[name])
+        method = AlsWr(rank=5, lam=0.05, iters=6)
+        X = fill(base, method, seed=seed).X
+        np.testing.assert_allclose(X, reference_alswr_fill(base, method, seed), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", [ImputedSvd(), AlsWr()])
+    def test_no_dense_base_is_allocated(self, method):
+        """2000 × 2000 at 2% density: the filled X and BaseMatrix's copy of
+        it are 2 × 8·p·q bytes; a dense base or mask on top would pass 2.5×."""
+        p = q = 2000
+        base = random_base(0, p, q, 0.02)
+        tracemalloc.start()
+        try:
+            fill(base, method, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
 
 
 class TestFillValidation:

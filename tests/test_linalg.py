@@ -3,14 +3,21 @@
 The truncated SVD is checked against a brute-force eigendecomposition of the
 Gram matrix and against a truncated full LAPACK SVD, and the masked ALS
 against its own exact-blockwise-minimization guarantee and against a
-row-by-row reference.
+row-by-row reference on a dense matrix and mask.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.sparse import coo_array
 
-from coldrec.linalg import als_wr_factorize, als_wr_objective, truncated_svd
+from coldrec.linalg import als_wr_factorize, truncated_svd
+
+
+def observed(M, mask):
+    """The entries of M where mask is set, as the sparse observations the
+    ALS-WR kernel takes (an observed 0 is stored)."""
+    return coo_array((M[mask], np.nonzero(mask)), shape=M.shape)
 
 
 class TestTruncatedSvd:
@@ -77,20 +84,25 @@ class TestAlsWr:
         v = rng.uniform(0.2, 1.0, size=9)
         M = np.outer(u, v)
         mask = np.ones(M.shape, dtype=bool)
-        U, V = als_wr_factorize(M, mask, rank=1, lam=1e-6, iters=20, rng=0)
+        U, V = als_wr_factorize(observed(M, mask), rank=1, lam=1e-6, iters=20, rng=0)
         rmse = np.sqrt(np.mean((M - U @ V.T) ** 2))
         assert rmse <= 1e-4
 
-    def test_rejects_empty_row_and_column(self):
+    def test_rejects_an_empty_row(self):
         M = np.ones((3, 3))
         mask = np.ones((3, 3), dtype=bool)
         mask[1, :] = False
         with pytest.raises(ValueError, match="row 1"):
-            als_wr_factorize(M, mask, rank=1, lam=0.1, iters=2)
-        mask = np.ones((3, 3), dtype=bool)
-        mask[:, 2] = False
-        with pytest.raises(ValueError, match="column 2"):
-            als_wr_factorize(M, mask, rank=1, lam=0.1, iters=2)
+            als_wr_factorize(observed(M, mask), rank=1, lam=0.1, iters=2)
+
+    def test_stored_zeros_are_observations(self):
+        M = np.zeros((4, 3))
+        M[:, 0] = 1.0
+        mask = np.ones((4, 3), dtype=bool)
+        U, V = als_wr_factorize(observed(M, mask), rank=1, lam=0.1, iters=3, rng=0)
+        U_ref, V_ref, _ = als_reference(M, mask, 1, 0.1, 3, rng=0)
+        np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
 
     def test_objective_nonincreasing(self):
         rng = np.random.default_rng(47)
@@ -98,17 +110,8 @@ class TestAlsWr:
         mask = rng.random((15, 12)) < 0.5
         mask[np.arange(15), rng.integers(12, size=15)] = True
         mask[rng.integers(15, size=12), np.arange(12)] = True
-        _, _, history = als_wr_factorize(M, mask, rank=3, lam=0.05, iters=12, rng=1, return_objective=True)
+        history = objective_history(observed(M, mask), M, mask, rank=3, lam=0.05, iters=12, rng=1)
         assert np.all(np.diff(history) <= 1e-9)
-
-    def test_objective_matches_reported_history(self):
-        rng = np.random.default_rng(53)
-        M = rng.uniform(size=(8, 6))
-        mask = rng.random((8, 6)) < 0.7
-        mask[np.arange(8), rng.integers(6, size=8)] = True
-        mask[rng.integers(8, size=6), np.arange(6)] = True
-        U, V, history = als_wr_factorize(M, mask, rank=2, lam=0.1, iters=5, rng=2, return_objective=True)
-        assert history[-1] == pytest.approx(als_wr_objective(M, mask, U, V, 0.1), rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(59)
@@ -116,10 +119,25 @@ class TestAlsWr:
         mask = rng.random((10, 7)) < 0.6
         mask[np.arange(10), rng.integers(7, size=10)] = True
         mask[rng.integers(10, size=7), np.arange(7)] = True
-        U1, V1 = als_wr_factorize(M, mask, rank=3, lam=0.05, iters=4, rng=9)
-        U2, V2 = als_wr_factorize(M, mask, rank=3, lam=0.05, iters=4, rng=9)
+        U1, V1 = als_wr_factorize(observed(M, mask), rank=3, lam=0.05, iters=4, rng=9)
+        U2, V2 = als_wr_factorize(observed(M, mask), rank=3, lam=0.05, iters=4, rng=9)
         np.testing.assert_array_equal(U1, U2)
         np.testing.assert_array_equal(V1, V2)
+
+
+def dense_objective(M, mask, U, V, lam):
+    """The ALS-WR objective on a dense matrix and mask: the squared error on
+    the observed entries plus λ(Σ_i n_i‖u_i‖² + Σ_j n_j‖v_j‖²)."""
+    resid = (M - U @ V.T)[mask]
+    penalty = lam * (mask.sum(axis=1) @ np.sum(U * U, axis=1) + mask.sum(axis=0) @ np.sum(V * V, axis=1))
+    return float(resid @ resid + penalty)
+
+
+def objective_history(R, M, mask, rank, lam, iters, rng):
+    """dense_objective of M and mask at each iterate of als_wr_factorize on
+    the observations R: iterate k is the run with k iterations."""
+    return np.array([dense_objective(M, mask, *als_wr_factorize(R, rank, lam, k, rng=rng), lam)
+                     for k in range(1, iters + 1)])
 
 
 def als_half_sweep_reference(M, mask, fixed, lam, axis):
@@ -137,7 +155,8 @@ def als_half_sweep_reference(M, mask, fixed, lam, axis):
 
 
 def als_reference(M, mask, rank, lam, iters, rng):
-    """ALS-WR from the same initial V as als_wr_factorize, swept row by row."""
+    """ALS-WR from the same initial V as als_wr_factorize, swept row by row
+    on a dense matrix and mask that has every row and column."""
     q = M.shape[1]
     V = np.zeros((q, rank))
     V[:, 0] = np.where(mask, M, 0.0).sum(axis=0) / mask.sum(axis=0)
@@ -147,7 +166,7 @@ def als_reference(M, mask, rank, lam, iters, rng):
     for _ in range(iters):
         U = als_half_sweep_reference(M, mask, V, lam, axis=0)
         V = als_half_sweep_reference(M, mask, U, lam, axis=1)
-        history.append(als_wr_objective(M, mask, U, V, lam))
+        history.append(dense_objective(M, mask, U, V, lam))
     return U, V, np.array(history)
 
 
@@ -167,21 +186,33 @@ class TestAlsWrBatchedAgainstRowByRow:
         p, q = rng.integers(5, 40, size=2)
         M, mask = random_observed(rng, p, q, rng.uniform(0.05, 0.6))
         rank = int(rng.integers(1, min(p, q) + 1))
-        U, V, history = als_wr_factorize(M, mask, rank, 0.05, 6, rng=seed, return_objective=True)
+        U, V = als_wr_factorize(observed(M, mask), rank, 0.05, 6, rng=seed)
+        history = objective_history(observed(M, mask), M, mask, rank, 0.05, 6, rng=seed)
         U_ref, V_ref, history_ref = als_reference(M, mask, rank, 0.05, 6, rng=seed)
         np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(history, history_ref, rtol=1e-12)
 
-    def test_fully_observed_prefilled_columns(self):
-        # the imputer marks never-rated columns fully observed at 0
+    @pytest.mark.parametrize("empty_rows", [[], [0, 17]])
+    def test_empty_columns_against_stored_zeros(self, empty_rows):
+        # the closed form of a never-rated column against p stored zeros;
+        # rows observed in no other column solve against those zeros alone
         rng = np.random.default_rng(7)
         M, mask = random_observed(rng, 30, 25, 0.1)
-        M[:, [3, 11, 12]] = 0.0
-        mask[:, [3, 11, 12]] = True
-        U, V = als_wr_factorize(M, mask, 8, 0.05, 5, rng=3)
-        U_ref, V_ref, _ = als_reference(M, mask, 8, 0.05, 5, rng=3)
+        mask[empty_rows] = False
+        mask[rng.choice(np.setdiff1d(np.arange(30), empty_rows), 25), np.arange(25)] = True
+        mask[:, [3, 11, 12]] = False
+        U, V = als_wr_factorize(observed(M, mask), 8, 0.05, 5, rng=3)
+        M_ref, mask_ref = M.copy(), mask.copy()
+        M_ref[:, [3, 11, 12]] = 0.0
+        mask_ref[:, [3, 11, 12]] = True
+        history = objective_history(observed(M, mask), M_ref, mask_ref, 8, 0.05, 5, rng=3)
+        U_ref, V_ref, history_ref = als_reference(M_ref, mask_ref, 8, 0.05, 5, rng=3)
         np.testing.assert_allclose(U @ V.T, U_ref @ V_ref.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(V[[3, 11, 12]], 0.0)
+        np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(history, history_ref, rtol=1e-12)
 
     def test_rank_above_the_smallest_row_count(self):
         # rows with one or two observations: the Gram block is rank-deficient
@@ -191,18 +222,12 @@ class TestAlsWrBatchedAgainstRowByRow:
         mask[:4] = False
         mask[np.arange(4), np.arange(4)] = True
         mask[1, 7] = True
-        U, V = als_wr_factorize(M, mask, 6, 0.05, 4, rng=5)
+        U, V = als_wr_factorize(observed(M, mask), 6, 0.05, 4, rng=5)
         U_ref, V_ref, _ = als_reference(M, mask, 6, 0.05, 4, rng=5)
         assert mask.sum(axis=1).min() < 6
         np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
 
-    def test_objective_only_on_request(self):
-        rng = np.random.default_rng(11)
-        M, mask = random_observed(rng, 9, 7, 0.5)
-        assert len(als_wr_factorize(M, mask, 2, 0.1, 3, rng=0)) == 2
-        U, V, history = als_wr_factorize(M, mask, 2, 0.1, 3, rng=0, return_objective=True)
-        assert history.shape == (3,)
 
 
 def spectrum_matrix(rng, p, q, singular_values):
@@ -253,3 +278,30 @@ class TestTruncatedSvdAgainstFullSvd:
         first = truncated_svd(M, 8)
         for a, b in zip(first, truncated_svd(M, 8)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestTruncatedSvdOfAnOperator:
+    """A LinearOperator is factored through its products alone, and agrees
+    with the same matrix passed densely."""
+
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+    def test_agrees_with_the_dense_matrix(self, shape):
+        M = np.random.default_rng(73).uniform(size=shape)
+        operator = scipy.sparse.linalg.aslinearoperator(M)
+        for rank in (3, min(shape) - 1, min(shape)):
+            U, s, V = truncated_svd(operator, rank)
+            U_ref, s_ref, V_ref = truncated_svd(M, rank)
+            np.testing.assert_allclose(s, s_ref, rtol=1e-12)
+            np.testing.assert_allclose((U * s) @ V.T, (U_ref * s_ref) @ V_ref.T, rtol=0, atol=1e-12)
+
+    def test_zero_operator_takes_the_full_svd(self, monkeypatch):
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", None)  # calling it would raise
+        U, s, V = truncated_svd(scipy.sparse.linalg.aslinearoperator(np.zeros((9, 7))), 3)
+        np.testing.assert_array_equal(s, np.zeros(3))
+        np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-12)
+
+    def test_nonzero_operator_that_annihilates_ones(self):
+        # M @ 1 = 0 does not make M zero: the dispatch densifies to check
+        M = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+        U, s, V = truncated_svd(scipy.sparse.linalg.aslinearoperator(M), 2)
+        np.testing.assert_allclose(s, np.linalg.svd(M, compute_uv=False)[:2], rtol=1e-12)

@@ -7,6 +7,7 @@ that draws one user per step.
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -408,26 +409,42 @@ def pinned_corpus():
     return dataset_from_dense(base_grid, base_mask), dataset_from_dense(eval_grid, eval_mask)
 
 
-# sha256 of the trace CSVs of pinned_corpus, T = 50, policy seed 7, user
-# seed 11, fills at rank 3 with seed 1.  Recorded with the dense evaluator
-# and the available-array select protocol; the traces must not change.
+def pinned_base(impute):
+    """The base of pinned_corpus as each fill's pin uses it.  The alswr pin
+    drops item 1's two ratings, so the base has a never-rated item and the
+    imputer's pre-fill of it is on the pinned path."""
+    base, _ = pinned_corpus()
+    if impute != "alswr":
+        return base
+    keep = base.items != 1
+    return replace(base, users=base.users[keep], items=base.items[keep], ratings=base.ratings[keep])
+
+
+# sha256 of the trace CSVs of pinned_corpus for the zero, svd and alswr
+# fills (alswr on its pinned_base), T = 50, policy seed 7, user seed 11,
+# fills at rank 3 with seed 1.  Recorded with the dense evaluator and the
+# available-array select protocol, the alswr column with the dense-mask
+# ALS-WR fill; the traces must not change.
 PINNED_TRACE_SHA256 = {
-    "random": ("1945232fe06a22d6a7233f644ae929f44572eb31647f6c616535a9cde74a9adf",) * 2,
-    "aver": ("f2b491be8cd94e206cf6d711bebcb39c9db45c090e84265a121fae80e15c1f07",) * 2,
-    "egreedy": ("d38c2551ceda7a0c7a4ab29c0defb25b828d67aebd5cbc91a307e66c6ca81711",) * 2,
-    "ucb": ("bc15b0ad550c2cdc1a1d6cd6d5438e53bee403ea4bbff097c93fdca695fa2ad1",) * 2,
-    "exp3": ("a67e966599c82cb686ff9f284c787797d2b4bc57078f72c6586fd6fa60c9c364",) * 2,
+    "random": ("1945232fe06a22d6a7233f644ae929f44572eb31647f6c616535a9cde74a9adf",) * 3,
+    "aver": ("f2b491be8cd94e206cf6d711bebcb39c9db45c090e84265a121fae80e15c1f07",) * 3,
+    "egreedy": ("d38c2551ceda7a0c7a4ab29c0defb25b828d67aebd5cbc91a307e66c6ca81711",) * 3,
+    "ucb": ("bc15b0ad550c2cdc1a1d6cd6d5438e53bee403ea4bbff097c93fdca695fa2ad1",) * 3,
+    "exp3": ("a67e966599c82cb686ff9f284c787797d2b4bc57078f72c6586fd6fa60c9c364",) * 3,
     "thompson": (
         "ee55fc640114189b0a06d648a664504b4a43994087c4559b63db044c729957c9",
         "c4cf7a65fa3fbb12cbb665cb48a288e94e346c2c243f4973ea0b83a0ef88a056",
+        "41b71b26a2de4e3863de396b5aa80583768368bdddfedf4c12f0144ce4df0f9e",
     ),
     "linucb": (
         "1077a4f44f59bf3507257037e65d0c0cf39ffcf81ec2cf9f66306e07e91d8c7e",
         "c0b07b9922377077ae9cc668eebddb3a02ad4670a8d0679ca7ec99e33c988398",
+        "1a1e0c0ac468872b8834879a50906841609ee270286f9abc3923800c7f60574c",
     ),
     "alinucb": (
         "a975e2535f38c06704ff37b3ce2e5d5833c64f15070f723473a4cf41c1215966",
         "4a831e44bf9263ed520976d54075dd4ae6abe4aa8b5a8090efa293ce6d7851dc",
+        "d29c8b1a1c046dc36d78176f79f91d2930e6814b6d41b1c170c8143b7b5f4845",
     ),
 }
 PINNED_ORACLE_SHA256 = "59bf68427ba279d4b0643988b6c06e1d18f3d28bd8df1929670dabc642e1011f"
@@ -445,10 +462,10 @@ class TestPinnedTraces:
         spent = np.bincount(trace.user, minlength=evaluation.n_users) == evaluation.n_items
         assert 0 < spent.sum() < evaluation.n_users and not trace.exhausted
 
-    @pytest.mark.parametrize("impute_index,impute", [(0, "zero"), (1, "svd")])
+    @pytest.mark.parametrize("impute_index,impute", [(0, "zero"), (1, "svd"), (2, "alswr")])
     def test_policy_trace_bytes(self, tmp_path, impute_index, impute):
-        base, evaluation = pinned_corpus()
-        X = fill(base, method_from_name(impute, rank=3), seed=1)
+        _, evaluation = pinned_corpus()
+        X = fill(pinned_base(impute), method_from_name(impute, rank=3), seed=1)
         digests = {
             policy_id: trace_sha256(run_replay(make_policy(policy_id, X=X, seed=7), evaluation, 50, seed=11),
                                     tmp_path / f"{policy_id}.csv")
