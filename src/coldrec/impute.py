@@ -132,6 +132,12 @@ def _column_means(base: RatingDataset) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
+def _average_filled(base: RatingDataset, means: np.ndarray) -> np.ndarray:
+    """The dense base with every missing entry at its item's mean."""
+    dense, mask = base.to_dense()
+    return np.where(mask, dense, means)
+
+
 def _mean_filled(base: RatingDataset, means: np.ndarray):
     """The mean-filled base as a LinearOperator, never built densely: the
     sparse residuals r_ij − means_j plus the rank-one 1 meansᵀ."""
@@ -167,27 +173,20 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
         return BaseMatrix(base.to_dense()[0])
     means = _column_means(base)
     if isinstance(method, ItemAverage):
-        dense, mask = base.to_dense()
-        return BaseMatrix(np.where(mask, dense, means))
+        return BaseMatrix(_average_filled(base, means))
 
     p, q = base.n_users, base.n_items
     rank = min(method.rank, p, q)
     if isinstance(method, ImputedSvd):
-        U, s, V = linalg.truncated_svd(_mean_filled(base, means), rank)
+        # ARPACK takes the mean-filled base as an operator; LAPACK (rank at
+        # min(p, q)) and an all-zero base get it dense, as the average fill
+        mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
+        U, s, V = linalg.truncated_svd(mean_filled(base, means), rank)
         X = (U * s) @ V.T
     elif isinstance(method, AlsWr):
         from scipy.sparse import coo_array  # see _mean_filled
 
-        # A never-rated item counts as observed 0 in every row, in
-        # als_wr_factorize's closed form.  With none, rated-less rows (only
-        # the new-item orientation has them) are pre-filled with the means.
-        users, items, ratings = base.users, base.items, base.ratings
-        empty_rows = np.flatnonzero(np.bincount(users, minlength=p) == 0)
-        if empty_rows.size and np.bincount(items, minlength=q).all():
-            users = np.concatenate([users, np.repeat(empty_rows, q)])
-            items = np.concatenate([items, np.tile(np.arange(q), empty_rows.size)])
-            ratings = np.concatenate([ratings, np.tile(means, empty_rows.size)])
-        R = coo_array((ratings, (users, items)), shape=(p, q))
+        R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
         U, V = linalg.als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
         X = U @ V.T
     else:

@@ -27,26 +27,27 @@ def _finite_matrix(M) -> np.ndarray:
 def truncated_svd(M, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best rank-`rank` factorization of M in the Frobenius norm.
 
-    M is a dense matrix or a ``scipy.sparse.linalg.LinearOperator`` (the
-    imputer's mean-filled base is one).  Returns (U, s, V) with
-    orthonormal-column U (p×r) and V (q×r) and nonincreasing singular values
-    s (length r), so that M ≈ U @ diag(s) @ V.T.  Inputs of lower actual
-    rank simply come back with trailing zero singular values.
+    Returns (U, s, V) with orthonormal-column U (p×r) and V (q×r) and
+    nonincreasing singular values s (length r), so that M ≈ U @ diag(s) @ V.T.
+    Inputs of lower actual rank simply come back with trailing zero singular
+    values.
 
     Only the leading triplets are computed, by implicitly restarted Lanczos
-    (ARPACK) on M's products to full precision from a fixed start vector,
-    so reruns are bit-identical.  ARPACK needs rank < min(p, q) and a
-    nonzero M; the other inputs take a full LAPACK SVD of M made dense.
+    (ARPACK) to full precision from a fixed start vector, so reruns are
+    bit-identical.  ARPACK needs rank < min(p, q) and a nonzero M; a dense M
+    outside that takes a full LAPACK SVD.  M may also be a nonzero
+    ``scipy.sparse.linalg.LinearOperator`` (the imputer's mean-filled base
+    is one), factored through its products alone, at rank < min(p, q).
     """
     from scipy.sparse.linalg import LinearOperator, svds  # here, not at the top: a 4 MB import
 
-    M = M if isinstance(M, LinearOperator) else _finite_matrix(M)
+    is_operator = isinstance(M, LinearOperator)
+    M = M if is_operator else _finite_matrix(M)
     p, q = M.shape
-    if not 1 <= rank <= min(p, q):
-        raise ValueError(f"rank must be in [1, {min(p, q)}] for a {p}x{q} matrix, got {rank}")
-    if isinstance(M, LinearOperator) and (rank == min(p, q) or not (M @ np.ones(q)).any()):
-        M = M @ np.eye(q)  # for LAPACK, or to tell a zero M (M @ 1 ≠ 0 proves M ≠ 0)
-    if rank == min(p, q) or isinstance(M, np.ndarray) and not M.any():
+    if not 1 <= rank <= min(p, q) - is_operator:
+        kind = "operator" if is_operator else "matrix"
+        raise ValueError(f"rank must be in [1, {min(p, q) - is_operator}] for a {p}x{q} {kind}, got {rank}")
+    if not is_operator and (rank == min(p, q) or not M.any()):
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         return U[:, :rank].copy(), s[:rank].copy(), Vt[:rank].T.copy()
     start = np.random.default_rng(0).uniform(-1.0, 1.0, min(p, q))
@@ -80,25 +81,30 @@ def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):
     """Alternating least squares with weighted-λ regularization.
 
     Factors M ≈ U Vᵀ on the observations only: the stored entries of the
-    scipy sparse array R (explicit zeros too) and, for each column E with
-    none, a 0 in every row (the imputer's rule for never-rated items).
-    Those zeros are in closed form: E's factor is 0 from the first column
-    sweep on, and a row sweep gets V_Eᵀ V_E in each Gram block and |E| in
-    each count.  Each half sweep exactly minimizes, over its side,
+    scipy sparse array R (explicit zeros too), plus the imputer's rules for
+    empty lines.  A column E with no stored entry is observed 0 in every
+    row; those zeros are in closed form: E's factor is 0 from the first
+    column sweep on, and a row sweep gets V_Eᵀ V_E in each Gram block and
+    |E| in each count.  A row left without any observation (so no column is
+    empty) is observed at the column means in every column, stored as q
+    entries.  Each half sweep exactly minimizes, over its side,
     Σ_obs (m_ij − u_i·v_j)² + λ(Σ_i n_i‖u_i‖² + Σ_j n_j‖v_j‖²), with n_i / n_j
     the observations in row i / column j (the weighted-λ convention), so
-    that objective never increases across iterations.  Every row needs an
-    observation; callers with empty rows pre-fill them (the imputer does).
+    that objective never increases across iterations.
 
     V is initialized with per-column observed means in its first factor and
     small uniform noise in [−0.5/rank, 0.5/rank] elsewhere, drawn from `rng`.
     The sweeps draw nothing, so the run with `iters` = k returns iterate k
     of any longer run.  Returns (U, V).
     """
-    from scipy.sparse import csr_array  # here, not at the top: see truncated_svd
+    from scipy.sparse import coo_array, csr_array, issparse  # here, not at the top: see truncated_svd
 
-    R = csr_array(R, dtype=np.float64, copy=True)
-    R.sum_duplicates()
+    if not issparse(R):  # a dense 0 could not say whether it is an observation
+        raise TypeError(f"observations must be a scipy sparse array, got {type(R).__name__}")
+    coo = coo_array(R, dtype=np.float64)
+    R = coo.tocsr()  # sums a coordinate stored twice, hence the count check
+    if R.nnz != coo.nnz:
+        raise ValueError("observations store a coordinate more than once")
     if not np.all(np.isfinite(R.data)):
         raise ValueError("observations contain non-finite entries")
     p, q = R.shape
@@ -110,9 +116,15 @@ def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):
         raise ValueError(f"need at least one iteration, got {iters}")
     Rt = R.T.tocsr()
     empty = np.diff(Rt.indptr) == 0
+    empty_rows = np.flatnonzero(np.diff(R.indptr) + empty.sum() == 0)
+    if empty_rows.size:
+        R = R.tocoo()
+        means = np.tile((Rt @ np.ones(p)) / np.diff(Rt.indptr), empty_rows.size)
+        rows = np.concatenate([R.row, np.repeat(empty_rows, q)])
+        cols = np.concatenate([R.col, np.tile(np.arange(q), empty_rows.size)])
+        R = csr_array((np.concatenate([R.data, means]), (rows, cols)), shape=(p, q))
+        Rt = R.T.tocsr()
     row_counts = np.diff(R.indptr) + empty.sum()
-    if (row_counts == 0).any():
-        raise ValueError(f"row {int(np.argmin(row_counts))} of the observations has no entries")
     # E's right-hand side is 0, so its solution is 0 whatever its Gram block: λ p I stands in
     col_counts = np.where(empty, p, np.diff(Rt.indptr))
 

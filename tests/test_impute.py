@@ -3,6 +3,7 @@ and the dense mean-filled and dense-mask factorization fills kept here as
 references."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,25 @@ class TestFactorizationFillsAgainstDenseReferences:
         method = AlsWr(rank=5, lam=0.05, iters=6)
         X = fill(base, method, seed=seed).X
         np.testing.assert_allclose(X, reference_alswr_fill(base, method, seed), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("all_zero,rank", [(False, 16), (True, 2)])
+    def test_short_wide_svd_fill_stays_at_its_size(self, all_zero, rank):
+        """4 × 5000: rank 16 clamps to min(p, q) = 4, so the fill takes a full
+        SVD of the dense mean-filled base, as it does for an all-zero base
+        at any rank.  Its peak is ≈4.5 × 8·p·q bytes; anything q × q
+        (an identity to densify an operator) would be 1250×."""
+        p, q = 4, 5000
+        base = random_base(0, p, q, 0.05)
+        if all_zero:
+            base = replace(base, ratings=np.zeros_like(base.ratings))
+        tracemalloc.start()
+        try:
+            X = fill(base, ImputedSvd(rank=rank)).X
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
+        np.testing.assert_allclose(X, reference_svd_fill(base, rank), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("method", [ImputedSvd(), AlsWr()])
     def test_no_dense_base_is_allocated(self, method):
