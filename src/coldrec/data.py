@@ -71,6 +71,11 @@ class RatingDataset:
     def n_ratings(self) -> int:
         return len(self.ratings)
 
+    def check_normalized(self, what: str) -> None:
+        """Raise unless every rating lies in [0, 1]; a NaN fails too."""
+        if self.n_ratings and not (self.ratings.min() >= 0.0 and self.ratings.max() <= 1.0):
+            raise ValueError(f"{what} ratings must be finite and normalized to [0, 1]")
+
     def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (matrix, observed-mask) pair, missing entries zero."""
         dense = np.zeros((self.n_users, self.n_items))

@@ -96,11 +96,15 @@ class BaseMatrix:
 
     Immutable after construction (the array is marked read-only), with the
     squared column norms cached — the contextual policies consume those
-    constantly and they must not drift from the matrix.
+    constantly and they must not drift from the matrix.  A read-only
+    float64 array that owns its data, as :func:`fill` hands over, is taken
+    as it is; any other input is copied, since its owner could still write
+    to it.
     """
 
     def __init__(self, X: np.ndarray):
-        X = np.array(X, dtype=np.float64)  # defensive copy, then freeze
+        if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.owndata and not X.flags.writeable):
+            X = np.array(X, dtype=np.float64)
         if X.ndim != 2 or X.size == 0:
             raise ValueError(f"base matrix must be a non-empty 2-d array, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
@@ -166,14 +170,13 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
     """
     if base.n_ratings == 0:
         raise ValueError("base split is empty")
-    if base.ratings.min() < 0.0 or base.ratings.max() > 1.0:
-        raise ValueError("base split must be normalized to [0, 1] before imputation")
+    base.check_normalized("base split")
 
     if isinstance(method, Zero):
-        return BaseMatrix(base.to_dense()[0])
+        return _hand_over(base.to_dense()[0])
     means = _column_means(base)
     if isinstance(method, ItemAverage):
-        return BaseMatrix(_average_filled(base, means))
+        return _hand_over(_average_filled(base, means))
 
     p, q = base.n_users, base.n_items
     rank = min(method.rank, p, q)
@@ -191,7 +194,13 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
         X = U @ V.T
     else:
         raise TypeError(f"unknown imputation method {method!r}")
-    return BaseMatrix(np.clip(X, 0.0, 1.0, out=X))
+    return _hand_over(np.clip(X, 0.0, 1.0, out=X))
+
+
+def _hand_over(X: np.ndarray) -> BaseMatrix:
+    """Wrap an array nothing else references without copying it."""
+    X.flags.writeable = False
+    return BaseMatrix(X)
 
 
 def write_base_csv(base_matrix: BaseMatrix, path) -> None:

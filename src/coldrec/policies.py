@@ -17,10 +17,12 @@ adapted variant removes; a closed-form flag exists for ablation only.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dsymv, dsyr
 
 from .data import RatingDataset
 from .impute import BaseMatrix
@@ -41,7 +43,6 @@ __all__ = [
     "POLICY_IDS",
     "egreedy_epsilon",
     "ucb_score",
-    "exp3_distribution",
     "argmax_lowest",
     "nth_open_arm",
     "DEFAULT_ALPHA",
@@ -74,10 +75,15 @@ def _is_revealed(revealed: np.ndarray, arm: int) -> bool:
 def nth_open_arm(revealed: np.ndarray, idx: int) -> int:
     """The idx-th (0-based) arm not in the ascending array `revealed`.
 
-    revealed[i] − i counts the open arms below revealed[i], so the answer is
-    idx plus the number of revealed arms whose count is at most idx.
+    Starting from idx, each revealed arm at or below the candidate pushes it
+    up by one; the first revealed arm above it ends the walk.
     """
-    return idx + int((revealed - np.arange(len(revealed))).searchsorted(idx, side="right"))
+    arm = idx
+    for r in revealed.tolist():
+        if r > arm:
+            break
+        arm += 1
+    return arm
 
 
 def argmax_lowest(scores: np.ndarray, revealed: np.ndarray) -> int:
@@ -110,23 +116,24 @@ def egreedy_epsilon(c: float, d: float, n: int, t: int) -> float:
     return min(1.0, (c * n) / (d * d * span))
 
 
+def _ucb_into(out: np.ndarray, mean, t: int, t_j, played) -> np.ndarray:
+    """Write the UCB scores into `out`, which must hold +inf wherever
+    `played` is False; those entries stay +inf."""
+    if t < 1:
+        raise ValueError(f"step index must be >= 1, got {t}")
+    np.divide(2.0 * math.log(t), t_j, out=out, where=played)
+    np.sqrt(out, out=out)
+    out += mean
+    return out
+
+
 def ucb_score(mean, t: int, t_j):
     """Mean plus the √(2 ln t / t_j) confidence radius; +inf when unplayed.
 
     Accepts scalars or arrays for `mean`/`t_j`.
     """
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    out = np.divide(2.0 * math.log(t), t_j, out=np.full(np.shape(t_j), np.inf), where=np.greater(t_j, 0))
-    np.sqrt(out, out=out)
-    out += mean
+    out = _ucb_into(np.full(np.shape(t_j), np.inf), mean, t, t_j, np.greater(t_j, 0))
     return float(out) if out.ndim == 0 else out
-
-
-def exp3_distribution(weights: np.ndarray, gamma: float) -> np.ndarray:
-    """Mixture of the weight-proportional and uniform distributions:
-    p_j = (1 − γ)·w_j/Σw + γ/n, for positive finite weights."""
-    return (1.0 - gamma) * weights / weights.sum() + gamma / weights.size
 
 
 def _check_reward(reward: float) -> float:
@@ -194,19 +201,22 @@ class RandomPolicy(Policy):
 
 class _CountsPolicy(Policy):
     """Per-arm play counts, reward sums and their averages (0 for arms never
-    played), shared by the policies that score arms by average reward."""
+    played), plus which arms were played, shared by the policies that score
+    arms by average reward."""
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
         self.sums = np.zeros(n_arms)
         self.counts = np.zeros(n_arms, dtype=np.int64)
         self.means = np.zeros(n_arms)
+        self.played = np.zeros(n_arms, dtype=bool)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
         self.sums[arm] += reward
         self.counts[arm] += 1
         self.means[arm] = self.sums[arm] / self.counts[arm]
+        self.played[arm] = True
 
 
 class AveragePolicy(_CountsPolicy):
@@ -223,7 +233,7 @@ class AveragePolicy(_CountsPolicy):
 
     def select(self, revealed, t):
         global_mean = self.total_sum / self.total_count if self.total_count else 0.0
-        return argmax_lowest(np.where(self.counts > 0, self.means, global_mean), revealed)
+        return argmax_lowest(np.where(self.played, self.means, global_mean), revealed)
 
     def update(self, arm, reward):
         super().update(arm, reward)
@@ -256,19 +266,35 @@ class EpsilonGreedyPolicy(_CountsPolicy):
 
 
 class UcbPolicy(_CountsPolicy):
-    """Classic frequentist UCB on observed averages (no context)."""
+    """Classic frequentist UCB on observed averages (no context).
+
+    The scores are rewritten in place in one buffer each select; its
+    unplayed entries hold +inf, which the in-place steps keep.
+    """
+
+    def __init__(self, n_arms: int):
+        super().__init__(n_arms)
+        self._scores = np.full(n_arms, np.inf)
 
     def select(self, revealed, t):
-        return argmax_lowest(ucb_score(self.means, t, self.counts), revealed)
+        return argmax_lowest(_ucb_into(self._scores, self.means, t, self.counts, self.played), revealed)
 
 
 class Exp3Policy(Policy):
     """Adversarial exponential-weights sampler.
 
-    The mixture distribution is formed over all arms, then restricted to the
-    available set and renormalized; the importance weight on update uses the
-    actual (restricted) selection probability, keeping the reward estimate
-    unbiased under the replay protocol's shrinking arm sets.
+    The mixture p_j = (1 − γ)·w_j/Σw + γ/n is formed over all arms, then
+    restricted to the available set and renormalized; the importance weight
+    on update uses the actual (restricted) selection probability, keeping
+    the reward estimate unbiased under the replay protocol's shrinking arm
+    sets.
+
+    The weights sit in a Fenwick tree of prefix sums (Fenwick 1994).  A draw
+    is one descent over the open-arm mixture, which takes the revealed arms'
+    weights out of each node it reads, so select costs
+    O(|revealed| + log n · log |revealed|) and update O(log n).  The one
+    uniform variate per select is mapped by inverse CDF in arm-index order,
+    as ``Generator.choice`` maps it.
     """
 
     params = ("gamma",)
@@ -280,24 +306,68 @@ class Exp3Policy(Policy):
         self.n_arms = n_arms
         self.gamma = gamma
         self.rng = np.random.default_rng(seed)
-        self.weights = np.ones(n_arms)
         self._pending = None  # (arm, probability) from the last select
+        self.set_weights(np.ones(n_arms))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """A copy of the current weights."""
+        return np.array(self._w)
+
+    def set_weights(self, weights) -> None:
+        """Replace the weights, which must be positive and finite, and
+        rebuild the tree from them."""
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (self.n_arms,) or not np.all((w > 0.0) & (w < np.inf)):
+            raise ValueError(f"weights must be {self.n_arms} positive finite values")
+        self._w = w.tolist()
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Rebuild the tree and Σw from the weights, dropping the rounding
+        the incremental updates accumulated."""
+        n = self.n_arms
+        tree = [0.0, *self._w]  # 1-based: tree[i] sums weights (i − lowbit(i), i]
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                tree[parent] += tree[i]
+        self._tree = tree
+        self._total = math.fsum(self._w)
+        self._top = max(self._w, default=0.0)
+        self._stale = 0  # updates since the rebuild
 
     def select(self, revealed, t):
-        _check_open(self.n_arms, revealed)
-        # The compact set, not a zero-masked p: p.sum() rounds differently
-        # with zeros inserted.
-        is_open = np.ones(self.n_arms, dtype=bool)
-        is_open[revealed] = False
-        available = is_open.nonzero()[0]
-        p = exp3_distribution(self.weights, self.gamma)[available]
-        p /= p.sum()
-        # Generator.choice(p=p)'s own draw, without its O(n) checks of p
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(self.rng.random(), side="right"))
-        arm = int(available[idx])
-        self._pending = (arm, float(p[idx]))
+        n = self.n_arms
+        n_open = _check_open(n, revealed)
+        w, tree, rev = self._w, self._tree, revealed.tolist()
+        rev_cum = list(itertools.accumulate((w[r] for r in rev), initial=0.0))
+        a = (1.0 - self.gamma) / self._total
+        b = self.gamma / n
+        mass = a * (self._total - rev_cum[-1]) + b * n_open
+        rest = self.rng.random() * mass
+        # Descend to the first arm whose open cumulative mass exceeds rest;
+        # i counts the revealed arms below pos.
+        pos = i = 0
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= n:
+                j = bisect.bisect_left(rev, nxt, i)
+                node = a * (tree[nxt] - (rev_cum[j] - rev_cum[i])) + b * (step - (j - i))
+                if node <= rest:
+                    rest -= node
+                    pos, i = nxt, j
+            step >>= 1
+        # Rounding can leave pos on a revealed arm or past the end: take the
+        # next open arm, or the last one at the top end.
+        arm = pos
+        while i < len(rev) and rev[i] == arm:
+            arm += 1
+            i += 1
+        if arm >= n:
+            arm = nth_open_arm(revealed, n_open - 1)
+        self._pending = (arm, (a * w[arm] + b) / mass)
         return arm
 
     def update(self, arm, reward):
@@ -306,11 +376,25 @@ class Exp3Policy(Policy):
             raise RuntimeError("update must follow select with the arm select returned")
         _, prob = self._pending
         self._pending = None
-        self.weights[arm] *= math.exp(self.gamma * (reward / prob) / self.n_arms)
+        old = self._w[arm]
+        new = self._w[arm] = old * math.exp(self.gamma * (reward / prob) / self.n_arms)
+        self._top = max(self._top, new)  # weights never shrink
         # rescaling leaves the mixture distribution unchanged
-        top = self.weights.max()
-        if top > 1e150:
-            self.weights /= top
+        if self._top > 1e150:
+            top = self._top
+            self._w = [x / top for x in self._w]
+            self._rebuild()
+            return
+        delta = new - old
+        self._total += delta
+        n, tree = self.n_arms, self._tree
+        i = arm + 1
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+        self._stale += 1
+        if self._stale >= n:  # bounds the drift at amortized O(1)
+            self._rebuild()
 
 
 class ThompsonPolicy(Policy):
@@ -321,8 +405,9 @@ class ThompsonPolicy(Policy):
     maximizing θ̃ᵀx_j (Agrawal & Goyal, ICML 2013).  v = 0 degenerates to the
     posterior-mean greedy.
 
-    A itself is never stored.  ``A_inv`` is kept current by the
-    Sherman–Morrison rank-one downdate, and since A = I + X diag(counts) Xᵀ
+    A itself is never stored.  The upper triangle of ``A_inv`` (its lower
+    triangle is stale) is kept current by the symmetric Sherman–Morrison
+    rank-one downdate, and since A = I + X diag(counts) Xᵀ
     an exact draw needs only A⁻¹ and the per-arm play counts (see
     :meth:`sample_theta`), so every step is O(k² + k·n) with no factorization.
     """
@@ -339,7 +424,7 @@ class ThompsonPolicy(Policy):
         self.v = v
         self.rng = np.random.default_rng(seed)
         k = base.k
-        # Fortran order lets dger downdate it in place
+        # Fortran order lets dsyr downdate the upper triangle in place
         self.A_inv = np.eye(k, order="F")
         self.b = np.zeros(k)
         self.counts = np.zeros(self.n_arms, dtype=np.int64)
@@ -352,14 +437,14 @@ class ThompsonPolicy(Policy):
         has mean A⁻¹b and covariance v²A⁻¹AA⁻¹ = v²A⁻¹ exactly.
         """
         if self.v == 0:
-            return self.A_inv @ self.b
+            return dsymv(1.0, self.A_inv, self.b)
         k = len(self.b)
         eps = self.rng.standard_normal(k + self.n_arms)
         noise = eps[:k]
         noise += self.X @ (np.sqrt(self.counts) * eps[k:])
         noise *= self.v
         noise += self.b
-        return self.A_inv @ noise
+        return dsymv(1.0, self.A_inv, noise)
 
     def select(self, revealed, t):
         return argmax_lowest(self.sample_theta() @ self.X, revealed)
@@ -367,9 +452,9 @@ class ThompsonPolicy(Policy):
     def update(self, arm, reward):
         reward = _check_reward(reward)
         x = self.X[:, arm]
-        u = self.A_inv @ x
+        u = dsymv(1.0, self.A_inv, x)
         # A⁻¹ ← A⁻¹ − u uᵀ / (1 + xᵀu), in place
-        self.A_inv = dger(-1.0 / (1.0 + x @ u), u, u, a=self.A_inv, overwrite_a=True)
+        self.A_inv = dsyr(-1.0 / (1.0 + x @ u), u, a=self.A_inv, overwrite_a=True)
         self.b += reward * x
         self.counts[arm] += 1
 
@@ -475,8 +560,7 @@ class OraclePolicy(Policy):
     """
 
     def __init__(self, evaluation: RatingDataset):
-        if evaluation.n_ratings and (evaluation.ratings.min() < 0.0 or evaluation.ratings.max() > 1.0):
-            raise ValueError("evaluation ratings must be normalized to [0, 1]")
+        evaluation.check_normalized("evaluation")
         self.n_arms = evaluation.n_items
         self._rows = evaluation.user_rows
         self._user = None

@@ -145,8 +145,7 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
         raise ValueError(
             f"policy scores {n_arms} arms but evaluation has {evaluation.n_items} items"
         )
-    if evaluation.ratings.min() < 0.0 or evaluation.ratings.max() > 1.0:
-        raise ValueError("evaluation ratings must be normalized to [0, 1]")
+    evaluation.check_normalized("evaluation")
 
     log = RevealLog(evaluation)
     arms_left = log.arms_left

@@ -245,8 +245,10 @@ class TestFactorizationFillsAgainstDenseReferences:
 
     @pytest.mark.parametrize("method", [ImputedSvd(), AlsWr()])
     def test_no_dense_base_is_allocated(self, method):
-        """2000 × 2000 at 2% density: the filled X and BaseMatrix's copy of
-        it are 2 × 8·p·q bytes; a dense base or mask on top would pass 2.5×."""
+        """2000 × 2000 at 2% density: BaseMatrix takes the filled X without
+        a copy, so the peak is X's 8·p·q bytes plus ≈0.15× of sparse data,
+        factors and the finiteness check; a copy or a dense base on top
+        would pass 1.5×."""
         p = q = 2000
         base = random_base(0, p, q, 0.02)
         tracemalloc.start()
@@ -255,7 +257,7 @@ class TestFactorizationFillsAgainstDenseReferences:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
+        assert peak < 1.5 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
 
 
 class TestFillValidation:
@@ -263,6 +265,13 @@ class TestFillValidation:
         base = dataset_from_dense(np.array([[4.0, 2.0]]), scale_max=5.0)
         with pytest.raises(ValueError, match="normalized"):
             fill(base, Zero())
+
+    @pytest.mark.parametrize("method", [Zero(), ImputedSvd(rank=1), AlsWr(rank=1, iters=1)])
+    def test_rejects_nan_rating_before_any_work(self, method):
+        base = dataset_from_dense(np.array([[0.5, 0.25], [1.0, 0.0]]))
+        base = replace(base, ratings=np.array([0.5, np.nan, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="^base split ratings must be finite"):
+            fill(base, method)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -290,6 +299,22 @@ class TestBaseMatrix:
             bm.column(bm.n_arms)
         with pytest.raises(IndexError):
             bm.column(-1)
+
+    def test_writable_input_is_copied(self):
+        """A caller's array, or a read-only view of it, may still be
+        written through the caller's reference, so BaseMatrix copies it;
+        the array fill built is taken as it is."""
+        X = np.eye(3)
+        view = X[:]
+        view.flags.writeable = False
+        for given in (X, view):
+            bm = BaseMatrix(given)
+            assert not np.shares_memory(bm.X, X)
+        X[0, 0] = 9.0
+        assert bm.X[0, 0] == 1.0
+        owned = np.eye(3)
+        owned.flags.writeable = False
+        assert BaseMatrix(owned).X is owned
 
     def test_read_only(self, fixture_base):
         bm = fill(fixture_base, Zero())

@@ -2,6 +2,7 @@
 select/update protocol contract (tie-breaking, determinism, validation)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from coldrec.policies import (
     UcbPolicy,
     argmax_lowest,
     egreedy_epsilon,
-    exp3_distribution,
     make_policy,
     nth_open_arm,
     ucb_score,
@@ -63,6 +63,38 @@ def dense_linucb_score(x, count, reward_sum, alpha):
     A_inv = np.linalg.inv(np.eye(len(x)) + count * np.outer(x, x))
     theta = A_inv @ (reward_sum * x)
     return float(theta @ x + alpha * np.sqrt(x @ A_inv @ x))
+
+
+def exp3_distribution(weights, gamma):
+    """Mixture of the weight-proportional and uniform distributions:
+    p_j = (1 − γ)·w_j/Σw + γ/n, for positive finite weights."""
+    return (1.0 - gamma) * weights / weights.sum() + gamma / weights.size
+
+
+def exp3_reference_draw(weights, gamma, revealed, u):
+    """Reference for Exp3Policy.select, in O(n): the mixture over all arms,
+    restricted to the open ones and renormalized, then the inverse-CDF map
+    of u that Generator.choice(p=...) applies.  Returns (arm, probability)."""
+    is_open = np.ones(len(weights), dtype=bool)
+    is_open[revealed] = False
+    available = is_open.nonzero()[0]
+    # the compact set, not a zero-masked p: p.sum() rounds differently with
+    # zeros inserted
+    p = exp3_distribution(weights, gamma)[available]
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    idx = int(cdf.searchsorted(u, side="right"))
+    return int(available[idx]), float(p[idx])
+
+
+def fenwick_prefix(tree, i):
+    """Sum of the first i weights, read from a 1-based Fenwick tree."""
+    total = 0.0
+    while i:
+        total += tree[i]
+        i -= i & -i
+    return total
 
 
 class TestEgreedyEpsilon:
@@ -289,8 +321,8 @@ class TestThompson:
         assert pol.select(NONE, 3) == expected
 
     def test_sherman_morrison_inverse_matches_dense(self):
-        """2500 rank-one downdates at k = n = 50 stay within 1e-8 of the
-        dense inverse, and are applied in place."""
+        """2500 rank-one downdates at k = n = 50 keep the stored upper
+        triangle within 1e-8 of the dense inverse, applied in place."""
         base = random_base(k=50, n=50, seed=28)
         pol = ThompsonPolicy(base, v=0.1, seed=29)
         A_inv = pol.A_inv
@@ -299,9 +331,10 @@ class TestThompson:
             pol.update(int(rng.integers(50)), float(rng.uniform()))
         assert pol.counts.sum() == 2500
         assert pol.A_inv is A_inv  # downdated in place, never reallocated
+        full = np.triu(pol.A_inv) + np.triu(pol.A_inv, 1).T
         A, mean = dense_thompson_posterior(base.X, pol.counts, pol.b)
-        assert rel_err(pol.A_inv, np.linalg.inv(A)) < 1e-8
-        assert rel_err(pol.A_inv @ pol.b, mean) < 1e-8
+        assert rel_err(full, np.linalg.inv(A)) < 1e-8
+        assert rel_err(full @ pol.b, mean) < 1e-8
 
     def test_v_zero_matches_dense_solve_argmax(self):
         """200 select/update steps over random arm subsets pick the
@@ -450,7 +483,8 @@ class TestExclusionSetProtocol:
     def test_seeded_picks_match_available_array_reference(self):
         """random, egreedy (both branches) and exp3 draw from their streams
         exactly as they did when select took the available array; exp3's
-        selection probability is bit-identical too."""
+        selection probability matches to 1e-12 relative (it is summed in
+        another order)."""
         n, steps = 40, 300
         rng = np.random.default_rng(41)
         revealed_sets = [np.sort(rng.choice(n, size=rng.integers(0, n), replace=False)) for _ in range(steps)]
@@ -475,7 +509,8 @@ class TestExclusionSetProtocol:
                     expected = int(available[idx])
                 assert pol.select(revealed, t) == expected, (type(pol).__name__, t)
                 if isinstance(pol, Exp3Policy):
-                    assert pol._pending == (expected, float(p[idx])), t
+                    assert pol._pending[0] == expected, t
+                    assert pol._pending[1] == pytest.approx(p[idx], rel=1e-12, abs=0.0), t
                 pol.update(expected, float(reward))
 
     def test_counts_means_are_the_observed_averages(self):
@@ -490,20 +525,89 @@ class TestExclusionSetProtocol:
 
 class TestExp3Protocol:
     def test_draw_matches_generator_choice(self):
-        """select's cumulative-weight draw picks what Generator.choice(p=...)
-        picks from the same stream, over weights spread across 40 decades."""
+        """select's tree descent picks what Generator.choice(p=...) picks
+        from the same stream, over weights spread across 40 decades."""
         n = 1000
         rng = np.random.default_rng(43)
         pol = Exp3Policy(n, gamma=0.05, seed=9)
         ref_rng = np.random.default_rng(9)
         for t in range(1, 2001):
-            pol.weights = 10.0 ** rng.uniform(-20, 20, size=n)
+            pol.set_weights(10.0 ** rng.uniform(-20, 20, size=n))
             revealed = np.sort(rng.choice(n, size=rng.integers(0, n), replace=False))
             available = np.setdiff1d(np.arange(n), revealed)
             p = exp3_distribution(pol.weights, pol.gamma)[available]
             p /= p.sum()
             assert pol.select(revealed, t) == int(available[ref_rng.choice(len(available), p=p)]), t
             pol._pending = None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.floats(0.001, 1.0), st.integers(0, 2**32 - 1))
+    def test_picks_match_reference_draw(self, n, gamma, seed):
+        """Random weights over 40 decades and random revealed sets: the
+        tree descent picks the arm the O(n) reference draw picks."""
+        rng = np.random.default_rng(seed)
+        pol = Exp3Policy(n, gamma=gamma, seed=seed)
+        ref_rng = np.random.default_rng(seed)
+        for t in range(1, 6):
+            weights = 10.0 ** rng.uniform(-20, 20, size=n)
+            pol.set_weights(weights)
+            revealed = np.sort(rng.choice(n, size=rng.integers(0, n), replace=False))
+            arm, _ = exp3_reference_draw(weights, gamma, revealed, ref_rng.random())
+            assert pol.select(revealed, t) == arm, t
+            pol._pending = None
+
+    def test_tree_prefix_sums_stay_exact_over_long_runs(self):
+        """60 000 updates, through rebuilds and 1e150 rescales: every prefix
+        sum read from the tree stays within 1e-12 relative of math.fsum,
+        and every n updates the tree is rebuilt from the weights."""
+        n = 64
+        pol = Exp3Policy(n, gamma=0.9, seed=44)
+        fresh = Exp3Policy(n)
+        rng = np.random.default_rng(45)
+        rescales = rebuilt = 0
+        for t in range(1, 60_001):
+            arm = pol.select(NONE, t)
+            top = max(pol._w)
+            pol.update(arm, float(rng.uniform()))
+            rescales += max(pol._w) < top
+            if t % 997 == 0:
+                for i in range(1, n + 1):
+                    exact = math.fsum(pol._w[:i])
+                    assert abs(fenwick_prefix(pol._tree, i) - exact) <= 1e-12 * exact, (t, i)
+            if 30_000 < t <= 30_000 + 2 * n:
+                fresh.set_weights(pol.weights)
+                rebuilt += fresh._tree == pol._tree
+        assert rescales > 0  # the rescale path ran too
+        assert rebuilt >= 2
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_rounding_never_returns_a_revealed_arm(self, u):
+        """At both ends of the unit interval, with the heaviest arms revealed
+        so that subtracting their weight rounds, the pick is open."""
+
+        class FixedDraw:
+            def random(self):
+                return u
+
+        rng = np.random.default_rng(46)
+        for n in (1, 2, 7, 64, 1000):
+            for _ in range(20):
+                pol = Exp3Policy(n, gamma=float(rng.uniform(0.001, 1.0)), seed=0)
+                weights = 10.0 ** rng.uniform(-20, 20, size=n)
+                revealed = np.sort(rng.choice(n, size=rng.integers(0, n), replace=False))
+                weights[revealed] *= 1e30
+                pol.set_weights(weights)
+                pol.rng = FixedDraw()
+                arm = pol.select(revealed, 1)
+                assert 0 <= arm < n and arm not in revealed
+                open_arms = np.setdiff1d(np.arange(n), revealed)
+                assert arm == (open_arms[0] if u == 0.0 else open_arms[-1])
+
+    def test_set_weights_rejects_bad_weights(self):
+        pol = Exp3Policy(3, seed=0)
+        for bad in ([1.0, 2.0], [1.0, 0.0, 1.0], [1.0, np.inf, 1.0], [1.0, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="positive finite"):
+                pol.set_weights(bad)
 
     def test_update_requires_selected_arm(self):
         pol = Exp3Policy(5, seed=0)
@@ -554,6 +658,11 @@ class TestOraclePolicy:
     def test_rejects_unnormalized_ratings(self):
         with pytest.raises(ValueError, match="normalized"):
             OraclePolicy(dataset_from_dense(np.array([[0.5, 2.0]])))
+
+    def test_rejects_nan_ratings(self):
+        evaluation = replace(dataset_from_dense(np.array([[0.5, 0.25]])), ratings=np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="^evaluation ratings must be finite"):
+            OraclePolicy(evaluation)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())

@@ -311,6 +311,13 @@ class TestRunReplay:
         with pytest.raises(ValueError):
             run_replay(RandomPolicy(X.n_arms + 1, seed=0), evaluation, T=5, seed=0)
 
+    def test_rejects_nan_rating_before_the_first_step(self):
+        X, evaluation = tiny_env(8)
+        ratings = evaluation.ratings.copy()
+        ratings[-1] = np.nan
+        with pytest.raises(ValueError, match="^evaluation ratings must be finite"):
+            run_replay(RandomPolicy(X.n_arms, seed=0), replace(evaluation, ratings=ratings), T=5, seed=0)
+
     def test_reveals_zero_for_unknown_pairs(self):
         # one user rated only item 1; forcing item 0 reveals the zero fill
         class FixedOrder(Policy):
