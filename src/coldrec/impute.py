@@ -136,10 +136,15 @@ def _column_means(base: RatingDataset) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
+def _rated_over(base: RatingDataset, dense: np.ndarray) -> np.ndarray:
+    """The p×q array `dense` with the base's ratings written over it."""
+    dense[base.users, base.items] = base.ratings
+    return dense
+
+
 def _average_filled(base: RatingDataset, means: np.ndarray) -> np.ndarray:
     """The dense base with every missing entry at its item's mean."""
-    dense, mask = base.to_dense()
-    return np.where(mask, dense, means)
+    return _rated_over(base, np.broadcast_to(means, (base.n_users, base.n_items)).copy())
 
 
 def _mean_filled(base: RatingDataset, means: np.ndarray):
@@ -173,7 +178,7 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
     base.check_normalized("base split")
 
     if isinstance(method, Zero):
-        return _hand_over(base.to_dense()[0])
+        return _hand_over(_rated_over(base, np.zeros((base.n_users, base.n_items))))
     means = _column_means(base)
     if isinstance(method, ItemAverage):
         return _hand_over(_average_filled(base, means))

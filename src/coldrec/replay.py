@@ -36,75 +36,102 @@ TRACE_HEADER = "t,user,arm,revealed,best,increment,cumulative"
 
 
 class _UserState:
-    """One user's held-out ratings and what has been revealed to them."""
+    """One user's held-out ratings, as views into the grouped ratings, and
+    what has been revealed to them."""
 
-    __slots__ = ("items", "ratings", "desc", "cursor", "seen", "ascending", "array")
+    __slots__ = ("items", "ratings", "best", "desc", "cursor", "seen", "ascending")
 
-    def __init__(self, items, ratings):
+    def __init__(self, items, ratings, best):
         self.items = items  # ascending, for the reveal lookup
         self.ratings = ratings
-        self.desc = None  # indices by rating, descending; built after the first reveal
+        self.best = best  # the highest known rating not yet revealed, 0 if none
+        self.desc = None  # indices by rating, descending; built when the best is revealed
         self.cursor = 0  # every entry of desc before it is revealed
         self.seen = set()  # the revealed arms
         self.ascending = []  # the same arms, sorted
-        self.array = None  # ascending as an array, built when asked for
+
+    def revealed(self) -> np.ndarray:
+        return np.array(self.ascending, dtype=np.int64)
+
+    def reveal(self, arm: int) -> float:
+        """Mark an arm that is in range and not yet revealed; its rating, 0
+        if the user never rated it."""
+        self.seen.add(arm)
+        bisect.insort(self.ascending, arm)
+        items = self.items
+        i = bisect.bisect_left(items, arm)
+        if i == len(items) or items[i] != arm:
+            return 0.0
+        rating = self.ratings[i]
+        if rating == self.best:  # a smaller rating leaves the best where it is
+            self._next_best()
+        return rating
+
+    def _next_best(self):
+        """Move the best past the revealed ratings.  Amortised O(1) after
+        the one sort: the cursor only ever moves past revealed entries."""
+        if self.desc is None:
+            self.desc = memoryview(np.argsort(np.negative(self.ratings), kind="stable"))
+        c, desc, items, seen = self.cursor, self.desc, self.items, self.seen
+        while c < len(desc) and items[desc[c]] in seen:
+            c += 1
+        self.cursor = c
+        self.best = self.ratings[desc[c]] if c < len(desc) else 0.0
 
 
 class RevealLog:
     """Reveal bookkeeping for one replay run, in O(ratings) memory.
 
-    The held-out ratings are grouped by user up front; a user's state is
-    built the first time the user is drawn, and the user's ratings are
-    sorted by value only once something has been revealed to them.  Every
-    (user, arm) pair is revealed at most once.
+    The held-out ratings are grouped by user, and every user's best known
+    rating is taken in one pass, up front.  A user's state is built the
+    first time the user is drawn and holds views of the user's ratings;
+    they are sorted by value only once the best of them is revealed.
+    Every (user, arm) pair is revealed at most once.
     """
 
     def __init__(self, evaluation: RatingDataset):
         self.n_arms = evaluation.n_items
         self.arms_left = np.full(evaluation.n_users, self.n_arms, dtype=np.int64)
-        self._rows = evaluation.user_rows
+        rows = evaluation.user_rows
+        best = np.zeros(evaluation.n_users)
+        rated = np.flatnonzero(np.diff(rows.starts))
+        if rated.size:  # reduceat over the non-empty rows only: an empty one would take its next element
+            best[rated] = np.maximum.reduceat(rows.ratings, rows.starts[rated])
+        # memoryviews index to Python scalars without numpy's per-call cost
+        self._starts = memoryview(rows.starts)
+        self._items = memoryview(rows.items)
+        self._ratings = memoryview(rows.ratings)
+        self._best = memoryview(best)
         self._users: dict[int, _UserState] = {}
 
     def _state(self, user: int) -> _UserState:
         state = self._users.get(user)
         if state is None:
-            state = self._users[user] = _UserState(*self._rows.row(user))
+            lo, hi = self._starts[user], self._starts[user + 1]
+            state = self._users[user] = _UserState(self._items[lo:hi], self._ratings[lo:hi], self._best[user])
         return state
+
+    def _reveal(self, user: int, state: _UserState, arm: int) -> float:
+        if not 0 <= arm < self.n_arms or arm in state.seen:
+            raise RuntimeError(f"arm {arm} is not available for user {user}")
+        reward = state.reveal(arm)
+        self.arms_left[user] = self.n_arms - len(state.seen)
+        return reward
 
     def revealed(self, user: int) -> np.ndarray:
         """Arms already revealed to this user, ascending."""
-        state = self._state(user)
-        if state.array is None:
-            state.array = np.array(state.ascending, dtype=np.int64)
-        return state.array
+        return self._state(user).revealed()
 
     def best_hidden_known(self, user: int) -> float:
         """The best-surrogate value: the highest known rating of this user
-        not yet revealed, 0 if none is left.  Amortised O(1): the cursor
-        only ever moves past revealed entries."""
-        state = self._state(user)
-        if state.desc is None:
-            if not state.seen:
-                return state.ratings.max().item() if len(state.ratings) else 0.0
-            state.desc = np.argsort(-state.ratings, kind="stable")
-        c, desc, items, seen = state.cursor, state.desc, state.items, state.seen
-        while c < len(desc) and items.item(desc.item(c)) in seen:
-            c += 1
-        state.cursor = c
-        return state.ratings.item(desc.item(c)) if c < len(desc) else 0.0
+        not yet revealed, 0 if none is left.  O(1): it is kept up to date
+        by the reveals."""
+        return self._state(user).best
 
     def reveal(self, user: int, arm: int) -> float:
         """Consume one (user, arm) pair: the held-out rating, or the zero
         fill when the user never rated the arm.  Repeats are rejected."""
-        state = self._state(user)
-        if not 0 <= arm < self.n_arms or arm in state.seen:
-            raise RuntimeError(f"arm {arm} is not available for user {user}")
-        state.seen.add(arm)
-        bisect.insort(state.ascending, arm)
-        state.array = None
-        self.arms_left[user] -= 1
-        i = state.items.searchsorted(arm)
-        return state.ratings.item(i) if i < len(state.items) and state.items.item(i) == arm else 0.0
+        return self._reveal(user, self._state(user), arm)
 
 
 @dataclass
@@ -133,8 +160,13 @@ class RegretTrace:
 def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
     """Run the replay protocol for T steps (or until every user is spent).
 
-    The wall clock covers the decision loop, including building the rows
-    of the users it draws; grouping the ratings by user happens before it.
+    A step looks the drawn user's state up once and goes through the same
+    per-user methods as :class:`RevealLog`'s public ones: the best hidden
+    rating is read, not searched for, and a reveal costs a bisect in the
+    user's ratings; the user's ratings are sorted only when their best is
+    revealed.  The wall clock covers the decision loop, including building
+    the state of the users it draws; grouping the ratings by user and
+    taking every user's best rating happen before it.
     """
     if T < 1:
         raise ValueError(f"horizon T must be >= 1, got {T}")
@@ -168,13 +200,14 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
             t += 1
             user = pool.item(idx)
             policy.observe_user(user)
-            best = log.best_hidden_known(user)
-            arm = int(policy.select(log.revealed(user), t))
+            state = log._state(user)
+            best = state.best
+            arm = int(policy.select(state.revealed(), t))
             try:
-                reward = log.reveal(user, arm)
+                reward = log._reveal(user, state, arm)
             except RuntimeError as exc:
                 raise RuntimeError(f"policy violated the protocol at step {t}: {exc}") from None
-            if arms_left[user] == 0:
+            if len(state.seen) == n_arms:
                 pool_size -= 1
                 pool[idx] = pool[pool_size]
             policy.update(arm, reward)

@@ -243,12 +243,12 @@ class TestFactorizationFillsAgainstDenseReferences:
         assert peak < 6 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
         np.testing.assert_allclose(X, reference_svd_fill(base, rank), rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("method", [ImputedSvd(), AlsWr()])
+    @pytest.mark.parametrize("method", [Zero(), ItemAverage(), ImputedSvd(), AlsWr()])
     def test_no_dense_base_is_allocated(self, method):
-        """2000 × 2000 at 2% density: BaseMatrix takes the filled X without
-        a copy, so the peak is X's 8·p·q bytes plus ≈0.15× of sparse data,
-        factors and the finiteness check; a copy or a dense base on top
-        would pass 1.5×."""
+        """2000 × 2000 at 2% density: every fill builds one p×q array and
+        BaseMatrix takes it without a copy, so the peak is X's 8·p·q bytes
+        plus ≈0.15× of sparse data, factors and the finiteness check; a
+        copy, a dense base or its mask on top would pass 1.5×."""
         p = q = 2000
         base = random_base(0, p, q, 0.02)
         tracemalloc.start()

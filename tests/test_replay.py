@@ -164,6 +164,28 @@ class TestRevealLog:
         with pytest.raises(ValueError, match="repeats a"):
             RevealLog(evaluation)
 
+    def test_revealing_one_of_two_tied_bests_keeps_the_best(self):
+        log = RevealLog(dataset_from_dense(np.array([[0.75, 0.75, 0.25]])))
+        assert log.reveal(0, 1) == 0.75
+        assert log.best_hidden_known(0) == 0.75
+        log.reveal(0, 0)
+        assert log.best_hidden_known(0) == 0.25
+
+    def test_revealing_the_last_known_rating_leaves_zero(self):
+        log = RevealLog(dataset_from_dense(np.array([[0.0, 0.5, 0.0]]), np.array([[False, True, False]])))
+        log.reveal(0, 0)
+        assert log.best_hidden_known(0) == 0.5
+        assert log.reveal(0, 1) == 0.5
+        assert log.best_hidden_known(0) == 0.0
+
+    def test_user_without_ratings(self):
+        # users 0 and 2 rated nothing; the rows around them keep their own bests
+        evaluation = RatingDataset(np.array([1, 1, 3]), np.array([0, 1, 1]), np.array([0.25, 0.5, 1.0]), 5, 2, 1.0)
+        log = RevealLog(evaluation)
+        assert [log.best_hidden_known(user) for user in range(5)] == [0.0, 0.5, 0.0, 1.0, 0.0]
+        assert log.reveal(0, 1) == 0.0
+        assert log.best_hidden_known(0) == 0.0
+
     def test_revealed_is_ascending(self):
         log = self.make_log()
         assert log.revealed(0).tolist() == []
@@ -176,8 +198,9 @@ class TestRevealLog:
 @st.composite
 def evaluation_and_reveals(draw):
     """A random evaluation set, sparse or dense, with quarter-step ratings
-    (so ties and known zeros occur), plus a random reveal sequence that
-    includes repeats and out-of-range arms."""
+    (so ties and known zeros occur) and some users without any rating,
+    plus a random reveal sequence that includes repeats and out-of-range
+    arms."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 7))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -188,12 +211,11 @@ def evaluation_and_reveals(draw):
     else:
         mask = rng.random((m, n)) < draw(st.sampled_from([0.2, 0.5, 0.8]))
         mask[np.arange(m), rng.integers(n, size=m)] = True
-    evaluation = dataset_from_dense(grid, mask)
+    mask[rng.random(m) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = False
     # shuffle the triples: the log must not rely on canonical order
-    order = rng.permutation(evaluation.n_ratings)
-    evaluation = RatingDataset(
-        evaluation.users[order], evaluation.items[order], evaluation.ratings[order], m, n, 1.0
-    )
+    users, items = np.nonzero(mask)
+    order = rng.permutation(users.size)
+    evaluation = RatingDataset(users[order], items[order], grid[mask][order], m, n, 1.0)
     steps = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-1, n)), max_size=3 * m * n))
     return evaluation, steps
 
@@ -538,3 +560,19 @@ def test_memory_grows_with_ratings_not_users_times_items():
         tracemalloc.stop()
     assert trace.steps == 5_000
     assert peak < 30 * 2**20, f"replay peaked at {peak / 2**20:.1f} MB"
+
+
+def test_dense_evaluation_memory_stays_with_the_shared_arrays():
+    """500 users × 500 arms, every pair rated (the dense-context shape,
+    250k ratings), T = 2000: a user's state holds views of the grouped
+    ratings and sorts them only when their best is revealed.  Copying each
+    drawn user's ratings into Python lists would peak near 14 MB."""
+    evaluation = dataset_from_dense(np.random.default_rng(0).uniform(size=(500, 500)))
+    tracemalloc.start()
+    try:
+        trace = run_replay(RandomPolicy(500, seed=1), evaluation, 2_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 2_000
+    assert peak < 6 * 2**20, f"replay peaked at {peak / 2**20:.1f} MB"
