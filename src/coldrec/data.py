@@ -76,14 +76,6 @@ class RatingDataset:
         if self.n_ratings and not (self.ratings.min() >= 0.0 and self.ratings.max() <= 1.0):
             raise ValueError(f"{what} ratings must be finite and normalized to [0, 1]")
 
-    def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (matrix, observed-mask) pair, missing entries zero."""
-        dense = np.zeros((self.n_users, self.n_items))
-        mask = np.zeros((self.n_users, self.n_items), dtype=bool)
-        dense[self.users, self.items] = self.ratings
-        mask[self.users, self.items] = True
-        return dense, mask
-
     @cached_property
     def user_rows(self) -> UserRows:
         """The ratings grouped by user, built once per dataset."""
@@ -118,11 +110,11 @@ class UserRows:
         return self.items[lo:hi], self.ratings[lo:hi]
 
     def positions(self, users: np.ndarray) -> np.ndarray:
-        """Where the given distinct users' ratings sit in the dataset's own
-        arrays, ascending: O(their ratings), not O(all ratings)."""
+        """Where the given ascending, distinct users' ratings sit in the
+        dataset's own arrays, ascending: O(their ratings), not O(all ratings)."""
         lo, counts = self.starts[users], np.diff(self.starts)[users]
         pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        return np.sort(pos if self.order is None else self.order[pos])
+        return pos if self.order is None else np.sort(self.order[pos])
 
 
 @dataclass(frozen=True)
@@ -305,7 +297,9 @@ def _read_triples(path, grammar: _Grammar, scale_max: float):
     one pass: the plain lines in bulk, every other non-empty line through
     :func:`_parse_line`.  Errors name the physical line."""
     with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # universal newlines
+        data = fh.read()
+    if b"\r" in data:  # universal newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -457,10 +451,11 @@ def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> R
         item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
     if max_users is not None and max_users < ds.n_users:
         pos = ds.user_rows.positions(np.sort(rng.choice(ds.n_users, size=max_users, replace=False)))
-    users, items, ratings = ds.users[pos], ds.items[pos], ds.ratings[pos]
+    items = ds.items[pos]
     if item_ids is not None:
         keep, items = _select_ids(items, item_ids, ds.n_items)
-        users, ratings = users[keep], ratings[keep]
+        pos = keep if isinstance(pos, slice) else pos[keep]
+    users, ratings = ds.users[pos], ds.ratings[pos]
     if len(ratings) == 0:
         raise ValueError("subsample removed every rating")
     rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
@@ -484,7 +479,8 @@ def dataset_from_dense(matrix, mask=None, scale_max: float = 1.0) -> RatingDatas
     """Build a dataset from a dense rating grid.
 
     With no mask every cell is an observed rating; rows must be fully
-    missing-free users in that case.  Inverse of :meth:`RatingDataset.to_dense`.
+    missing-free users in that case.  Every row needs at least one
+    observed rating, as the loaders' elimination rule requires.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if mask is None:

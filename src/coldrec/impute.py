@@ -107,11 +107,12 @@ class BaseMatrix:
             X = np.array(X, dtype=np.float64)
         if X.ndim != 2 or X.size == 0:
             raise ValueError(f"base matrix must be a non-empty 2-d array, got shape {X.shape}")
-        if not np.all(np.isfinite(X)):
+        self.column_norms_sq = np.einsum("ij,ij->j", X, X)
+        # a NaN or ±inf entry makes its column's norm non-finite (so may finite entries, by overflow)
+        if not np.isfinite(X[:, ~np.isfinite(self.column_norms_sq)]).all():
             raise ValueError("base matrix contains non-finite entries")
         X.flags.writeable = False
         self.X = X
-        self.column_norms_sq = np.einsum("ij,ij->j", X, X)
         self.column_norms_sq.flags.writeable = False
 
     @property
@@ -121,12 +122,6 @@ class BaseMatrix:
     @property
     def n_arms(self) -> int:
         return self.X.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        """Read-only view of arm j's context vector."""
-        if not 0 <= j < self.n_arms:
-            raise IndexError(f"arm index {j} out of range [0, {self.n_arms})")
-        return self.X[:, j]
 
 
 def _column_means(base: RatingDataset) -> np.ndarray:

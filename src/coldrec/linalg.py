@@ -64,17 +64,33 @@ def _als_half_sweep(W, RW, fixed, lam, n_obs, extra_gram):
     (Σ_{j∈obs(i)} f_j f_jᵀ + λ n_i I) x_i = Σ_{j∈obs(i)} r_ij f_j are formed
     for every row at once — the Gram blocks as W times the upper triangles
     of f_j f_jᵀ, plus `extra_gram` for observed zeros W leaves out, and
-    n_i from `n_obs` — and solved as one stacked system.
+    n_i from `n_obs` — and solved together by a Cholesky factorization
+    G = Rᵀ R and two triangular solves, each step vectorized over the rows.
+    G packs the upper triangles row after row, rows of the sweep last, so a
+    row of R is a contiguous slice.  A block not positive definite raises.
     """
     rank = fixed.shape[1]
     iu, ju = np.triu_indices(rank)
-    slot = np.empty((rank, rank), dtype=np.intp)  # (a, b) → column of the upper triangle
-    slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
-    G = (W @ (fixed[:, iu] * fixed[:, ju]))[:, slot]
-    G += extra_gram
-    diag = np.arange(rank)
-    G[:, diag, diag] += lam * n_obs[:, None]
-    return np.linalg.solve(G, (RW @ fixed)[:, :, None])[:, :, 0]
+    slot = np.zeros((rank, rank), dtype=np.intp)  # (a, b ≥ a) → its row in G
+    slot[iu, ju] = np.arange(iu.size)
+    G = (W @ (fixed.take(iu, axis=1) * fixed.take(ju, axis=1))).T.copy()  # take: ≈4× faster than [:, iu]
+    G += np.broadcast_to(extra_gram, (rank, rank))[iu, ju, None]
+    G[np.diag(slot)] += lam * n_obs
+    R = [G[slot[a, a] : slot[a, -1] + 1] for a in range(rank)]  # row a of R from its diagonal on, in G
+    for a, Ra in enumerate(R):
+        Ra -= np.einsum("kp,kcp->cp", G[slot[:a, a]], G[slot[:a, a:]])
+        if not np.all(Ra[0] > 0):
+            raise np.linalg.LinAlgError(f"Gram block of row {np.argmin(Ra[0] > 0)} is not positive definite")
+        np.sqrt(Ra[0], out=Ra[0])
+        Ra[1:] /= Ra[0]
+    x = (RW @ fixed).T.copy()
+    for a, Ra in enumerate(R):  # Rᵀ y = RW f, y over x
+        x[a] /= Ra[0]
+        x[a + 1 :] -= Ra[1:] * x[a]
+    for a in reversed(range(rank)):  # R x = y
+        x[a] -= np.einsum("kp,kp->p", R[a][1:], x[a + 1 :])
+        x[a] /= R[a][0]
+    return x.T.copy()
 
 
 def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):

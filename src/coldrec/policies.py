@@ -42,7 +42,6 @@ __all__ = [
     "POLICIES",
     "POLICY_IDS",
     "egreedy_epsilon",
-    "ucb_score",
     "argmax_lowest",
     "nth_open_arm",
     "DEFAULT_ALPHA",
@@ -125,15 +124,6 @@ def _ucb_into(out: np.ndarray, mean, t: int, t_j, played) -> np.ndarray:
     np.sqrt(out, out=out)
     out += mean
     return out
-
-
-def ucb_score(mean, t: int, t_j):
-    """Mean plus the √(2 ln t / t_j) confidence radius; +inf when unplayed.
-
-    Accepts scalars or arrays for `mean`/`t_j`.
-    """
-    out = _ucb_into(np.full(np.shape(t_j), np.inf), mean, t, t_j, np.greater(t_j, 0))
-    return float(out) if out.ndim == 0 else out
 
 
 def _check_reward(reward: float) -> float:

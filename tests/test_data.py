@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import to_dense
 
 from coldrec import data
 from coldrec.data import (
@@ -242,9 +243,9 @@ class TestOrient:
         ds = dataset_from_dense(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]))
         flipped = orient(ds, ProblemKind.NEW_ITEM)
         assert (flipped.n_users, flipped.n_items) == (3, 2)
-        dense, _ = flipped.to_dense()
+        dense, _ = to_dense(flipped)
         np.testing.assert_array_equal(dense, dense.T.T)
-        np.testing.assert_allclose(dense.T, ds.to_dense()[0])
+        np.testing.assert_allclose(dense.T, to_dense(ds)[0])
 
     def test_involution_exact(self):
         ds = toy_dataset(seed=5)
@@ -285,7 +286,7 @@ class TestSubsampleAndFilter:
 class TestDenseRoundTrip:
     def test_to_dense_and_back(self):
         ds = toy_dataset(7, 5, seed=6)
-        dense, mask = ds.to_dense()
+        dense, mask = to_dense(ds)
         assert_same_dataset(dataset_from_dense(dense, mask), ds)
 
 
@@ -577,6 +578,43 @@ def reference_subsample(ds, max_users, max_items, seed):
         raise ValueError("subsample removed every rating")
     uniq, dense = np.unique(users, return_inverse=True)
     return replace(ds, users=dense.astype(np.int64), items=items, ratings=ratings, n_users=len(uniq), n_items=n_items)
+
+
+def gather_all_subsample(ds, max_users, max_items, seed):
+    """subsample as it was before it gathered only the ratings it keeps:
+    every sampled user's ratings, at positions sorted whatever the order of
+    the triples, then the item filter over all three arrays."""
+    rng = np.random.default_rng(seed)
+    item_ids, pos = None, slice(None)
+    if max_items is not None and max_items < ds.n_items:
+        item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
+    if max_users is not None and max_users < ds.n_users:
+        rows, user_ids = ds.user_rows, np.sort(rng.choice(ds.n_users, size=max_users, replace=False))
+        lo, counts = rows.starts[user_ids], np.diff(rows.starts)[user_ids]
+        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        pos = np.sort(pos if rows.order is None else rows.order[pos])
+    users, items, ratings = ds.users[pos], ds.items[pos], ds.ratings[pos]
+    if item_ids is not None:
+        keep, items = data._select_ids(items, item_ids, ds.n_items)
+        users, ratings = users[keep], ratings[keep]
+    rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
+    _, users = data._select_ids(users, rated, ds.n_users)
+    n_items = ds.n_items if item_ids is None else max_items
+    return replace(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
+
+
+class TestSubsampleAgainstGatherAll:
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("max_users,max_items", [(70, None), (70, 40), (None, 40), (None, None)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_arrays(self, canonical, max_users, max_items, seed):
+        ds = toy_dataset(300, 120, seed=seed)
+        if not canonical:
+            shuffle = np.random.default_rng(seed).permutation(ds.n_ratings)
+            ds = replace(ds, users=ds.users[shuffle], items=ds.items[shuffle], ratings=ds.ratings[shuffle])
+        assert (ds.user_rows.order is None) == canonical
+        got = subsample(ds, max_users, max_items, seed=seed)
+        assert_same_dataset(got, gather_all_subsample(ds, max_users, max_items, seed))
 
 
 class TestSubsampleAgainstIsinReference:

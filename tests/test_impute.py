@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import to_dense
 from test_linalg import als_reference
 
 from coldrec.data import RatingDataset, dataset_from_dense
@@ -157,7 +158,7 @@ class TestReconstructionFills:
 
 def reference_svd_fill(base, rank):
     """Truncated SVD of the mean-filled base built as a dense matrix."""
-    dense, mask = base.to_dense()
+    dense, mask = to_dense(base)
     counts = mask.sum(axis=0)
     means = np.divide(dense.sum(axis=0), counts, out=np.zeros(base.n_items), where=counts > 0)
     U, s, V = truncated_svd(np.where(mask, dense, means), min(rank, *dense.shape))
@@ -168,7 +169,7 @@ def reference_alswr_fill(base, method, seed):
     """ALS-WR swept row by row on the dense base, pre-filled as a dense
     mask: never-rated items observed at 0 in every row, then rows still
     without an observation observed at the item means."""
-    dense, mask = base.to_dense()
+    dense, mask = to_dense(base)
     empty_cols = ~mask.any(axis=0)
     mask[:, empty_cols] = True
     empty_rows = ~mask.any(axis=1)
@@ -247,8 +248,8 @@ class TestFactorizationFillsAgainstDenseReferences:
     def test_no_dense_base_is_allocated(self, method):
         """2000 × 2000 at 2% density: every fill builds one p×q array and
         BaseMatrix takes it without a copy, so the peak is X's 8·p·q bytes
-        plus ≈0.15× of sparse data, factors and the finiteness check; a
-        copy, a dense base or its mask on top would pass 1.5×."""
+        plus ≈0.15× of sparse data and factors; a copy, a dense base or its
+        mask on top would pass 1.5×."""
         p = q = 2000
         base = random_base(0, p, q, 0.02)
         tracemalloc.start()
@@ -284,21 +285,30 @@ class TestBaseMatrix:
         recomputed = np.einsum("ij,ij->j", bm.X, bm.X)
         np.testing.assert_allclose(bm.column_norms_sq, recomputed, atol=1e-12)
 
-    def test_column_view_and_reassembly(self, fixture_base):
-        bm = fill(fixture_base, Zero())
-        stacked = np.column_stack([bm.column(j) for j in range(bm.n_arms)])
-        np.testing.assert_array_equal(stacked, bm.X)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, value):
+        X = np.full((4, 3), 0.5)
+        X[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            BaseMatrix(X)
 
-    def test_basis_column(self):
-        bm = BaseMatrix(np.eye(3))
-        np.testing.assert_array_equal(bm.column(0), [1.0, 0.0, 0.0])
+    def test_takes_finite_entries_whose_squares_overflow(self):
+        # the norm is inf, but every entry is finite
+        bm = BaseMatrix(np.array([[1e200, 0.5], [1e200, 0.5]]))
+        np.testing.assert_array_equal(bm.column_norms_sq, [np.inf, 0.5])
 
-    def test_out_of_range_column(self, fixture_base):
-        bm = fill(fixture_base, Zero())
-        with pytest.raises(IndexError):
-            bm.column(bm.n_arms)
-        with pytest.raises(IndexError):
-            bm.column(-1)
+    def test_direct_fill_peaks_at_its_matrix(self):
+        """The zero fill of a 2000 × 2000 base holds X and little else: a
+        p×q bool temporary in the finiteness check would reach 1.125×."""
+        p = q = 2000
+        base = random_base(0, p, q, 0.02)
+        tracemalloc.start()
+        try:
+            fill(base, Zero())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 8 * p * q, f"fill peaked at {peak / (8 * p * q):.3f}x of X"
 
     def test_writable_input_is_copied(self):
         """A caller's array, or a read-only view of it, may still be
@@ -321,7 +331,7 @@ class TestBaseMatrix:
         with pytest.raises(ValueError):
             bm.X[0, 0] = 9.0
         with pytest.raises(ValueError):
-            bm.column(0)[0] = 9.0
+            bm.X[:, 0][0] = 9.0
 
 
 class TestMethodNames:

@@ -9,9 +9,9 @@ row-by-row reference on a dense matrix and mask.
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csr_array
 
-from coldrec.linalg import als_wr_factorize, truncated_svd
+from coldrec.linalg import _als_half_sweep, als_wr_factorize, truncated_svd
 
 
 def observed(M, mask):
@@ -247,6 +247,61 @@ class TestAlsWrBatchedAgainstRowByRow:
         np.testing.assert_allclose(U, U_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
 
+
+def half_sweep_by_solve(W, RW, fixed, lam, n_obs, extra_gram):
+    """One half sweep by a pivoted-LU solve of each row's dense Gram block."""
+    W, RW = W.toarray(), RW.toarray()
+    rank = fixed.shape[1]
+    out = np.empty((W.shape[0], rank))
+    for i in range(W.shape[0]):
+        G = (fixed.T * W[i]) @ fixed + extra_gram + lam * n_obs[i] * np.eye(rank)
+        out[i] = np.linalg.solve(G, fixed.T @ RW[i])
+    return out
+
+
+class TestHalfSweepAgainstSolve:
+    """The batched Cholesky half sweep against np.linalg.solve, row by row."""
+
+    @pytest.mark.parametrize("rank", [1, 16, 20])
+    @pytest.mark.parametrize("extra", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_stacks(self, rank, extra, seed):
+        rng = np.random.default_rng(200 + seed)
+        p, q = 30, 20  # rank 20 is min(p, q)
+        M, mask = random_observed(rng, p, q, 0.3)
+        mask[[4, 9]] = False  # rows only λ n_i I and extra_gram hold up
+        W = csr_array(mask.astype(np.float64))
+        RW = csr_array(np.where(mask, M, 0.0))
+        fixed = rng.uniform(-1.0, 1.0, size=(q, rank))
+        n_obs = mask.sum(axis=1) + rng.integers(1, 4, size=p)
+        extra_gram = 0.0
+        if extra:
+            F = rng.uniform(-1.0, 1.0, size=(3, rank))
+            extra_gram = F.T @ F
+        got = _als_half_sweep(W, RW, fixed, 0.05, n_obs, extra_gram)
+        want = half_sweep_by_solve(W, RW, fixed, 0.05, n_obs, extra_gram)
+        assert got.shape == (p, rank) and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 5])
+    def test_a_pivot_that_is_not_positive_raises(self, rank):
+        # row 2 has no observation and no regularization: its block is 0;
+        # the check comes before the square root, so no NaN is formed
+        mask = np.ones((4, 6), dtype=bool)
+        mask[2] = False
+        W = csr_array(mask.astype(np.float64))
+        fixed = np.random.default_rng(3).uniform(size=(6, rank))
+        with np.errstate(invalid="raise"), pytest.raises(np.linalg.LinAlgError, match="row 2 is not positive"):
+            _als_half_sweep(W, W, fixed, 0.0, mask.sum(axis=1), 0.0)
+
+    def test_an_indefinite_extra_gram_raises(self):
+        # positive first pivots, then a negative one in a later column
+        mask = np.ones((3, 4), dtype=bool)
+        W = csr_array(mask.astype(np.float64))
+        fixed = np.random.default_rng(5).uniform(size=(4, 3))
+        extra_gram = np.diag([0.0, 0.0, -1e3])
+        with np.errstate(invalid="raise"), pytest.raises(np.linalg.LinAlgError, match="row 0 is not positive"):
+            _als_half_sweep(W, W, fixed, 0.05, mask.sum(axis=1), extra_gram)
 
 
 def spectrum_matrix(rng, p, q, singular_values):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import to_dense
 
+from coldrec import policies
 from coldrec.data import dataset_from_dense
 from coldrec.impute import BaseMatrix
 from coldrec.policies import (
@@ -25,7 +27,6 @@ from coldrec.policies import (
     egreedy_epsilon,
     make_policy,
     nth_open_arm,
-    ucb_score,
 )
 from coldrec.synthetic import linear_environment
 
@@ -44,6 +45,13 @@ def argmax_over(scores, available):
     if len(available) == 0:
         raise ValueError("available arm set is empty")
     return int(available[np.argmax(scores[available])])
+
+
+def ucb_score(mean, t: int, t_j):
+    """UCB's score through the policy's own kernel: the mean plus the
+    √(2 ln t / t_j) radius, +inf where unplayed; scalars or arrays."""
+    out = policies._ucb_into(np.full(np.shape(t_j), np.inf), mean, t, t_j, np.greater(t_j, 0))
+    return float(out) if out.ndim == 0 else out
 
 
 def random_base(k=6, n=9, seed=0):
@@ -646,7 +654,7 @@ class TestOraclePolicy:
         _, evaluation = linear_environment(3, 6, 4, noise=0.0, seed=30)
         pol = OraclePolicy(evaluation)
         pol.observe_user(2)
-        dense, _ = evaluation.to_dense()
+        dense, _ = to_dense(evaluation)
         assert pol.select(NONE, 1) == int(np.argmax(dense[2]))
 
     def test_requires_observe_user(self):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import to_dense
 
 from coldrec.data import RatingDataset, atomic_write, dataset_from_dense
 from coldrec.impute import Zero, fill, method_from_name
@@ -322,7 +323,7 @@ class TestRunReplay:
                 pass
 
         X, evaluation = tiny_env(7)
-        single_user = dataset_from_dense(evaluation.to_dense()[0][:1])
+        single_user = dataset_from_dense(to_dense(evaluation)[0][:1])
         with pytest.raises(RuntimeError, match="not available"):
             run_replay(StubbornPolicy(), single_user, T=3, seed=0)
 
