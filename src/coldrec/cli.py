@@ -278,13 +278,13 @@ def run_cell(
     split = split_base_eval(work, k, seed=split_ss)
 
     X = fill(split.base, _imputation(cfg, impute_id), seed=fill_ss)
+    hyper = {name: getattr(cfg, name) for name in POLICIES[policy_id].params}
+    policy = make_policy(policy_id, X=X, seed=policy_ss, **hyper)  # a contextual policy builds X here
     logger.info(
         "cell policy=%s impute=%s seed=%d: prepared %dx%d base in %.3fs (excluded from run timing)",
         policy_id, impute_id, seed, X.k, X.n_arms, time.perf_counter() - prep_start,
     )
 
-    hyper = {name: getattr(cfg, name) for name in POLICIES[policy_id].params}
-    policy = make_policy(policy_id, X=X, seed=policy_ss, **hyper)
     horizon = cfg.t if cfg.t is not None else max(1, split.evaluation.n_ratings // 10)
     trace = run_replay(policy, split.evaluation, horizon, seed=user_ss)
 

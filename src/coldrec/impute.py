@@ -10,6 +10,7 @@ entries bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,34 +95,63 @@ def method_label(method: ImputationMethod) -> str:
 class BaseMatrix:
     """The dense k×n context matrix whose columns are the arm contexts.
 
-    Immutable after construction (the array is marked read-only), with the
-    squared column norms cached — the contextual policies consume those
-    constantly and they must not drift from the matrix.  A read-only
-    float64 array that owns its data, as :func:`fill` hands over, is taken
-    as it is; any other input is copied, since its owner could still write
-    to it.
+    Immutable once built (the array is marked read-only), with the squared
+    column norms cached — the contextual policies consume those constantly
+    and they must not drift from the matrix.  A read-only float64 array
+    that owns its data, as :func:`fill` builds, is taken as it is; any
+    other input is copied, since its owner could still write to it.
+
+    ``BaseMatrix(X)`` holds X from the start.  :func:`fill` hands out a
+    deferred one instead: its shape is known, but X and the norms are built
+    on the first read of ``X`` or ``column_norms_sq``, once, after which the
+    builder (and the base it refers to) is dropped.  A policy that never
+    reads the context never builds it.
     """
 
     def __init__(self, X: np.ndarray):
+        self._build = None
+        self._take(X)
+
+    @classmethod
+    def _deferred(cls, shape: tuple[int, int], build) -> BaseMatrix:
+        """A handle of the given shape whose array `build()` returns when first read."""
+        self = cls.__new__(cls)
+        self._shape, self._build = shape, build
+        return self
+
+    def _take(self, X: np.ndarray) -> None:
         if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.owndata and not X.flags.writeable):
             X = np.array(X, dtype=np.float64)
         if X.ndim != 2 or X.size == 0:
             raise ValueError(f"base matrix must be a non-empty 2-d array, got shape {X.shape}")
-        self.column_norms_sq = np.einsum("ij,ij->j", X, X)
+        norms_sq = np.einsum("ij,ij->j", X, X)
         # a NaN or ±inf entry makes its column's norm non-finite (so may finite entries, by overflow)
-        if not np.isfinite(X[:, ~np.isfinite(self.column_norms_sq)]).all():
+        if not np.isfinite(X[:, ~np.isfinite(norms_sq)]).all():
             raise ValueError("base matrix contains non-finite entries")
-        X.flags.writeable = False
-        self.X = X
-        self.column_norms_sq.flags.writeable = False
+        X.flags.writeable = norms_sq.flags.writeable = False
+        self._X, self._norms_sq, self._shape = X, norms_sq, X.shape
+
+    def _built(self) -> BaseMatrix:
+        if self._build is not None:
+            self._take(self._build())
+            self._build = None
+        return self
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._built()._X
+
+    @property
+    def column_norms_sq(self) -> np.ndarray:
+        return self._built()._norms_sq
 
     @property
     def k(self) -> int:
-        return self.X.shape[0]
+        return self._shape[0]
 
     @property
     def n_arms(self) -> int:
-        return self.X.shape[1]
+        return self._shape[1]
 
 
 def _column_means(base: RatingDataset) -> np.ndarray:
@@ -160,18 +190,40 @@ def _mean_filled(base: RatingDataset, means: np.ndarray):
 
 
 def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix:
-    """Produce the dense context matrix from the sparse base split.
+    """The dense context matrix of the sparse base split, built on first read.
 
     The base must already be normalized (ratings in [0, 1]); otherwise the
     bounded-output and observed-entries-preserved guarantees cannot both
-    hold.  `seed` feeds the ALS-WR initialization only.  The factorization
-    methods work on the ratings alone; only their p×q reconstruction is
-    dense.
+    hold.  The base and the method are checked here; the returned handle
+    knows its k×n shape, and fills X the first time its ``X`` or
+    ``column_norms_sq`` is read (see :class:`BaseMatrix`), so a policy that
+    never reads the context costs no fill.  `seed` feeds the ALS-WR
+    initialization only, and is consumed at that build: a ``Generator``
+    passed as `seed` is drawn from then.  The factorization methods work on
+    the ratings alone; only their p×q reconstruction is dense.
     """
     if base.n_ratings == 0:
         raise ValueError("base split is empty")
     base.check_normalized("base split")
+    _check_method(method)
+    return BaseMatrix._deferred((base.n_users, base.n_items), partial(_build, base, method, seed))
 
+
+def _check_method(method: ImputationMethod) -> None:
+    """The errors the factorizations would raise, raised before any build."""
+    if not isinstance(method, (Zero, ItemAverage, ImputedSvd, AlsWr)):
+        raise TypeError(f"unknown imputation method {method!r}")
+    if isinstance(method, (ImputedSvd, AlsWr)) and method.rank < 1:
+        raise ValueError(f"rank must be at least 1, got {method.rank}")
+    if isinstance(method, AlsWr):
+        if not method.lam > 0:
+            raise ValueError(f"regularization must be positive, got {method.lam}")
+        if method.iters < 1:
+            raise ValueError(f"need at least one iteration, got {method.iters}")
+
+
+def _build(base: RatingDataset, method: ImputationMethod, seed) -> np.ndarray:
+    """The p×q fill of a base and a method that :func:`fill` has checked."""
     if isinstance(method, Zero):
         return _hand_over(_rated_over(base, np.zeros((base.n_users, base.n_items))))
     means = _column_means(base)
@@ -186,21 +238,20 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
         mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
         U, s, V = linalg.truncated_svd(mean_filled(base, means), rank)
         X = (U * s) @ V.T
-    elif isinstance(method, AlsWr):
+    else:
         from scipy.sparse import coo_array  # see _mean_filled
 
         R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
         U, V = linalg.als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
         X = U @ V.T
-    else:
-        raise TypeError(f"unknown imputation method {method!r}")
     return _hand_over(np.clip(X, 0.0, 1.0, out=X))
 
 
-def _hand_over(X: np.ndarray) -> BaseMatrix:
-    """Wrap an array nothing else references without copying it."""
+def _hand_over(X: np.ndarray) -> np.ndarray:
+    """Mark an array nothing else references read-only, so that BaseMatrix
+    takes it without a copy."""
     X.flags.writeable = False
-    return BaseMatrix(X)
+    return X
 
 
 def write_base_csv(base_matrix: BaseMatrix, path) -> None:

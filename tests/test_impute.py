@@ -2,7 +2,9 @@
 and the dense mean-filled and dense-mask factorization fills kept here as
 references."""
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +12,11 @@ import pytest
 from helpers import to_dense
 from test_linalg import als_reference
 
+from scipy.sparse import coo_array
+
+from coldrec import linalg
 from coldrec.data import RatingDataset, dataset_from_dense
-from coldrec.linalg import truncated_svd
+from coldrec.linalg import als_wr_factorize, truncated_svd
 from coldrec.impute import (
     AlsWr,
     BaseMatrix,
@@ -249,34 +254,109 @@ class TestFactorizationFillsAgainstDenseReferences:
         """2000 × 2000 at 2% density: every fill builds one p×q array and
         BaseMatrix takes it without a copy, so the peak is X's 8·p·q bytes
         plus ≈0.15× of sparse data and factors; a copy, a dense base or its
-        mask on top would pass 1.5×."""
+        mask on top would pass 1.5×.  X is read inside the window, since
+        the fill builds it only then."""
         p = q = 2000
         base = random_base(0, p, q, 0.02)
         tracemalloc.start()
         try:
-            fill(base, method, seed=0)
+            fill(base, method, seed=0).X
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
 
 
-class TestFillValidation:
-    def test_rejects_unnormalized(self):
-        base = dataset_from_dense(np.array([[4.0, 2.0]]), scale_max=5.0)
-        with pytest.raises(ValueError, match="normalized"):
-            fill(base, Zero())
+def _with_nan_rating(base):
+    return replace(base, ratings=np.where(np.arange(base.n_ratings) == 1, np.nan, base.ratings))
 
-    @pytest.mark.parametrize("method", [Zero(), ImputedSvd(rank=1), AlsWr(rank=1, iters=1)])
-    def test_rejects_nan_rating_before_any_work(self, method):
-        base = dataset_from_dense(np.array([[0.5, 0.25], [1.0, 0.0]]))
-        base = replace(base, ratings=np.array([0.5, np.nan, 1.0, 0.0]))
-        with pytest.raises(ValueError, match="^base split ratings must be finite"):
+
+NORMALIZED = dataset_from_dense(np.array([[0.5, 0.25], [1.0, 0.0]]))
+
+FILL_ERRORS = {
+    "empty-base": (RatingDataset(np.array([], int), np.array([], int), np.array([]), 2, 2, 1.0), Zero(),
+                   ValueError, "^base split is empty"),
+    "unnormalized": (dataset_from_dense(np.array([[4.0, 2.0]]), scale_max=5.0), Zero(), ValueError, "normalized"),
+    "nan-zero": (_with_nan_rating(NORMALIZED), Zero(), ValueError, "^base split ratings must be finite"),
+    "nan-svd": (_with_nan_rating(NORMALIZED), ImputedSvd(rank=1), ValueError, "^base split ratings must be finite"),
+    "nan-alswr": (_with_nan_rating(NORMALIZED), AlsWr(rank=1, iters=1), ValueError,
+                  "^base split ratings must be finite"),
+    "unknown-method": (NORMALIZED, "zero", TypeError, "unknown imputation method"),
+    "svd-rank-0": (NORMALIZED, ImputedSvd(rank=0), ValueError, "^rank must be at least 1"),
+    "alswr-rank-0": (NORMALIZED, AlsWr(rank=0), ValueError, "^rank must be at least 1"),
+    "alswr-lambda-0": (NORMALIZED, AlsWr(lam=0.0), ValueError, "^regularization must be positive"),
+    "alswr-lambda-negative": (NORMALIZED, AlsWr(lam=-1.0), ValueError, "^regularization must be positive"),
+    "alswr-lambda-nan": (NORMALIZED, AlsWr(lam=np.nan), ValueError, "^regularization must be positive"),
+    "alswr-iters-0": (NORMALIZED, AlsWr(iters=0), ValueError, "^need at least one iteration"),
+}
+
+
+class TestFillValidation:
+    @pytest.mark.parametrize("case", sorted(FILL_ERRORS))
+    def test_raises_at_the_call(self, case):
+        """Every input error raises from fill itself, before the handle
+        exists, not from the deferred build at the first read of X."""
+        base, method, error, message = FILL_ERRORS[case]
+        with pytest.raises(error, match=message):
             fill(base, method)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dataset_from_dense(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+
+
+def eager_fill(base, method, seed=None):
+    """The fill as an eager function, to hold the deferred one to: the same
+    steps, run at the call, into a BaseMatrix built from the array."""
+    from coldrec.impute import _average_filled, _column_means, _mean_filled, _rated_over
+
+    if isinstance(method, Zero):
+        return BaseMatrix(_rated_over(base, np.zeros((base.n_users, base.n_items))))
+    means = _column_means(base)
+    if isinstance(method, ItemAverage):
+        return BaseMatrix(_average_filled(base, means))
+    p, q = base.n_users, base.n_items
+    rank = min(method.rank, p, q)
+    if isinstance(method, ImputedSvd):
+        mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
+        U, s, V = truncated_svd(mean_filled(base, means), rank)
+        X = (U * s) @ V.T
+    else:
+        R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
+        U, V = als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
+        X = U @ V.T
+    return BaseMatrix(np.clip(X, 0.0, 1.0))
+
+
+class TestDeferredBuild:
+    @pytest.mark.parametrize("method", [Zero(), ItemAverage(), ImputedSvd(rank=4), AlsWr(rank=4, iters=6)],
+                             ids=method_label)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_eager_fill(self, method, seed):
+        base = random_base(seed, **FACTORIZATION_BASES["both"])
+        bm, ref = fill(base, method, seed=seed), eager_fill(base, method, seed=seed)
+        assert (bm.k, bm.n_arms) == (ref.k, ref.n_arms) == (base.n_users, base.n_items)
+        assert np.array_equal(bm.column_norms_sq, ref.column_norms_sq)
+        assert np.array_equal(bm.X, ref.X)
+
+    def test_builds_once_then_lets_the_base_go(self):
+        base = dataset_from_dense(FIXTURE_VALUES, FIXTURE_MASK)
+        bm = fill(base, ItemAverage())
+        base = weakref.ref(base)
+        gc.collect()
+        assert base() is not None  # the handle still needs it
+        X = bm.X
+        gc.collect()
+        assert base() is None
+        assert bm.X is X and not bm.X.flags.writeable and not bm.column_norms_sq.flags.writeable
+
+    def test_non_finite_build_raises_at_each_read(self, fixture_base, monkeypatch):
+        # a build that fails leaves the handle unbuilt, not half built
+        monkeypatch.setattr(linalg, "truncated_svd", lambda M, rank: (np.ones((5, 1)), [np.nan], np.ones((5, 1))))
+        bm = fill(fixture_base, ImputedSvd(rank=1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                bm.column_norms_sq
 
 
 class TestBaseMatrix:
@@ -298,13 +378,14 @@ class TestBaseMatrix:
         np.testing.assert_array_equal(bm.column_norms_sq, [np.inf, 0.5])
 
     def test_direct_fill_peaks_at_its_matrix(self):
-        """The zero fill of a 2000 × 2000 base holds X and little else: a
-        p×q bool temporary in the finiteness check would reach 1.125×."""
+        """The zero fill of a 2000 × 2000 base, built by the read of X,
+        holds X and little else: a p×q bool temporary in the finiteness
+        check would reach 1.125×."""
         p = q = 2000
         base = random_base(0, p, q, 0.02)
         tracemalloc.start()
         try:
-            fill(base, Zero())
+            fill(base, Zero()).X
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

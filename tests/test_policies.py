@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import to_dense
 
-from coldrec import policies
+from coldrec import linalg, policies
 from coldrec.data import dataset_from_dense
-from coldrec.impute import BaseMatrix
+from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, fill
 from coldrec.policies import (
     ALinUcbPolicy,
     AveragePolicy,
@@ -28,6 +28,7 @@ from coldrec.policies import (
     make_policy,
     nth_open_arm,
 )
+from coldrec.replay import run_replay
 from coldrec.synthetic import linear_environment
 
 
@@ -732,3 +733,30 @@ class TestMakePolicy:
         assert make_policy("thompson", X=base, alpha=0.5).v == 0.1  # unset keeps its default
         with pytest.raises(TypeError, match="alhpa"):
             make_policy("linucb", X=base, alhpa=0.5)
+
+    @pytest.mark.parametrize(
+        "policy_id,builds",
+        [("random", 0), ("aver", 0), ("egreedy", 0), ("ucb", 0), ("exp3", 0),
+         ("alinucb", 1), ("thompson", 1), ("linucb", 1)],
+    )
+    @pytest.mark.parametrize("method", [ImputedSvd(rank=3), AlsWr(rank=3, iters=2)], ids=["svd", "alswr"])
+    def test_only_contextual_policies_build_the_fill(self, policy_id, builds, method, monkeypatch):
+        """fill defers its factorization to the first read of the context:
+        a policy that reads only the arm count runs none, and one that reads
+        X and its norms runs one, however often it reads them."""
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("truncated_svd", "als_wr_factorize"):
+            monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+        base, evaluation = linear_environment(8, 30, 20, seed=36)
+        policy = make_policy(policy_id, X=fill(base, method, seed=0), seed=0)
+        trace = run_replay(policy, evaluation, 60, seed=0)
+        assert trace.steps == 60
+        kernel = "truncated_svd" if isinstance(method, ImputedSvd) else "als_wr_factorize"
+        assert calls == [kernel] * builds
