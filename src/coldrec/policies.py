@@ -2,10 +2,11 @@
 
 All policies implement: ``select(revealed, t) -> arm`` followed by exactly
 one ``update(arm, reward)`` with the arm that select returned and the
-revealed reward in [0, 1].  ``revealed`` is the ascending array of arms
+revealed reward in [0, 1].  ``revealed`` is the ascending sequence of arms
 already revealed to the current user, which select must not return; every
-other arm is available.  Ties always break toward the lowest index, so runs
-are fully reproducible given the seeds.
+other arm is available.  The replay hands over the user's own sorted list:
+select only reads it, and only during the call.  Ties always break toward
+the lowest index, so runs are fully reproducible given the seeds.
 
 The contextual policies score arms against the columns of the base matrix.
 The adapted-LinUCB policy freezes each arm's design matrix at I + x xᵀ,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.linalg.blas import dsymv, dsyr
@@ -58,7 +60,7 @@ DEFAULT_GAMMA = 0.01
 DEFAULT_V = 0.1
 
 
-def _check_open(n_arms: int, revealed: np.ndarray) -> int:
+def _check_open(n_arms: int, revealed) -> int:
     """Number of arms not in `revealed`; raises if there is none."""
     n_open = n_arms - len(revealed)
     if n_open <= 0:
@@ -66,37 +68,38 @@ def _check_open(n_arms: int, revealed: np.ndarray) -> int:
     return n_open
 
 
-def _is_revealed(revealed: np.ndarray, arm: int) -> bool:
-    pos = revealed.searchsorted(arm)
+def _is_revealed(revealed, arm: int) -> bool:
+    pos = bisect.bisect_left(revealed, arm)
     return pos < len(revealed) and revealed[pos] == arm
 
 
-def nth_open_arm(revealed: np.ndarray, idx: int) -> int:
-    """The idx-th (0-based) arm not in the ascending array `revealed`.
+def nth_open_arm(revealed, idx: int) -> int:
+    """The idx-th (0-based) arm not in the ascending sequence `revealed`.
 
     Starting from idx, each revealed arm at or below the candidate pushes it
     up by one; the first revealed arm above it ends the walk.
     """
     arm = idx
-    for r in revealed.tolist():
+    for r in revealed:
         if r > arm:
             break
         arm += 1
     return arm
 
 
-def argmax_lowest(scores: np.ndarray, revealed: np.ndarray) -> int:
-    """Arm outside the ascending array `revealed` with the highest score,
+def argmax_lowest(scores: np.ndarray, revealed) -> int:
+    """Arm outside the ascending sequence `revealed` with the highest score,
     lowest index on ties.
 
     One global argmax (np.argmax keeps the first max) decides unless it lands
-    on a revealed arm; only then are the revealed arms masked out.
+    on a revealed arm, which a bisect in `revealed` tells; only then are the
+    revealed arms masked out.
     """
     _check_open(len(scores), revealed)
     arm = int(scores.argmax())
-    if len(revealed) and _is_revealed(revealed, arm):
+    if _is_revealed(revealed, arm):
         masked = np.array(scores, dtype=np.float64)
-        masked[revealed] = -np.inf
+        masked[np.asarray(revealed, dtype=np.intp)] = -np.inf  # a tuple would index dimensions
         arm = int(masked.argmax())
         if _is_revealed(revealed, arm):  # every open arm scores -inf
             arm = nth_open_arm(revealed, 0)
@@ -117,7 +120,8 @@ def egreedy_epsilon(c: float, d: float, n: int, t: int) -> float:
 
 def _ucb_into(out: np.ndarray, mean, t: int, t_j, played) -> np.ndarray:
     """Write the UCB scores into `out`, which must hold +inf wherever
-    `played` is False; those entries stay +inf."""
+    `played` is False; those entries stay +inf.  `played` may be True, for
+    every arm."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     np.divide(2.0 * math.log(t), t_j, out=out, where=played)
@@ -166,7 +170,7 @@ class Policy:
         across users); only the cheating oracle overrides this.
         """
 
-    def select(self, revealed: np.ndarray, t: int) -> int:
+    def select(self, revealed: Sequence[int], t: int) -> int:
         raise NotImplementedError
 
     def update(self, arm: int, reward: float) -> None:
@@ -192,21 +196,32 @@ class RandomPolicy(Policy):
 class _CountsPolicy(Policy):
     """Per-arm play counts, reward sums and their averages (0 for arms never
     played), plus which arms were played, shared by the policies that score
-    arms by average reward."""
+    arms by average reward.
+
+    The counts are float64, exact below 2⁵³, so ucb divides by them as they
+    are.  Update reads and writes the arrays through memoryviews, which index
+    to Python scalars at a fraction of numpy's per-element cost and with the
+    same IEEE arithmetic.
+    """
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
         self.sums = np.zeros(n_arms)
-        self.counts = np.zeros(n_arms, dtype=np.int64)
+        self.counts = np.zeros(n_arms)
         self.means = np.zeros(n_arms)
         self.played = np.zeros(n_arms, dtype=bool)
+        self._sums, self._counts, self._means, self._played = map(
+            memoryview, (self.sums, self.counts, self.means, self.played)
+        )
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
-        self.sums[arm] += reward
-        self.counts[arm] += 1
-        self.means[arm] = self.sums[arm] / self.counts[arm]
-        self.played[arm] = True
+        total = self._sums[arm] + reward
+        count = self._counts[arm] + 1.0
+        self._sums[arm] = total
+        self._counts[arm] = count
+        self._means[arm] = total / count
+        self._played[arm] = True
 
 
 class AveragePolicy(_CountsPolicy):
@@ -258,16 +273,34 @@ class EpsilonGreedyPolicy(_CountsPolicy):
 class UcbPolicy(_CountsPolicy):
     """Classic frequentist UCB on observed averages (no context).
 
-    The scores are rewritten in place in one buffer each select; its
-    unplayed entries hold +inf, which the in-place steps keep.
+    An unplayed arm scores +inf, so while an open one exists select returns
+    the lowest such arm without scoring.  Once every arm is played, the
+    scores are rewritten in place in one buffer each select.
     """
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
         self._scores = np.full(n_arms, np.inf)
+        self._unplayed = 0  # the lowest arm never played, n_arms once all are
 
     def select(self, revealed, t):
-        return argmax_lowest(_ucb_into(self._scores, self.means, t, self.counts, self.played), revealed)
+        if t < 1:
+            raise ValueError(f"step index must be >= 1, got {t}")
+        played = True  # every arm, once all are played
+        if self._unplayed < self.n_arms:
+            if not _is_revealed(revealed, self._unplayed):
+                _check_open(self.n_arms, revealed)
+                return self._unplayed
+            played = self.played  # a never-played arm is revealed: input outside the protocol
+        return argmax_lowest(_ucb_into(self._scores, self.means, t, self.counts, played), revealed)
+
+    def update(self, arm, reward):
+        super().update(arm, reward)
+        if arm == self._unplayed:
+            played, nxt = self._played, arm + 1
+            while nxt < self.n_arms and played[nxt]:
+                nxt += 1
+            self._unplayed = nxt
 
 
 class Exp3Policy(Policy):
@@ -330,8 +363,8 @@ class Exp3Policy(Policy):
     def select(self, revealed, t):
         n = self.n_arms
         n_open = _check_open(n, revealed)
-        w, tree, rev = self._w, self._tree, revealed.tolist()
-        rev_cum = list(itertools.accumulate((w[r] for r in rev), initial=0.0))
+        w, tree = self._w, self._tree
+        rev_cum = list(itertools.accumulate((w[r] for r in revealed), initial=0.0))
         a = (1.0 - self.gamma) / self._total
         b = self.gamma / n
         mass = a * (self._total - rev_cum[-1]) + b * n_open
@@ -343,7 +376,7 @@ class Exp3Policy(Policy):
         while step:
             nxt = pos + step
             if nxt <= n:
-                j = bisect.bisect_left(rev, nxt, i)
+                j = bisect.bisect_left(revealed, nxt, i)
                 node = a * (tree[nxt] - (rev_cum[j] - rev_cum[i])) + b * (step - (j - i))
                 if node <= rest:
                     rest -= node
@@ -352,7 +385,7 @@ class Exp3Policy(Policy):
         # Rounding can leave pos on a revealed arm or past the end: take the
         # next open arm, or the last one at the top end.
         arm = pos
-        while i < len(rev) and rev[i] == arm:
+        while i < len(revealed) and revealed[i] == arm:
             arm += 1
             i += 1
         if arm >= n:
@@ -519,11 +552,17 @@ class ALinUcbPolicy(Policy):
         self.X = base.X
         self.n_arms = base.n_arms
         self.alpha = alpha
-        self._q = base.column_norms_sq / (1.0 + base.column_norms_sq)
+        norms_sq = base.column_norms_sq
+        if not np.isfinite(norms_sq).all():  # inf / inf would make the scores NaN
+            raise ValueError("base matrix column norms must be finite")
+        self._q = norms_sq / (1.0 + norms_sq)
         self.widths = np.sqrt(self._q)
         self.widths.flags.writeable = False
         self.reward_sums = np.zeros(self.n_arms)
         self._scores = self.reward_sums * self._q + alpha * self.widths
+        self._sums_mv, self._q_mv, self._widths_mv, self._scores_mv = map(
+            memoryview, (self.reward_sums, self._q, self.widths, self._scores)
+        )
 
     def score(self, j: int) -> float:
         return float(self._scores[j])
@@ -533,8 +572,11 @@ class ALinUcbPolicy(Policy):
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
-        self.reward_sums[arm] += reward
-        self._scores[arm] = self.reward_sums[arm] * self._q[arm] + self.alpha * self.widths[arm]
+        if reward == 0.0:  # S_j and the score stay as they are
+            return
+        total = self._sums_mv[arm] + reward
+        self._sums_mv[arm] = total
+        self._scores_mv[arm] = total * self._q_mv[arm] + self.alpha * self._widths_mv[arm]
 
 
 class OraclePolicy(Policy):

@@ -50,9 +50,6 @@ class _UserState:
         self.seen = set()  # the revealed arms
         self.ascending = []  # the same arms, sorted
 
-    def revealed(self) -> np.ndarray:
-        return np.array(self.ascending, dtype=np.int64)
-
     def reveal(self, arm: int) -> float:
         """Mark an arm that is in range and not yet revealed; its rating, 0
         if the user never rated it."""
@@ -119,8 +116,8 @@ class RevealLog:
         return reward
 
     def revealed(self, user: int) -> np.ndarray:
-        """Arms already revealed to this user, ascending."""
-        return self._state(user).revealed()
+        """Arms already revealed to this user, as a new ascending array."""
+        return np.array(self._state(user).ascending, dtype=np.int64)
 
     def best_hidden_known(self, user: int) -> float:
         """The best-surrogate value: the highest known rating of this user
@@ -164,7 +161,9 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
     per-user methods as :class:`RevealLog`'s public ones: the best hidden
     rating is read, not searched for, and a reveal costs a bisect in the
     user's ratings; the user's ratings are sorted only when their best is
-    revealed.  The wall clock covers the decision loop, including building
+    revealed.  ``select`` is handed the user's own sorted list of revealed
+    arms, not a copy: it may read the list during the call and must not
+    change it.  The wall clock covers the decision loop, including building
     the state of the users it draws; grouping the ratings by user and
     taking every user's best rating happen before it.
     """
@@ -202,7 +201,7 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
             policy.observe_user(user)
             state = log._state(user)
             best = state.best
-            arm = int(policy.select(state.revealed(), t))
+            arm = int(policy.select(state.ascending, t))
             try:
                 reward = log._reveal(user, state, arm)
             except RuntimeError as exc:

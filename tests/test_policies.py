@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
 from helpers import to_dense
 
 from coldrec import linalg, policies
@@ -215,6 +216,12 @@ class TestALinUcbScoring:
             pol.update(0, 1.5)
         with pytest.raises(ValueError):
             pol.update(0, -0.1)
+
+    def test_overflowing_column_norm_rejected(self):
+        """Entries near 1e200 are finite, but their squared norm overflows to
+        inf and q = inf / inf would make the scores NaN."""
+        with pytest.raises(ValueError, match="norms must be finite"):
+            ALinUcbPolicy(BaseMatrix(np.array([[1e200, 0.5], [1e200, 0.5]])))
 
     def test_scalar_path_equals_dense_inversion_oracle(self):
         """Fast scalar scores == explicit A⁻¹ path after random histories."""
@@ -427,6 +434,24 @@ class TestSelectProtocol:
         assert argmax_lowest(scores, NONE) == 1
         assert argmax_lowest(scores, np.array([1])) == 2
 
+    def test_revealed_may_be_any_ascending_sequence(self):
+        """A tuple, a list and an int64 array of the same arms pick the same
+        arm, also where the global argmax is revealed and the rest masked."""
+        scores = np.array([0.2, 0.9, 0.9, 0.5])
+        for revealed in ((1,), (1, 2), (0, 1, 2)):
+            assert argmax_lowest(scores, revealed) == argmax_lowest(scores, np.array(revealed)), revealed
+        assert argmax_lowest(scores, (1, 2)) == 3
+        base = random_base(k=4, n=9, seed=46)
+        rng = np.random.default_rng(46)
+        for as_tuple, as_list in zip(self.make_all(base), self.make_all(base)):
+            for t in range(1, 30):
+                revealed = sorted(rng.choice(9, size=int(rng.integers(0, 9)), replace=False).tolist())
+                arm = as_tuple.select(tuple(revealed), t)
+                assert arm == as_list.select(revealed, t), (type(as_tuple).__name__, t)
+                reward = float(rng.integers(0, 5)) / 4
+                as_tuple.update(arm, reward)
+                as_list.update(arm, reward)
+
     def test_argmax_scale_invariant(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
@@ -455,6 +480,23 @@ class TestSelectProtocol:
                     pol.update(arm, float(r))
                 picks.append(seq)
             assert picks[0] == picks[1]
+
+    def test_select_leaves_the_revealed_list_as_it_is(self):
+        """The replay hands select the user's own list: no policy may change
+        it, whichever path its select takes."""
+        base = random_base(k=4, n=12, seed=47)
+        _, evaluation = linear_environment(3, 12, 4, seed=48)
+        rng = np.random.default_rng(49)
+        oracle = OraclePolicy(evaluation)
+        oracle.observe_user(1)
+        for pol in self.make_all(base) + [oracle]:
+            for t in range(1, 40):
+                revealed = sorted(rng.choice(12, size=int(rng.integers(0, 12)), replace=False).tolist())
+                before = list(revealed)
+                arm = pol.select(revealed, t)
+                assert revealed == before, (type(pol).__name__, t)
+                assert arm not in revealed
+                pol.update(arm, float(rng.integers(0, 5)) / 4)
 
 
 SCORE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, -np.inf, np.inf, np.nan])
@@ -530,6 +572,63 @@ class TestExclusionSetProtocol:
             expected = np.where(pol.counts > 0, pol.sums / np.maximum(pol.counts, 1), 0.0)
             np.testing.assert_array_equal(pol.means, expected)
             assert pol.means[5] == pol.means[6] == 0.0
+
+
+TIED_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def policy_runs(draw):
+    """n arms, a seed for the context, and select/update steps with random
+    revealed sets (never-played arms among them, or every arm but one) and
+    quarter-step rewards, so means tie, rise and fall."""
+    n = draw(st.integers(1, 10))
+    revealed = st.one_of(
+        st.sets(st.integers(0, n - 1), max_size=n - 1),
+        st.integers(0, n - 1).map(lambda keep: set(range(n)) - {keep}),
+    )
+    step = st.tuples(revealed, TIED_VALUES)
+    return n, draw(st.integers(0, 2**32 - 1)), draw(st.lists(step, min_size=1, max_size=5 * n))
+
+
+class TestArgmaxReferences:
+    """alinucb, egreedy, aver and ucb against their argmax references: the
+    select and update they had before the scalar updates and ucb's
+    never-played-arm shortcut."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(policy_runs())
+    def test_policies_match_argmax_references(self, case):
+        """alinucb, egreedy, aver and ucb pick what their argmax references
+        pick, including on revealed never-played arms, which only input
+        outside the replay protocol holds."""
+        n, seed, steps = case
+        X = BaseMatrix(np.random.default_rng(seed).integers(0, 3, size=(3, n)) / 2)
+        pairs = [
+            (ALinUcbPolicy(X, alpha=0.25), ArgmaxALinUcb(X, alpha=0.25)),
+            (EpsilonGreedyPolicy(n, c=0.01, seed=seed), ArgmaxEgreedy(n, c=0.01, seed=seed)),
+            (AveragePolicy(n), ArgmaxAverage(n)),
+            (UcbPolicy(n), ArgmaxUcb(n)),
+        ]
+        for fast, slow in pairs:
+            for t, (revealed, reward) in enumerate(steps, start=1):
+                revealed = sorted(revealed)
+                arm = fast.select(revealed, t)
+                assert arm == slow.select(revealed, t), (type(fast).__name__, t)
+                fast.update(arm, reward)
+                slow.update(arm, reward)
+
+    @pytest.mark.parametrize("fast,slow", [(AveragePolicy, ArgmaxAverage), (UcbPolicy, ArgmaxUcb)])
+    def test_revealed_never_played_arm(self, fast, slow):
+        """Arms 0 and 2 played, 1, 3 and 4 never: a revealed list holding a
+        never-played arm is outside the replay protocol, and aver and ucb
+        still pick what the reference argmax picks."""
+        pol, reference = fast(5), slow(5)
+        for arm, reward in ((0, 0.25), (2, 0.5), (2, 0.0)):
+            pol.update(arm, reward)
+            reference.update(arm, reward)
+        for revealed in ([1], [1, 2], [0, 1, 2], [1, 3], [1, 3, 4], [0, 1, 3, 4], [1, 2, 3, 4]):
+            assert pol.select(revealed, 4) == reference.select(revealed, 4), revealed
 
 
 class TestExp3Protocol:

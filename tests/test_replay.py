@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
 from helpers import to_dense
 
 from coldrec.data import RatingDataset, atomic_write, dataset_from_dense
@@ -20,10 +21,13 @@ from coldrec.impute import Zero, fill, method_from_name
 from coldrec.policies import (
     POLICY_IDS,
     ALinUcbPolicy,
+    AveragePolicy,
+    EpsilonGreedyPolicy,
     Exp3Policy,
     OraclePolicy,
     Policy,
     RandomPolicy,
+    UcbPolicy,
     make_policy,
     nth_open_arm,
 )
@@ -507,6 +511,40 @@ class TestPinnedTraces:
         _, evaluation = pinned_corpus()
         trace = run_replay(OraclePolicy(evaluation), evaluation, 50, seed=11)
         assert trace_sha256(trace, tmp_path / "oracle.csv") == PINNED_ORACLE_SHA256
+
+
+def tied_wide_corpus(seed):
+    """A 2,000-arm evaluation set of 40 users at 5 % density and an 8-user
+    base at 1 %, both with quarter-step ratings, so that tied scores are
+    common: most base columns are empty, and many means and norms repeat."""
+    rng = np.random.default_rng([seed, 2000])
+    n = 2000
+
+    def quarter_steps(m, density):
+        mask = rng.random((m, n)) < density
+        return dataset_from_dense(rng.integers(0, 5, size=(m, n)) / 4, mask)
+
+    return fill(quarter_steps(8, 0.01), Zero()), quarter_steps(40, 0.05)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_index_policies_match_argmax_references_on_a_wide_tied_set(tmp_path, seed):
+    """alinucb, egreedy (exploiting from step ≈2,100), aver and ucb over
+    6,000 steps, ≈150 reveals per user: the trace bytes equal those of the
+    references that score every arm and take one argmax over the open arms
+    every step."""
+    X, evaluation = tied_wide_corpus(seed)
+    n = X.n_arms
+    pairs = {
+        "alinucb": (lambda: ALinUcbPolicy(X, alpha=0.01), lambda: ArgmaxALinUcb(X, alpha=0.01)),
+        "egreedy": (lambda: EpsilonGreedyPolicy(n, c=0.01, seed=seed), lambda: ArgmaxEgreedy(n, c=0.01, seed=seed)),
+        "aver": (lambda: AveragePolicy(n), lambda: ArgmaxAverage(n)),
+        "ucb": (lambda: UcbPolicy(n), lambda: ArgmaxUcb(n)),
+    }
+    for name, (fast, slow) in pairs.items():
+        write_trace_csv(run_replay(slow(), evaluation, 6000, seed=seed), tmp_path / "slow.csv")
+        write_trace_csv(run_replay(fast(), evaluation, 6000, seed=seed), tmp_path / "fast.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes(), name
 
 
 def all_policies(evaluation, seed=0):
