@@ -84,8 +84,12 @@ def _one_of(choices):
     return (lambda value: value in choices, f"one of {choices}")
 
 
+def _distinct(values) -> bool:
+    return bool(values) and len(set(values)) == len(values)
+
+
 def _ids_from(choices):
-    return (lambda ids: bool(ids) and set(ids) <= set(choices), f"a non-empty list from {choices}")
+    return (lambda ids: _distinct(ids) and set(ids) <= set(choices), f"a non-empty list of distinct ids from {choices}")
 
 
 def _key(name: str) -> str:
@@ -130,7 +134,7 @@ class ExperimentConfig:
     t: int | None = _option(None, int, "replay horizon (default: eval ratings / 10)", _POSITIVE)
     seeds: tuple[int, ...] = _option(
         (0,), _csv_ints, "comma list of integer seeds",
-        (lambda seeds: bool(seeds) and min(seeds) >= 0, "a non-empty list of nonnegative integers"),
+        (lambda seeds: _distinct(seeds) and min(seeds) >= 0, "a non-empty list of distinct nonnegative integers"),
     )
     max_users: int | None = _option(None, int, "subsample cap on users", _POSITIVE)
     max_items: int | None = _option(None, int, "subsample cap on items", _POSITIVE)
@@ -201,7 +205,8 @@ def parse_config(argv) -> ExperimentConfig:
             merged[name] = flag_value
     if "dataset" not in merged:
         raise ConfigError("missing required key: dataset (set --dataset or put dataset= in --config)")
-    merged["dataset"] = os.path.abspath(merged["dataset"])
+    if merged["dataset"]:  # an empty path must reach validate(), not become the working directory
+        merged["dataset"] = os.path.abspath(merged["dataset"])
     cfg = ExperimentConfig(**merged)
     cfg.validate()
     return cfg
@@ -250,7 +255,6 @@ class CellResult:
     final_regret: float
     steps: int
     wall_seconds: float
-    trace_file: str
 
 
 def run_cell(
@@ -288,9 +292,8 @@ def run_cell(
     horizon = cfg.t if cfg.t is not None else max(1, split.evaluation.n_ratings // 10)
     trace = run_replay(policy, split.evaluation, horizon, seed=user_ss)
 
-    trace_file = f"trace__{policy_id}__{impute_id}__seed{seed}.csv"
     if out_dir is not None:
-        write_trace_csv(trace, os.path.join(out_dir, trace_file))
+        write_trace_csv(trace, os.path.join(out_dir, f"trace__{policy_id}__{impute_id}__seed{seed}.csv"))
         if cfg.dump_base:
             write_base_csv(X, os.path.join(out_dir, f"base__{policy_id}__{impute_id}__seed{seed}.csv"))
 
@@ -301,7 +304,6 @@ def run_cell(
         final_regret=trace.final_regret,
         steps=trace.steps,
         wall_seconds=trace.wall_time_seconds,
-        trace_file=trace_file,
     )
 
 

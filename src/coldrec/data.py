@@ -210,65 +210,51 @@ def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: b
     return u, i - grammar.first_id, r
 
 
-def _field_bytes(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_width: int):
-    """The fields buf[lo:hi] right-aligned in an (n, width) byte matrix,
-    padded on the left with b"0", and their widths.  A width is at most 0
-    for a field that is empty, wider than max_width, or overlapped by its
-    separators (hi < lo, as in ":::"); its row then holds stray bytes."""
-    width = hi - lo
-    width[width > max_width] = 0
-    out = np.empty((width.size, max(int(width.max(initial=0)), 1)), dtype=np.uint8)
-    for k in range(out.shape[1]):
-        pos = hi - (out.shape[1] - k)
-        pad = pos < lo
-        column = buf[np.maximum(pos, lo)]
-        column[pad] = ord("0")
-        out[:, k] = column
-    return out, width
-
-
-def _id_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, first_id: int):
-    """The id fields buf[lo:hi] as int64, and which are plain: 1 to 18
-    digits, at least first_id."""
-    digits, width = _field_bytes(buf, lo, hi, _MAX_ID_DIGITS)
-    value = np.zeros(width.size, dtype=np.int64)
-    for k in range(digits.shape[1]):
-        value = value * 10 + (digits[:, k] - ord("0"))
-    return value, (width > 0) & (digits - ord("0") < 10).all(axis=1) & (value >= first_id)
-
-
-def _rating_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale_max: float):
-    """The rating fields buf[lo:hi] as float64, and which are plain: at most
-    16 bytes of digits with at most one '.', not '.' alone, at most scale_max.
-
-    A plain rating is int(digits) / 10**n_frac, which is float(text) bit for
-    bit: with a '.' there are at most 15 digits, so both operands are exact
-    and the division rounds correctly; without one, only the conversion
-    rounds, correctly."""
-    text, width = _field_bytes(buf, lo, hi, _MAX_RATING_WIDTH)
-    digit = text - ord("0") < 10
-    n_dots = (~digit).sum(axis=1, dtype=np.uint8)
-    ok = (width > n_dots) & (digit | (text == ord("."))).all(axis=1) & (n_dots <= 1)
-    del width
-    value = np.zeros(ok.size, dtype=np.int64)
-    for k in range(text.shape[1]):
-        np.multiply(value, 10, out=value, where=digit[:, k])
-        np.add(value, text[:, k] - ord("0"), out=value, where=digit[:, k])
-    # n_frac: the columns from the '.' on, less the '.'
-    scale = _POWERS_OF_TEN[np.logical_or.accumulate(~digit, axis=1).sum(axis=1, dtype=np.uint8) - n_dots]
-    value = np.divide(value, scale, out=scale)
-    return value, ok & (value <= scale_max)
+def _decimal_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_width: int, max_dots: int):
+    """The fields buf[lo:hi] read left to right: their digits as one int64,
+    the count of digits after the '.', and which are plain: 1 to max_width
+    bytes of digits with at most max_dots '.', not '.' alone.  A field that
+    is not plain, as one that is empty or overlapped by its separators
+    (hi < lo, as in ":::"), has meaningless digits and count."""
+    plain = (hi > lo) & (hi - lo <= max_width)
+    digits = np.zeros(lo.size, dtype=np.int64)
+    frac = np.zeros(lo.size, dtype=np.uint8)
+    dots = np.zeros(lo.size, dtype=np.uint8)
+    pos = lo.copy()
+    for _ in range(max_width):
+        live = pos < hi  # the plain fields with a byte at pos
+        live &= plain
+        if not live.any():
+            break
+        byte = buf.take(pos, mode="clip")
+        is_dot = (byte == ord(".")) & live
+        byte -= ord("0")  # the digit, or past 9 for a byte below '0'
+        is_digit = (byte < 10) & live
+        np.multiply(digits, 10, out=digits, where=is_digit)
+        np.add(digits, byte, out=digits, where=is_digit)
+        frac += is_digit & (dots > 0)
+        dots += is_dot
+        plain ^= live  # a field read here stays plain on a digit or a '.'
+        plain |= is_digit
+        plain |= is_dot
+        pos += 1
+    plain &= (dots <= max_dots) & (dots < np.subtract(hi, lo, out=pos))
+    return digits, frac, plain
 
 
 def _plain_lines(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, grammar: _Grammar, scale_max: float):
     """The lines buf[starts:ends] of the plain form, and their triples.
 
     A plain line has exactly n_fields − 1 separators, none overlapping
-    another, plain ids and a plain rating (see :func:`_id_field` and
-    :func:`_rating_field`); :func:`_parse_line` reads such a line the same
-    way.  Separators are counted overlapping ("::" twice in ":::"), so an
-    overlap leaves a field that no field check passes.  Returns (line
-    indices, users, items, ratings).
+    another, ids of 1 to 18 digits, at least first_id, and a rating of at
+    most 16 bytes of digits with at most one '.', at most scale_max (see
+    :func:`_decimal_field`); :func:`_parse_line` reads such a line the same
+    way.  A plain rating is digits / 10**n_frac, which is float(text) bit
+    for bit: with a '.' there are at most 15 digits, so both operands are
+    exact and the division rounds correctly; without one, only the
+    conversion rounds, correctly.  Separators are counted overlapping ("::"
+    twice in ":::"), so an overlap leaves a field that is not plain.
+    Returns (line indices, users, items, ratings).
     """
     sep = grammar.sep.encode()
     n_seps = grammar.n_fields - 1
@@ -283,11 +269,14 @@ def _plain_lines(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, grammar:
     del hits, counts
     lines = np.flatnonzero(plain)
     rating_end = seps[:, 2] if n_seps > 2 else ends[lines]  # MovieLens: a timestamp follows
-    users, ok = _id_field(buf, starts[lines], seps[:, 0], grammar.first_id)
-    items, item_ok = _id_field(buf, seps[:, 0] + len(sep), seps[:, 1], grammar.first_id)
-    ratings, rating_ok = _rating_field(buf, seps[:, 1] + len(sep), rating_end, scale_max)
+    users, _, ok = _decimal_field(buf, starts[lines], seps[:, 0], _MAX_ID_DIGITS, 0)
+    items, _, item_ok = _decimal_field(buf, seps[:, 0] + len(sep), seps[:, 1], _MAX_ID_DIGITS, 0)
+    digits, frac, rating_ok = _decimal_field(buf, seps[:, 1] + len(sep), rating_end, _MAX_RATING_WIDTH, 1)
     del seps, rating_end
-    ok &= item_ok & rating_ok
+    scale = _POWERS_OF_TEN[frac]
+    ratings = np.divide(digits, scale, out=scale)
+    del digits, frac
+    ok &= item_ok & rating_ok & (users >= grammar.first_id) & (items >= grammar.first_id) & (ratings <= scale_max)
     items -= grammar.first_id
     return lines[ok], users[ok], items[ok], ratings[ok]
 

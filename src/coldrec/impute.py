@@ -223,33 +223,29 @@ def _check_method(method: ImputationMethod) -> None:
 
 
 def _build(base: RatingDataset, method: ImputationMethod, seed) -> np.ndarray:
-    """The p×q fill of a base and a method that :func:`fill` has checked."""
-    if isinstance(method, Zero):
-        return _hand_over(_rated_over(base, np.zeros((base.n_users, base.n_items))))
-    means = _column_means(base)
-    if isinstance(method, ItemAverage):
-        return _hand_over(_average_filled(base, means))
-
+    """The p×q fill of a base and a method that :func:`fill` has checked,
+    read-only: nothing else references it, so BaseMatrix takes it without a
+    copy."""
     p, q = base.n_users, base.n_items
-    rank = min(method.rank, p, q)
-    if isinstance(method, ImputedSvd):
-        # ARPACK takes the mean-filled base as an operator; LAPACK (rank at
-        # min(p, q)) and an all-zero base get it dense, as the average fill
-        mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
-        U, s, V = linalg.truncated_svd(mean_filled(base, means), rank)
-        X = (U * s) @ V.T
-    else:
-        from scipy.sparse import coo_array  # see _mean_filled
+    if isinstance(method, Zero):
+        X = _rated_over(base, np.zeros((p, q)))
+    elif isinstance(method, ItemAverage):
+        X = _average_filled(base, _column_means(base))
+    else:  # a factorization's reconstruction, clipped to the rating range
+        rank = min(method.rank, p, q)
+        if isinstance(method, ImputedSvd):
+            # ARPACK takes the mean-filled base as an operator; LAPACK (rank at
+            # min(p, q)) and an all-zero base get it dense, as the average fill
+            mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
+            U, s, V = linalg.truncated_svd(mean_filled(base, _column_means(base)), rank)
+            X = (U * s) @ V.T
+        else:
+            from scipy.sparse import coo_array  # see _mean_filled
 
-        R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
-        U, V = linalg.als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
-        X = U @ V.T
-    return _hand_over(np.clip(X, 0.0, 1.0, out=X))
-
-
-def _hand_over(X: np.ndarray) -> np.ndarray:
-    """Mark an array nothing else references read-only, so that BaseMatrix
-    takes it without a copy."""
+            R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
+            U, V = linalg.als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
+            X = U @ V.T
+        np.clip(X, 0.0, 1.0, out=X)
     X.flags.writeable = False
     return X
 

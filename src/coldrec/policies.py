@@ -549,7 +549,6 @@ class ALinUcbPolicy(Policy):
     def __init__(self, X, alpha: float = DEFAULT_ALPHA):
         _check_hyper("alpha", alpha)
         base = _context_matrix(X)
-        self.X = base.X
         self.n_arms = base.n_arms
         self.alpha = alpha
         norms_sq = base.column_norms_sq

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingDataset, atomic_write
-from .policies import Policy
+from .policies import Policy, _is_revealed
 
 __all__ = [
     "RegretTrace",
@@ -37,9 +37,9 @@ TRACE_HEADER = "t,user,arm,revealed,best,increment,cumulative"
 
 class _UserState:
     """One user's held-out ratings, as views into the grouped ratings, and
-    what has been revealed to them."""
+    the arms revealed to them."""
 
-    __slots__ = ("items", "ratings", "best", "desc", "cursor", "seen", "ascending")
+    __slots__ = ("items", "ratings", "best", "desc", "cursor", "revealed")
 
     def __init__(self, items, ratings, best):
         self.items = items  # ascending, for the reveal lookup
@@ -47,14 +47,14 @@ class _UserState:
         self.best = best  # the highest known rating not yet revealed, 0 if none
         self.desc = None  # indices by rating, descending; built when the best is revealed
         self.cursor = 0  # every entry of desc before it is revealed
-        self.seen = set()  # the revealed arms
-        self.ascending = []  # the same arms, sorted
+        self.revealed = []  # the revealed arms, ascending
 
-    def reveal(self, arm: int) -> float:
-        """Mark an arm that is in range and not yet revealed; its rating, 0
-        if the user never rated it."""
-        self.seen.add(arm)
-        bisect.insort(self.ascending, arm)
+    def reveal(self, arm: int, n_arms: int) -> float:
+        """Reveal an arm in [0, n_arms) that is not yet revealed: its rating,
+        0 if the user never rated it.  Any other arm is rejected."""
+        if not 0 <= arm < n_arms or _is_revealed(self.revealed, arm):
+            raise RuntimeError(f"arm {arm} is not available")
+        bisect.insort(self.revealed, arm)
         items = self.items
         i = bisect.bisect_left(items, arm)
         if i == len(items) or items[i] != arm:
@@ -69,8 +69,8 @@ class _UserState:
         the one sort: the cursor only ever moves past revealed entries."""
         if self.desc is None:
             self.desc = memoryview(np.argsort(np.negative(self.ratings), kind="stable"))
-        c, desc, items, seen = self.cursor, self.desc, self.items, self.seen
-        while c < len(desc) and items[desc[c]] in seen:
+        c, desc, items, revealed = self.cursor, self.desc, self.items, self.revealed
+        while c < len(desc) and _is_revealed(revealed, items[desc[c]]):
             c += 1
         self.cursor = c
         self.best = self.ratings[desc[c]] if c < len(desc) else 0.0
@@ -83,12 +83,9 @@ class RevealLog:
     rating is taken in one pass, up front.  A user's state is built the
     first time the user is drawn and holds views of the user's ratings;
     they are sorted by value only once the best of them is revealed.
-    Every (user, arm) pair is revealed at most once.
     """
 
     def __init__(self, evaluation: RatingDataset):
-        self.n_arms = evaluation.n_items
-        self.arms_left = np.full(evaluation.n_users, self.n_arms, dtype=np.int64)
         rows = evaluation.user_rows
         best = np.zeros(evaluation.n_users)
         rated = np.flatnonzero(np.diff(rows.starts))
@@ -101,34 +98,13 @@ class RevealLog:
         self._best = memoryview(best)
         self._users: dict[int, _UserState] = {}
 
-    def _state(self, user: int) -> _UserState:
+    def user(self, user: int) -> _UserState:
+        """The user's state, built on the first call."""
         state = self._users.get(user)
         if state is None:
             lo, hi = self._starts[user], self._starts[user + 1]
             state = self._users[user] = _UserState(self._items[lo:hi], self._ratings[lo:hi], self._best[user])
         return state
-
-    def _reveal(self, user: int, state: _UserState, arm: int) -> float:
-        if not 0 <= arm < self.n_arms or arm in state.seen:
-            raise RuntimeError(f"arm {arm} is not available for user {user}")
-        reward = state.reveal(arm)
-        self.arms_left[user] = self.n_arms - len(state.seen)
-        return reward
-
-    def revealed(self, user: int) -> np.ndarray:
-        """Arms already revealed to this user, as a new ascending array."""
-        return np.array(self._state(user).ascending, dtype=np.int64)
-
-    def best_hidden_known(self, user: int) -> float:
-        """The best-surrogate value: the highest known rating of this user
-        not yet revealed, 0 if none is left.  O(1): it is kept up to date
-        by the reveals."""
-        return self._state(user).best
-
-    def reveal(self, user: int, arm: int) -> float:
-        """Consume one (user, arm) pair: the held-out rating, or the zero
-        fill when the user never rated the arm.  Repeats are rejected."""
-        return self._reveal(user, self._state(user), arm)
 
 
 @dataclass
@@ -157,15 +133,15 @@ class RegretTrace:
 def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
     """Run the replay protocol for T steps (or until every user is spent).
 
-    A step looks the drawn user's state up once and goes through the same
-    per-user methods as :class:`RevealLog`'s public ones: the best hidden
-    rating is read, not searched for, and a reveal costs a bisect in the
-    user's ratings; the user's ratings are sorted only when their best is
-    revealed.  ``select`` is handed the user's own sorted list of revealed
-    arms, not a copy: it may read the list during the call and must not
-    change it.  The wall clock covers the decision loop, including building
-    the state of the users it draws; grouping the ratings by user and
-    taking every user's best rating happen before it.
+    A step looks the drawn user's state up once in the :class:`RevealLog`:
+    the best hidden rating is read, not searched for, and a reveal costs a
+    bisect in the user's revealed arms and one in their ratings; the user's
+    ratings are sorted only when their best is revealed.  ``select`` is
+    handed the user's own sorted list of revealed arms, not a copy: it may
+    read the list during the call and must not change it.  The wall clock
+    covers the decision loop, including building the state of the users it
+    draws; grouping the ratings by user and taking every user's best rating
+    happen before it.
     """
     if T < 1:
         raise ValueError(f"horizon T must be >= 1, got {T}")
@@ -179,7 +155,8 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
     evaluation.check_normalized("evaluation")
 
     log = RevealLog(evaluation)
-    arms_left = log.arms_left
+    arms_left = np.full(evaluation.n_users, n_arms, dtype=np.int64)
+    left = memoryview(arms_left)
     pool = np.arange(evaluation.n_users)
     pool_size = evaluation.n_users
     user_rng = np.random.default_rng(seed)
@@ -199,14 +176,15 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
             t += 1
             user = pool.item(idx)
             policy.observe_user(user)
-            state = log._state(user)
+            state = log.user(user)
             best = state.best
-            arm = int(policy.select(state.ascending, t))
+            arm = int(policy.select(state.revealed, t))
             try:
-                reward = log._reveal(user, state, arm)
+                reward = state.reveal(arm, n_arms)
             except RuntimeError as exc:
-                raise RuntimeError(f"policy violated the protocol at step {t}: {exc}") from None
-            if len(state.seen) == n_arms:
+                raise RuntimeError(f"policy violated the protocol at step {t}: {exc} for user {user}") from None
+            left[user] = n_left = n_arms - len(state.revealed)
+            if n_left == 0:
                 pool_size -= 1
                 pool[idx] = pool[pool_size]
             policy.update(arm, reward)

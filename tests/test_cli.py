@@ -128,6 +128,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^dataset:"):
             ExperimentConfig(dataset="").validate()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_dataset_exits_before_touching_out(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace__random__zero__seed0.csv").write_text("from an earlier run\n")
+        if source == "flag":
+            argv = ["--dataset", "", "--out", str(out)]
+        else:
+            (tmp_path / "run.cfg").write_text(f"dataset=\nout={out}\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: dataset: must be non-empty")
+        assert [p.name for p in out.iterdir()] == ["trace__random__zero__seed0.csv"]
+        assert (out / "trace__random__zero__seed0.csv").read_text() == "from an earlier run\n"
+
+    @pytest.mark.parametrize(
+        "key,repeated", [("seeds", "1,1,2"), ("policy", "random,random"), ("impute", "zero,svd,zero")]
+    )
+    def test_repeated_list_value_rejected(self, corpus, key, repeated):
+        with pytest.raises(ConfigError, match=f"^{key}: must be a non-empty list of distinct "):
+            parse_config(["--dataset", corpus, f"--{key}={repeated}"])
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["scale-max", "als-lambda", "alpha", "c", "d", "gamma", "v"])
     def test_non_finite_float_rejected(self, corpus, key, value):

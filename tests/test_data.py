@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import to_dense
 
@@ -522,11 +522,29 @@ def test_plain_ratings_read_bit_for_bit_as_float(texts):
     buf = np.frombuffer(text, dtype=np.uint8)
     hi = np.flatnonzero(buf == ord("\n"))
     lo = np.concatenate(([0], hi[:-1] + 1))
-    value, ok = data._rating_field(buf, lo, hi, np.inf)
+    digits, frac, ok = data._decimal_field(buf, lo, hi, 16, 1)
+    value = digits / 10.0 ** frac
     for t, v, plain in zip(texts, value.tolist(), ok.tolist()):
         assert plain == (0 < len(t) <= 16 and t != "."), t
         if plain:
             assert np.float64(v).tobytes() == np.float64(float(t)).tobytes(), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.from_regex(r"[0-9]{0,20}(\.[0-9]*)?", fullmatch=True), min_size=1, max_size=25))
+@example(["9" * 18, "1" * 19, "0" * 18, "", ".", "7.", "12.5"])  # the bulk path ends at 18 digits
+def test_plain_ids_read_as_int(texts):
+    """An id field is plain exactly when it has 1 to 18 digits and no '.',
+    and then its digits are int() of it."""
+    text = "".join(t + "\n" for t in texts).encode()
+    buf = np.frombuffer(text, dtype=np.uint8)
+    hi = np.flatnonzero(buf == ord("\n"))
+    lo = np.concatenate(([0], hi[:-1] + 1))
+    digits, frac, ok = data._decimal_field(buf, lo, hi, 18, 0)
+    for t, d, plain in zip(texts, digits.tolist(), ok.tolist()):
+        assert plain == (0 < len(t) <= 18 and "." not in t), t
+        if plain:
+            assert d == int(t), t
 
 
 @pytest.mark.parametrize(

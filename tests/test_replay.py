@@ -127,42 +127,46 @@ class TestBestSurrogate:
 
 
 class TestRevealLog:
-    def make_log(self):
+    """One user's state from ``RevealLog.user``: its reveal, best hidden
+    rating and ascending list of revealed arms."""
+
+    def make_user(self):
         evaluation = dataset_from_dense(
             np.array([[0.6, 0.0, 0.3]]), np.array([[True, False, True]])
         )
-        return RevealLog(evaluation)
+        return RevealLog(evaluation).user(0)
 
     def test_present_rating(self):
-        assert self.make_log().reveal(0, 0) == 0.6
+        assert self.make_user().reveal(0, 3) == 0.6
 
     def test_absent_is_zero_filled(self):
-        assert self.make_log().reveal(0, 1) == 0.0
+        assert self.make_user().reveal(1, 3) == 0.0
 
     def test_repeat_reveal_rejected(self):
-        log = self.make_log()
-        log.reveal(0, 2)
-        with pytest.raises(RuntimeError, match="not available"):
-            log.reveal(0, 2)
+        state = self.make_user()
+        state.reveal(2, 3)
+        with pytest.raises(RuntimeError, match="^arm 2 is not available$"):
+            state.reveal(2, 3)
+        assert state.revealed == [2]
 
     def test_out_of_range_arm_rejected(self):
-        log = self.make_log()
+        state = self.make_user()
         for arm in (-1, 3):
-            with pytest.raises(RuntimeError, match="not available"):
-                log.reveal(0, arm)
-        assert log.arms_left[0] == 3
+            with pytest.raises(RuntimeError, match=f"^arm {arm} is not available$"):
+                state.reveal(arm, 3)
+        assert state.revealed == []
 
     def test_matches_best_surrogate_reference(self):
-        log = self.make_log()
+        state = self.make_user()
         by_arm = {0: 0.6, 2: 0.3}
         revealed = set()
-        assert log.best_hidden_known(0) == best_surrogate(by_arm, revealed)
-        log.reveal(0, 0)
+        assert state.best == best_surrogate(by_arm, revealed)
+        state.reveal(0, 3)
         revealed.add(0)
-        assert log.best_hidden_known(0) == best_surrogate(by_arm, revealed)
-        log.reveal(0, 2)
+        assert state.best == best_surrogate(by_arm, revealed)
+        state.reveal(2, 3)
         revealed.add(2)
-        assert log.best_hidden_known(0) == best_surrogate(by_arm, revealed) == 0.0
+        assert state.best == best_surrogate(by_arm, revealed) == 0.0
 
     def test_repeated_pair_rejected(self):
         evaluation = RatingDataset(np.array([0, 0]), np.array([1, 1]), np.array([0.2, 0.9]), 1, 2, 1.0)
@@ -170,34 +174,33 @@ class TestRevealLog:
             RevealLog(evaluation)
 
     def test_revealing_one_of_two_tied_bests_keeps_the_best(self):
-        log = RevealLog(dataset_from_dense(np.array([[0.75, 0.75, 0.25]])))
-        assert log.reveal(0, 1) == 0.75
-        assert log.best_hidden_known(0) == 0.75
-        log.reveal(0, 0)
-        assert log.best_hidden_known(0) == 0.25
+        state = RevealLog(dataset_from_dense(np.array([[0.75, 0.75, 0.25]]))).user(0)
+        assert state.reveal(1, 3) == 0.75
+        assert state.best == 0.75
+        state.reveal(0, 3)
+        assert state.best == 0.25
 
     def test_revealing_the_last_known_rating_leaves_zero(self):
-        log = RevealLog(dataset_from_dense(np.array([[0.0, 0.5, 0.0]]), np.array([[False, True, False]])))
-        log.reveal(0, 0)
-        assert log.best_hidden_known(0) == 0.5
-        assert log.reveal(0, 1) == 0.5
-        assert log.best_hidden_known(0) == 0.0
+        state = RevealLog(dataset_from_dense(np.array([[0.0, 0.5, 0.0]]), np.array([[False, True, False]]))).user(0)
+        state.reveal(0, 3)
+        assert state.best == 0.5
+        assert state.reveal(1, 3) == 0.5
+        assert state.best == 0.0
 
     def test_user_without_ratings(self):
         # users 0 and 2 rated nothing; the rows around them keep their own bests
         evaluation = RatingDataset(np.array([1, 1, 3]), np.array([0, 1, 1]), np.array([0.25, 0.5, 1.0]), 5, 2, 1.0)
         log = RevealLog(evaluation)
-        assert [log.best_hidden_known(user) for user in range(5)] == [0.0, 0.5, 0.0, 1.0, 0.0]
-        assert log.reveal(0, 1) == 0.0
-        assert log.best_hidden_known(0) == 0.0
+        assert [log.user(user).best for user in range(5)] == [0.0, 0.5, 0.0, 1.0, 0.0]
+        assert log.user(0).reveal(1, 2) == 0.0
+        assert log.user(0).best == 0.0
 
     def test_revealed_is_ascending(self):
-        log = self.make_log()
-        assert log.revealed(0).tolist() == []
+        state = self.make_user()
+        assert state.revealed == []
         for arm in (2, 0, 1):
-            log.reveal(0, arm)
-        assert log.revealed(0).tolist() == [0, 1, 2]
-        assert log.arms_left[0] == 0
+            state.reveal(arm, 3)
+        assert state.revealed == [0, 1, 2]
 
 
 @st.composite
@@ -230,20 +233,22 @@ class TestRevealLogOracle:
     @given(evaluation_and_reveals())
     def test_matches_dense_reference(self, case):
         evaluation, steps = case
+        m, n = evaluation.n_users, evaluation.n_items
         fast, slow = RevealLog(evaluation), DenseRevealLog(evaluation)
         for user, arm in steps:
-            assert fast.best_hidden_known(user) == slow.best_hidden_known(user)
-            np.testing.assert_array_equal(fast.revealed(user), np.flatnonzero(slow.revealed[user]))
+            state = fast.user(user)
+            assert state.best == slow.best_hidden_known(user)
+            assert state.revealed == np.flatnonzero(slow.revealed[user]).tolist()
             try:
                 expected = slow.reveal(user, arm)
             except RuntimeError:
                 with pytest.raises(RuntimeError, match="not available"):
-                    fast.reveal(user, arm)
+                    state.reveal(arm, n)
             else:
-                assert fast.reveal(user, arm) == expected
-            np.testing.assert_array_equal(fast.arms_left, slow.arms_left)
-        for user in range(evaluation.n_users):
-            assert fast.best_hidden_known(user) == slow.best_hidden_known(user)
+                assert state.reveal(arm, n) == expected
+            np.testing.assert_array_equal([n - len(fast.user(u).revealed) for u in range(m)], slow.arms_left)
+        for user in range(m):
+            assert fast.user(user).best == slow.best_hidden_known(user)
 
 
 def tiny_env(seed=0):
@@ -328,7 +333,8 @@ class TestRunReplay:
 
         X, evaluation = tiny_env(7)
         single_user = dataset_from_dense(to_dense(evaluation)[0][:1])
-        with pytest.raises(RuntimeError, match="not available"):
+        message = "policy violated the protocol at step 2: arm 0 is not available for user 0"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
             run_replay(StubbornPolicy(), single_user, T=3, seed=0)
 
     def test_validation(self):
