@@ -249,26 +249,15 @@ def _params_digest(cfg: ExperimentConfig, policy_id: str, impute_id: str) -> str
 
 @dataclass
 class CellResult:
-    policy: str
-    impute: str
-    seed: int
     final_regret: float
     steps: int
     wall_seconds: float
 
 
-def run_cell(
-    ds: RatingDataset,
-    cfg: ExperimentConfig,
-    policy_id: str,
-    impute_id: str,
-    seed: int,
-    out_dir: str | None = None,
-) -> CellResult:
+def run_cell(ds: RatingDataset, cfg: ExperimentConfig, policy_id: str, impute_id: str, seed: int) -> CellResult:
     """Execute one fully-seeded cell: subsample → orient → split → fill →
-    replay; optionally write its trace (and base-matrix dump) to out_dir."""
-    streams = cell_seed_sequence(seed, policy_id, impute_id).spawn(5)
-    sub_ss, split_ss, fill_ss, user_ss, policy_ss = streams
+    replay; write its trace (and base-matrix dump) into cfg.out."""
+    sub_ss, split_ss, fill_ss, user_ss, policy_ss = cell_seed_sequence(seed, policy_id, impute_id).spawn(5)
 
     prep_start = time.perf_counter()
     work = ds
@@ -292,19 +281,10 @@ def run_cell(
     horizon = cfg.t if cfg.t is not None else max(1, split.evaluation.n_ratings // 10)
     trace = run_replay(policy, split.evaluation, horizon, seed=user_ss)
 
-    if out_dir is not None:
-        write_trace_csv(trace, os.path.join(out_dir, f"trace__{policy_id}__{impute_id}__seed{seed}.csv"))
-        if cfg.dump_base:
-            write_base_csv(X, os.path.join(out_dir, f"base__{policy_id}__{impute_id}__seed{seed}.csv"))
-
-    return CellResult(
-        policy=policy_id,
-        impute=impute_id,
-        seed=seed,
-        final_regret=trace.final_regret,
-        steps=trace.steps,
-        wall_seconds=trace.wall_time_seconds,
-    )
+    write_trace_csv(trace, os.path.join(cfg.out, f"trace__{policy_id}__{impute_id}__seed{seed}.csv"))
+    if cfg.dump_base:
+        write_base_csv(X, os.path.join(cfg.out, f"base__{policy_id}__{impute_id}__seed{seed}.csv"))
+    return CellResult(trace.final_regret, trace.steps, trace.wall_time_seconds)
 
 
 _WORKER_DATASET: RatingDataset | None = None
@@ -345,43 +325,43 @@ def _remove_stale_outputs(out_dir: str) -> None:
 def run_matrix(cfg: ExperimentConfig) -> int:
     """Run the whole (policy × imputation) × seeds grid.
 
-    Writes one trace CSV per cell, summary.csv, the resolved config, and a
-    failure manifest (failures.txt) when cells fail.  Trace and base-dump
-    files and a manifest left by an earlier run into the same directory are
-    removed first, so the directory describes this run only.  Returns the
-    process exit code: 0 iff every cell completed.
+    Loads the dataset first (an unreadable one raises :class:`ConfigError`
+    before anything in cfg.out changes).  Writes one trace CSV per cell,
+    summary.csv, the resolved config, and a failure manifest (failures.txt)
+    when cells fail.  Trace and base-dump files and a manifest left by an
+    earlier run into the same directory are removed first, so the directory
+    describes this run only.  Returns the process exit code: 0 iff every cell
+    completed.
     """
     cfg.validate()
-    os.makedirs(cfg.out, exist_ok=True)
-    _remove_stale_outputs(cfg.out)
-    failures_path = os.path.join(cfg.out, "failures.txt")
-    atomic_write(os.path.join(cfg.out, "resolved_config.txt"), ["\n".join(_config_lines(cfg)) + "\n"])
-
     logger.info("loading %s (%s)", cfg.dataset, cfg.format)
-    ds = normalize(_LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))
+    try:
+        ds = normalize(_LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     logger.info("dataset: %d users, %d items, %d ratings", ds.n_users, ds.n_items, ds.n_ratings)
 
+    os.makedirs(cfg.out, exist_ok=True)
+    _remove_stale_outputs(cfg.out)
+    atomic_write(os.path.join(cfg.out, "resolved_config.txt"), ["\n".join(_config_lines(cfg)) + "\n"])
+
     grid = [(p, m) for p in cfg.policy for m in cfg.impute]
-    tasks = [(cfg, p, m, s, cfg.out) for (p, m) in grid for s in cfg.seeds]
+    tasks = [(cfg, p, m, s) for (p, m) in grid for s in cfg.seeds]
 
     results: dict[tuple[str, str, int], CellResult] = {}
     failures: list[str] = []
     workers = cfg.workers if cfg.workers != 0 else _available_cpus()
 
     def record(task, outcome) -> None:
+        _, policy_id, impute_id, seed = task
         res, error = outcome
         if res is None:
-            failures.append(f"policy={task[1]};impute={task[2]};seed={task[3]}:\n{error}")
+            failures.append(f"policy={policy_id};impute={impute_id};seed={seed}:\n{error}")
             return
-        results[(res.policy, res.impute, res.seed)] = res
+        results[(policy_id, impute_id, seed)] = res
         logger.info(
             "cell policy=%s params=%s seed=%d: final regret %.4f over %d steps, %.3fs",
-            res.policy,
-            _params_digest(cfg, res.policy, res.impute),
-            res.seed,
-            res.final_regret,
-            res.steps,
-            res.wall_seconds,
+            policy_id, _params_digest(cfg, policy_id, impute_id), seed, res.final_regret, res.steps, res.wall_seconds,
         )
 
     if workers == 1:
@@ -425,7 +405,7 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     atomic_write(summary_path, [SUMMARY_HEADER + "\n", *lines])
 
     if failures:
-        atomic_write(failures_path, ["\n".join(failures) + "\n"])
+        atomic_write(os.path.join(cfg.out, "failures.txt"), ["\n".join(failures) + "\n"])
         logger.error("%d of %d cells failed; see failures.txt", len(failures), len(tasks))
 
     for policy_id, params, mean_r, std_r, mean_s, n_cells in rows:
@@ -437,12 +417,7 @@ def run_matrix(cfg: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        return run_matrix(parse_config(argv if argv is not None else sys.argv[1:]))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run_matrix(cfg)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

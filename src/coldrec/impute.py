@@ -216,8 +216,8 @@ def _check_method(method: ImputationMethod) -> None:
     if isinstance(method, (ImputedSvd, AlsWr)) and method.rank < 1:
         raise ValueError(f"rank must be at least 1, got {method.rank}")
     if isinstance(method, AlsWr):
-        if not method.lam > 0:
-            raise ValueError(f"regularization must be positive, got {method.lam}")
+        if not 0 < method.lam < np.inf:
+            raise ValueError(f"regularization must be positive and finite, got {method.lam}")
         if method.iters < 1:
             raise ValueError(f"need at least one iteration, got {method.iters}")
 

@@ -126,8 +126,8 @@ def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):
     p, q = R.shape
     if not 1 <= rank <= min(p, q):
         raise ValueError(f"rank must be in [1, {min(p, q)}] for a {p}x{q} matrix, got {rank}")
-    if lam <= 0:
-        raise ValueError(f"regularization must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"regularization must be positive and finite, got {lam}")
     if iters < 1:
         raise ValueError(f"need at least one iteration, got {iters}")
     Rt = R.T.tocsr()

@@ -118,18 +118,6 @@ def egreedy_epsilon(c: float, d: float, n: int, t: int) -> float:
     return min(1.0, (c * n) / (d * d * span))
 
 
-def _ucb_into(out: np.ndarray, mean, t: int, t_j, played) -> np.ndarray:
-    """Write the UCB scores into `out`, which must hold +inf wherever
-    `played` is False; those entries stay +inf.  `played` may be True, for
-    every arm."""
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    np.divide(2.0 * math.log(t), t_j, out=out, where=played)
-    np.sqrt(out, out=out)
-    out += mean
-    return out
-
-
 def _check_reward(reward: float) -> float:
     reward = float(reward)
     if not 0.0 <= reward <= 1.0:
@@ -271,7 +259,8 @@ class EpsilonGreedyPolicy(_CountsPolicy):
 
 
 class UcbPolicy(_CountsPolicy):
-    """Classic frequentist UCB on observed averages (no context).
+    """Classic frequentist UCB1 on observed averages (no context; Auer,
+    Cesa-Bianchi & Fischer 2002): score_j = mean_j + √(2 ln t / t_j).
 
     An unplayed arm scores +inf, so while an open one exists select returns
     the lowest such arm without scoring.  Once every arm is played, the
@@ -288,11 +277,14 @@ class UcbPolicy(_CountsPolicy):
             raise ValueError(f"step index must be >= 1, got {t}")
         played = True  # every arm, once all are played
         if self._unplayed < self.n_arms:
-            if not _is_revealed(revealed, self._unplayed):
-                _check_open(self.n_arms, revealed)
+            if not _is_revealed(revealed, self._unplayed):  # then that arm is open
                 return self._unplayed
-            played = self.played  # a never-played arm is revealed: input outside the protocol
-        return argmax_lowest(_ucb_into(self._scores, self.means, t, self.counts, played), revealed)
+            played = self.played  # a never-played arm is revealed: it keeps its +inf
+        scores = self._scores
+        np.divide(2.0 * math.log(t), self.counts, out=scores, where=played)
+        np.sqrt(scores, out=scores)
+        scores += self.means
+        return argmax_lowest(scores, revealed)
 
     def update(self, arm, reward):
         super().update(arm, reward)
@@ -632,8 +624,9 @@ POLICY_IDS = tuple(POLICIES)
 _HYPER_PARAMS = {name for cls in POLICIES.values() for name in cls.params}
 
 
-def make_policy(policy_id: str, n_arms: int | None = None, X: BaseMatrix | None = None, seed=None, **hyper) -> Policy:
-    """Instantiate a policy by its CLI id.
+def make_policy(policy_id: str, X: BaseMatrix, seed=None, **hyper) -> Policy:
+    """Instantiate a policy by its CLI id over the base matrix X; a
+    non-contextual policy takes only its arm count, ``X.n_arms``.
 
     `hyper` holds hyper-parameters by name (alpha, c, d, gamma, v); each
     policy takes the ones it declares in ``params`` and ignores the rest, and
@@ -648,10 +641,4 @@ def make_policy(policy_id: str, n_arms: int | None = None, X: BaseMatrix | None 
     kwargs = {name: hyper[name] for name in cls.params if name in hyper}
     if cls.seeded:
         kwargs["seed"] = seed
-    if cls.contextual:
-        if X is None:
-            raise ValueError(f"policy {policy_id!r} needs the base matrix X")
-        return cls(X, **kwargs)
-    if n_arms is None and X is None:
-        raise ValueError(f"policy {policy_id!r} needs the arm count n_arms")
-    return cls(n_arms if n_arms is not None else X.n_arms, **kwargs)
+    return cls(X if cls.contextual else X.n_arms, **kwargs)

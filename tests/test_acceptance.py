@@ -203,6 +203,7 @@ def test_supplementary_ordering_on_synthetic_standin():
     assert al.mean() <= np.mean(finals["alinucb0"])
 
 
+@pytest.mark.slow
 def test_criterion_7_frozen_design_speedup():
     """k=n=500, T=5000: the frozen-design policy's decision loop runs in at
     most 1/3 the wall time of dense-inversion LinUCB."""

@@ -95,6 +95,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="learning-rate"):
             parse_config(["--config", str(cfg_file)])
 
+    @pytest.mark.parametrize("line,message", [
+        ("alpha 0.5", "expected key=value"),
+        ("alpha=lots", "bad value for 'alpha': could not convert string to float: 'lots'"),
+        ("dump-base=maybe", "bad value for 'dump-base': expected a boolean, got 'maybe'"),
+    ], ids=["no-equals", "unconvertible", "bad-boolean"])
+    def test_bad_config_line_names_its_line(self, corpus, tmp_path, line, message):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"dataset={corpus}\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{cfg_file}, line 2: {message}')}$"):
+            parse_config(["--config", str(cfg_file)])
+
     def test_main_returns_usage_code(self):
         assert main([]) == 2
 
@@ -142,6 +153,26 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: dataset: must be non-empty")
         assert [p.name for p in out.iterdir()] == ["trace__random__zero__seed0.csv"]
         assert (out / "trace__random__zero__seed0.csv").read_text() == "from an earlier run\n"
+
+    @pytest.mark.parametrize("dataset", ["missing", "directory", "malformed"])
+    def test_unreadable_dataset_keeps_the_last_run(self, tmp_path, capsys, dataset):
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = {
+            name: f"{name} from an earlier run\n"
+            for name in ("trace__random__zero__seed0.csv", "base__random__zero__seed0.csv", "failures.txt",
+                         "resolved_config.txt", "summary.csv")
+        }
+        for name, text in earlier.items():
+            (out / name).write_text(text)
+        path = tmp_path / dataset
+        if dataset == "directory":
+            path.mkdir()
+        elif dataset == "malformed":
+            path.write_text("1::2::5::978300760\n1::3\n")
+        assert main(["--dataset", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: dataset: ")
+        assert {p.name: p.read_text() for p in out.iterdir()} == earlier
 
     @pytest.mark.parametrize(
         "key,repeated", [("seeds", "1,1,2"), ("policy", "random,random"), ("impute", "zero,svd,zero")]
@@ -307,10 +338,10 @@ class TestRunMatrix:
         out = str(tmp_path / "m5")
         real_run_cell = cli.run_cell
 
-        def flaky(ds, cfg, policy_id, impute_id, seed, out_dir=None):
+        def flaky(ds, cfg, policy_id, impute_id, seed):
             if policy_id == "thompson":
                 raise RuntimeError("boom")
-            return real_run_cell(ds, cfg, policy_id, impute_id, seed, out_dir)
+            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
 
         monkeypatch.setattr(cli, "run_cell", flaky)
         cfg = parse_config(base_args(corpus, out, ["--policy", "random,thompson", "--seeds", "0"]))

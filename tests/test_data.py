@@ -25,6 +25,7 @@ from coldrec.data import (
     split_base_eval,
     subsample,
 )
+from coldrec.synthetic import linear_environment
 
 
 def write(tmp_path, name, text):
@@ -288,6 +289,24 @@ class TestDenseRoundTrip:
         ds = toy_dataset(7, 5, seed=6)
         dense, mask = to_dense(ds)
         assert_same_dataset(dataset_from_dense(dense, mask), ds)
+
+
+BAD_CONSTRUCTIONS = {
+    "unequal-lengths": (lambda: RatingDataset(np.array([0, 1]), np.array([0]), np.array([0.5]), 2, 1, 1.0),
+                        "^users/items/ratings arrays must have equal length$"),
+    "scale-max-0": (lambda: RatingDataset(np.array([0]), np.array([0]), np.array([0.5]), 1, 1, 0.0),
+                    r"^scale_max must be positive, got 0\.0$"),
+    "row-without-rating": (lambda: dataset_from_dense(np.ones((2, 2)), np.array([[True, False], [False, False]])),
+                           "^every user row needs at least one observed rating$"),
+    "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_construction_rejects_bad_input(case):
+    build, message = BAD_CONSTRUCTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------- loader oracle

@@ -3,6 +3,7 @@ and the dense mean-filled and dense-mask factorization fills kept here as
 references."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -284,9 +285,10 @@ FILL_ERRORS = {
     "unknown-method": (NORMALIZED, "zero", TypeError, "unknown imputation method"),
     "svd-rank-0": (NORMALIZED, ImputedSvd(rank=0), ValueError, "^rank must be at least 1"),
     "alswr-rank-0": (NORMALIZED, AlsWr(rank=0), ValueError, "^rank must be at least 1"),
-    "alswr-lambda-0": (NORMALIZED, AlsWr(lam=0.0), ValueError, "^regularization must be positive"),
-    "alswr-lambda-negative": (NORMALIZED, AlsWr(lam=-1.0), ValueError, "^regularization must be positive"),
-    "alswr-lambda-nan": (NORMALIZED, AlsWr(lam=np.nan), ValueError, "^regularization must be positive"),
+    "alswr-lambda-0": (NORMALIZED, AlsWr(lam=0.0), ValueError, "^regularization must be positive and finite"),
+    "alswr-lambda-negative": (NORMALIZED, AlsWr(lam=-1.0), ValueError, "^regularization must be positive and finite"),
+    "alswr-lambda-nan": (NORMALIZED, AlsWr(lam=np.nan), ValueError, "^regularization must be positive and finite"),
+    "alswr-lambda-inf": (NORMALIZED, AlsWr(lam=np.inf), ValueError, "^regularization must be positive and finite"),
     "alswr-iters-0": (NORMALIZED, AlsWr(iters=0), ValueError, "^need at least one iteration"),
 }
 
@@ -364,6 +366,12 @@ class TestBaseMatrix:
         bm = fill(fixture_base, ItemAverage())
         recomputed = np.einsum("ij,ij->j", bm.X, bm.X)
         np.testing.assert_allclose(bm.column_norms_sq, recomputed, atol=1e-12)
+
+    @pytest.mark.parametrize("X", [np.ones(3), np.empty((0, 3))], ids=["1-d", "empty"])
+    def test_rejects_a_shape_without_columns_of_entries(self, X):
+        message = f"base matrix must be a non-empty 2-d array, got shape {X.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BaseMatrix(X)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_entry(self, value):

@@ -76,6 +76,14 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError):
             truncated_svd(M, 4)
 
+    @pytest.mark.parametrize("M,message", [
+        (np.ones(3), r"^matrix must be 2-d, got shape \(3,\)"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "^matrix contains non-finite entries"),
+    ], ids=["1-d", "nan"])
+    def test_rejects_a_matrix_it_cannot_factor(self, M, message):
+        with pytest.raises(ValueError, match=message):
+            truncated_svd(M, 1)
+
 
 class TestAlsWr:
     def test_rank_one_fully_observed(self):
@@ -92,6 +100,19 @@ class TestAlsWr:
         # a dense 0 cannot say whether it is an observation
         with pytest.raises(TypeError, match="sparse"):
             als_wr_factorize(np.ones((3, 3)), rank=1, lam=0.1, iters=2)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"rank": 0}, r"^rank must be in \[1, 2\] for a 2x3 matrix, got 0"),
+        ({"rank": 3}, r"^rank must be in \[1, 2\] for a 2x3 matrix, got 3"),
+        ({"iters": 0}, "^need at least one iteration, got 0"),
+        ({"lam": np.nan}, "^regularization must be positive and finite, got nan"),
+        ({"lam": np.inf}, "^regularization must be positive and finite, got inf"),
+        ({"R": coo_array(([0.5, np.nan], ([0, 1], [1, 2])), shape=(2, 3))}, "^observations contain non-finite"),
+    ], ids=["rank-0", "rank-above-min", "iters-0", "lambda-nan", "lambda-inf", "nan-observation"])
+    def test_rejects_bad_arguments(self, changes, message):
+        args = {"R": coo_array(([0.5, 0.25], ([0, 1], [1, 2])), shape=(2, 3)), "rank": 1, "lam": 0.1, "iters": 2}
+        with pytest.raises(ValueError, match=message):
+            als_wr_factorize(**{**args, **changes})
 
     def test_rejects_a_repeated_coordinate(self):
         R = coo_array(([0.5, 0.25, 1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
 from helpers import to_dense
 
-from coldrec import linalg, policies
+from coldrec import linalg
 from coldrec.data import dataset_from_dense
 from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, fill
 from coldrec.policies import (
@@ -50,9 +50,21 @@ def argmax_over(scores, available):
 
 
 def ucb_score(mean, t: int, t_j):
-    """UCB's score through the policy's own kernel: the mean plus the
-    √(2 ln t / t_j) radius, +inf where unplayed; scalars or arrays."""
-    out = policies._ucb_into(np.full(np.shape(t_j), np.inf), mean, t, t_j, np.greater(t_j, 0))
+    """UCB's score through UcbPolicy.select: the mean plus the
+    √(2 ln t / t_j) radius, +inf where unplayed; scalars or arrays.
+
+    Arm 0 is revealed, so select skips its unplayed-arm shortcut and scores
+    every arm by the played mask; one extra played arm stays open.
+    """
+    shape = np.shape(t_j)
+    n = math.prod(shape)
+    pol = UcbPolicy(n + 1)
+    pol.counts[:n] = np.ravel(t_j)
+    pol.counts[n] = 1.0
+    pol.means[:n] = np.broadcast_to(mean, shape).ravel()
+    pol.played[:] = pol.counts > 0
+    pol.select([0], t)
+    out = pol._scores[:n].reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,7 +145,7 @@ class TestUcbScore:
         assert ucb_score(0.7, 1, 1) == pytest.approx(0.7)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^step index must be >= 1, got 0$"):
             ucb_score(0.5, 0, 1)
 
     def test_array_matches_masked_formula_bitwise(self):
@@ -711,6 +723,11 @@ class TestExp3Protocol:
                 open_arms = np.setdiff1d(np.arange(n), revealed)
                 assert arm == (open_arms[0] if u == 0.0 else open_arms[-1])
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.5, float("nan")])
+    def test_rejects_gamma_outside_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\], got"):
+            Exp3Policy(3, gamma=gamma, seed=0)
+
     def test_set_weights_rejects_bad_weights(self):
         pol = Exp3Policy(3, seed=0)
         for bad in ([1.0, 2.0], [1.0, 0.0, 1.0], [1.0, np.inf, 1.0], [1.0, np.nan, 1.0]):
@@ -804,12 +821,14 @@ class TestMakePolicy:
             assert pol.n_arms == 5
 
     def test_contextual_needs_base(self):
-        with pytest.raises(ValueError, match="base matrix"):
-            make_policy("alinucb", n_arms=5)
+        base = random_base(k=3, n=5, seed=31)
+        assert make_policy("thompson", X=base, seed=0).X is base.X
+        with pytest.raises(TypeError, match="'X'"):
+            make_policy("alinucb")
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            make_policy("greedy", n_arms=3)
+            make_policy("greedy", X=random_base(k=3, n=3, seed=30))
 
     def test_alpha_validation(self):
         base = random_base(k=3, n=4, seed=33)

@@ -343,6 +343,9 @@ class TestRunReplay:
             run_replay(RandomPolicy(X.n_arms, seed=0), evaluation, T=0, seed=0)
         with pytest.raises(ValueError):
             run_replay(RandomPolicy(X.n_arms + 1, seed=0), evaluation, T=5, seed=0)
+        no_ratings = RatingDataset(np.array([], int), np.array([], int), np.array([]), 2, X.n_arms, 1.0)
+        with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
+            run_replay(RandomPolicy(X.n_arms, seed=0), no_ratings, T=5, seed=0)
 
     def test_rejects_nan_rating_before_the_first_step(self):
         X, evaluation = tiny_env(8)
@@ -379,6 +382,12 @@ class TestTraceCsv:
         np.testing.assert_array_equal(loaded.t, trace.t)
         np.testing.assert_array_equal(loaded.arm, trace.arm)
         np.testing.assert_array_equal(loaded.cumulative, trace.cumulative)
+
+    def test_rejects_a_file_without_seven_columns(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,user,arm,revealed,best,increment\n1,0,2,0.5,0.5,0.0\n")
+        with pytest.raises(ValueError, match=r"trace.csv: expected 7 columns \(t,user,arm,"):
+            read_trace_csv(path)
 
     def test_header(self, tmp_path):
         X, evaluation = tiny_env(10)
