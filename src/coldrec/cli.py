@@ -110,6 +110,7 @@ class ExperimentConfig:
 
     Every field is one key, spelled ``--key`` as a flag and ``key=`` in a
     config file and in resolved_config.txt (the field name with '-' for '_').
+    Building one, from flags or in code, checks every value (ConfigError).
     """
 
     dataset: str = _option(MISSING, str, "path to the ratings file (required)", (bool, "non-empty"))
@@ -143,7 +144,7 @@ class ExperimentConfig:
     out: str = _option("coldrec_runs", str, "output directory")
     dump_base: bool = _option(False, _bool, "also dump each cell's filled base matrix as CSV")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -205,11 +206,9 @@ def parse_config(argv) -> ExperimentConfig:
             merged[name] = flag_value
     if "dataset" not in merged:
         raise ConfigError("missing required key: dataset (set --dataset or put dataset= in --config)")
-    if merged["dataset"]:  # an empty path must reach validate(), not become the working directory
+    if merged["dataset"]:  # an empty path must reach the dataset check, not become the working directory
         merged["dataset"] = os.path.abspath(merged["dataset"])
-    cfg = ExperimentConfig(**merged)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**merged)
 
 
 def _config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -333,7 +332,6 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     describes this run only.  Returns the process exit code: 0 iff every cell
     completed.
     """
-    cfg.validate()
     logger.info("loading %s (%s)", cfg.dataset, cfg.format)
     try:
         ds = normalize(_LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))

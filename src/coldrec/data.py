@@ -284,7 +284,8 @@ def _plain_lines(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, grammar:
 def _read_triples(path, grammar: _Grammar, scale_max: float):
     """(users, items, ratings) of the file's lines, in file order, read in
     one pass: the plain lines in bulk, every other non-empty line through
-    :func:`_parse_line`.  Errors name the physical line."""
+    :func:`_parse_line`.  Errors name the physical line.  Its buffers are
+    freed on return, before the caller builds the dataset."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # universal newlines
@@ -315,11 +316,6 @@ def _read_triples(path, grammar: _Grammar, scale_max: float):
     return users, items, ratings
 
 
-def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
-    # The parse's buffers are freed before the dataset is built.
-    return _build_dataset(*_read_triples(path, grammar, scale_max), scale_max, str(path))
-
-
 def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
     """Load a MovieLens ``UserID::MovieID::Rating::Timestamp`` file.
 
@@ -328,7 +324,7 @@ def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
     Timestamps are discarded.  Duplicate (user, item) pairs keep the last
     occurrence and are counted in a warning.
     """
-    return _load(path, _MOVIELENS, scale_max)
+    return _build_dataset(*_read_triples(path, _MOVIELENS, scale_max), scale_max, str(path))
 
 
 def load_csv_triples(path, scale_max: float) -> RatingDataset:
@@ -339,7 +335,7 @@ def load_csv_triples(path, scale_max: float) -> RatingDataset:
     Ratings outside [0, scale_max] are rejected with the offending line
     number.  Users are re-indexed densely; the item axis spans [0, max id].
     """
-    return _load(path, _CSV, scale_max)
+    return _build_dataset(*_read_triples(path, _CSV, scale_max), scale_max, str(path))
 
 
 def atomic_write(path, chunks) -> None:

@@ -9,7 +9,7 @@ entries bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -73,16 +73,14 @@ def method_from_name(
     lam: float = DEFAULT_ALS_LAM,
     iters: int = DEFAULT_ALS_ITERS,
 ) -> ImputationMethod:
-    """Resolve a CLI/config imputation id into a method value."""
+    """Resolve a CLI/config imputation id into a method value; each method
+    takes those of rank, lam and iters that it has as fields."""
     try:
         cls = METHODS[name]
     except KeyError:
         raise ValueError(f"unknown imputation method {name!r}; choose from {sorted(METHODS)}") from None
-    if cls is ImputedSvd:
-        return ImputedSvd(rank=rank)
-    if cls is AlsWr:
-        return AlsWr(rank=rank, lam=lam, iters=iters)
-    return cls()
+    given = {"rank": rank, "lam": lam, "iters": iters}
+    return cls(**{f.name: given[f.name] for f in fields(cls)})
 
 
 def method_label(method: ImputationMethod) -> str:
@@ -97,7 +95,9 @@ class BaseMatrix:
 
     Immutable once built (the array is marked read-only), with the squared
     column norms cached — the contextual policies consume those constantly
-    and they must not drift from the matrix.  A read-only float64 array
+    and they must not drift from the matrix, so each must be finite: a NaN
+    or ±inf entry, or finite entries whose squares overflow, raise
+    ``ValueError``.  A read-only float64 array
     that owns its data, as :func:`fill` builds, is taken as it is; any
     other input is copied, since its owner could still write to it.
 
@@ -125,9 +125,8 @@ class BaseMatrix:
         if X.ndim != 2 or X.size == 0:
             raise ValueError(f"base matrix must be a non-empty 2-d array, got shape {X.shape}")
         norms_sq = np.einsum("ij,ij->j", X, X)
-        # a NaN or ±inf entry makes its column's norm non-finite (so may finite entries, by overflow)
-        if not np.isfinite(X[:, ~np.isfinite(norms_sq)]).all():
-            raise ValueError("base matrix contains non-finite entries")
+        if not np.isfinite(norms_sq).all():
+            raise ValueError("base matrix contains non-finite entries or columns whose squared norm overflows")
         X.flags.writeable = norms_sq.flags.writeable = False
         self._X, self._norms_sq, self._shape = X, norms_sq, X.shape
 
@@ -211,7 +210,7 @@ def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix
 
 def _check_method(method: ImputationMethod) -> None:
     """The errors the factorizations would raise, raised before any build."""
-    if not isinstance(method, (Zero, ItemAverage, ImputedSvd, AlsWr)):
+    if not isinstance(method, tuple(METHODS.values())):
         raise TypeError(f"unknown imputation method {method!r}")
     if isinstance(method, (ImputedSvd, AlsWr)) and method.rank < 1:
         raise ValueError(f"rank must be at least 1, got {method.rank}")

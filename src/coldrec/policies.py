@@ -251,10 +251,8 @@ class EpsilonGreedyPolicy(_CountsPolicy):
         self.rng = np.random.default_rng(seed)
 
     def select(self, revealed, t):
-        n_open = _check_open(self.n_arms, revealed)
-        eps = egreedy_epsilon(self.c, self.d, self.n_arms, t)
-        if self.rng.random() < eps:
-            return nth_open_arm(revealed, int(self.rng.integers(n_open)))
+        if self.rng.random() < egreedy_epsilon(self.c, self.d, self.n_arms, t):
+            return nth_open_arm(revealed, int(self.rng.integers(_check_open(self.n_arms, revealed))))
         return argmax_lowest(self.means, revealed)
 
 
@@ -544,8 +542,6 @@ class ALinUcbPolicy(Policy):
         self.n_arms = base.n_arms
         self.alpha = alpha
         norms_sq = base.column_norms_sq
-        if not np.isfinite(norms_sq).all():  # inf / inf would make the scores NaN
-            raise ValueError("base matrix column norms must be finite")
         self._q = norms_sq / (1.0 + norms_sq)
         self.widths = np.sqrt(self._q)
         self.widths.flags.writeable = False
@@ -571,7 +567,8 @@ class ALinUcbPolicy(Policy):
 
 
 class OraclePolicy(Policy):
-    """Testing baseline that peeks at the held-out ratings.
+    """Baseline that peeks at the held-out ratings, for the tests and the
+    benchmark's zero-regret check.
 
     Plays the available arm with the current user's highest held-out rating
     (0 for unrated arms), which achieves the best-known value every step and

@@ -223,9 +223,13 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
 
 def read_trace_csv(path) -> RegretTrace:
-    """Read a trace written by :func:`write_trace_csv` (timing not stored)."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.shape[0] and rows.shape[1] != 7:
+    """Read a trace written by :func:`write_trace_csv` (timing not stored);
+    the header-only file of a 0-step trace reads back as that trace."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # the header
+        lines = fh.readlines()
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 7))
+    if rows.shape[1] != 7:
         raise ValueError(f"{path}: expected 7 columns ({TRACE_HEADER})")
     return RegretTrace(
         t=rows[:, 0].astype(np.int64),

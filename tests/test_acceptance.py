@@ -11,6 +11,7 @@ rating values.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,12 +296,12 @@ def test_criterion_9_deterministic_outputs(tmp_path):
     traces = sorted(f for f in os.listdir(out_a) if f.startswith("trace__"))
     assert len(traces) == 8
     identical = all(
-        open(os.path.join(out_a, f), "rb").read() == open(os.path.join(out_b, f), "rb").read()
+        Path(os.path.join(out_a, f)).read_bytes() == Path(os.path.join(out_b, f)).read_bytes()
         for f in traces
     )
 
     def mask_seconds(path):
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         return [",".join(c if i != len(line.split(",")) - 2 else "X" for i, c in enumerate(line.split(",")))
                 for line in lines]
 

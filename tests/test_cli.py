@@ -137,7 +137,12 @@ class TestParseConfig:
 
     def test_empty_dataset_names_its_key(self):
         with pytest.raises(ConfigError, match="^dataset:"):
-            ExperimentConfig(dataset="").validate()
+            ExperimentConfig(dataset="")
+
+    def test_config_built_in_code_is_checked(self, corpus):
+        cfg = parse_config(["--dataset", corpus])
+        with pytest.raises(ConfigError, match="^alpha: must be nonnegative, got -1.0$"):
+            dataclasses.replace(cfg, alpha=-1.0)
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_empty_dataset_exits_before_touching_out(self, tmp_path, capsys, source):
@@ -213,7 +218,7 @@ class TestParseConfig:
         assert run_matrix(by_flags) == 0
         resolved = os.path.join(out, "resolved_config.txt")
         assert by_flags == by_file == parse_config(["--config", resolved])
-        assert "als-lambda=0.125\n" in open(resolved).read()
+        assert "als-lambda=0.125\n" in Path(resolved).read_text()
 
 
 class TestRunMatrix:
@@ -251,8 +256,8 @@ class TestRunMatrix:
             with open(os.path.join(out_a, name), "rb") as fa, open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
         assert len(read_summary(os.path.join(out_a, "summary.csv"))) == 2
-        summary_a = open(os.path.join(out_a, "summary.csv")).read()
-        summary_b = open(os.path.join(out_b, "summary.csv")).read()
+        summary_a = Path(os.path.join(out_a, "summary.csv")).read_text()
+        summary_b = Path(os.path.join(out_b, "summary.csv")).read_text()
         assert mask_seconds(summary_a) == mask_seconds(summary_b)
 
     def test_summary_recomputable_from_traces(self, corpus, tmp_path):
@@ -278,7 +283,7 @@ class TestRunMatrix:
         cfg = parse_config(["--config", os.path.join(out_a, "resolved_config.txt"), "--out", out_b])
         run_matrix(cfg)
         name = "trace__alinucb__zero__seed5.csv"
-        assert open(os.path.join(out_a, name)).read() == open(os.path.join(out_b, name)).read()
+        assert Path(os.path.join(out_a, name)).read_text() == Path(os.path.join(out_b, name)).read_text()
 
     def test_failure_manifest_and_exit_code(self, corpus, tmp_path):
         out = str(tmp_path / "m4")
@@ -286,7 +291,7 @@ class TestRunMatrix:
         cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1"]))
         cfg = dataclasses.replace(cfg, base_k=75)
         assert run_matrix(cfg) == 1
-        manifest = open(os.path.join(out, "failures.txt")).read()
+        manifest = Path(os.path.join(out, "failures.txt")).read_text()
         # each cell must fail on the split itself, not on some earlier fault
         entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
         assert sorted(e.partition(":")[0] for e in entries) == [
@@ -311,7 +316,7 @@ class TestRunMatrix:
         out = str(tmp_path / "m4p")
         cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1", "--workers", "2"]))
         assert run_matrix(dataclasses.replace(cfg, base_k=75)) == 1
-        manifest = open(os.path.join(out, "failures.txt")).read()
+        manifest = Path(os.path.join(out, "failures.txt")).read_text()
         entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
         assert sorted(e.partition(":")[0] for e in entries) == [
             "policy=random;impute=zero;seed=0", "policy=random;impute=zero;seed=1",
@@ -349,7 +354,7 @@ class TestRunMatrix:
         rows = read_summary(os.path.join(out, "summary.csv"))
         assert [r["policy"] for r in rows] == ["random"]
         assert os.path.exists(os.path.join(out, "trace__random__zero__seed0.csv"))
-        assert "boom" in open(os.path.join(out, "failures.txt")).read()
+        assert "boom" in Path(os.path.join(out, "failures.txt")).read_text()
 
     def test_inline_run_releases_the_dataset(self, corpus, tmp_path, monkeypatch):
         cfg = parse_config(base_args(corpus, str(tmp_path / "inline"), ["--policy", "random", "--workers", "1"]))
@@ -373,8 +378,8 @@ class TestRunMatrix:
         assert len(traces) == 4  # 2 policies x 2 seeds; an empty run must not pass
         assert sorted(f for f in os.listdir(out_par) if f.startswith("trace__")) == traces
         for name in traces:
-            a = open(os.path.join(out_inline, name)).read()
-            b = open(os.path.join(out_par, name)).read()
+            a = Path(os.path.join(out_inline, name)).read_text()
+            b = Path(os.path.join(out_par, name)).read_text()
             assert a == b, name
 
     def test_dump_base_flag(self, corpus, tmp_path):

@@ -380,10 +380,10 @@ class TestBaseMatrix:
         with pytest.raises(ValueError, match="non-finite entries"):
             BaseMatrix(X)
 
-    def test_takes_finite_entries_whose_squares_overflow(self):
-        # the norm is inf, but every entry is finite
-        bm = BaseMatrix(np.array([[1e200, 0.5], [1e200, 0.5]]))
-        np.testing.assert_array_equal(bm.column_norms_sq, [np.inf, 0.5])
+    def test_rejects_finite_entries_whose_squares_overflow(self):
+        # every entry is finite, but column 0's squared norm is inf
+        with pytest.raises(ValueError, match="non-finite entries or columns whose squared norm overflows"):
+            BaseMatrix(np.array([[1e200, 0.5], [1e200, 0.5]]))
 
     def test_direct_fill_peaks_at_its_matrix(self):
         """The zero fill of a 2000 × 2000 base, built by the read of X,

@@ -15,6 +15,7 @@ from coldrec import linalg
 from coldrec.data import dataset_from_dense
 from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, fill
 from coldrec.policies import (
+    POLICIES,
     ALinUcbPolicy,
     AveragePolicy,
     EpsilonGreedyPolicy,
@@ -229,12 +230,6 @@ class TestALinUcbScoring:
         with pytest.raises(ValueError):
             pol.update(0, -0.1)
 
-    def test_overflowing_column_norm_rejected(self):
-        """Entries near 1e200 are finite, but their squared norm overflows to
-        inf and q = inf / inf would make the scores NaN."""
-        with pytest.raises(ValueError, match="norms must be finite"):
-            ALinUcbPolicy(BaseMatrix(np.array([[1e200, 0.5], [1e200, 0.5]])))
-
     def test_scalar_path_equals_dense_inversion_oracle(self):
         """Fast scalar scores == explicit A⁻¹ path after random histories."""
         rng = np.random.default_rng(5)
@@ -428,11 +423,12 @@ class TestSelectProtocol:
                 assert arm in available
                 pol.update(arm, 0.5)
 
-    def test_empty_available_rejected(self):
+    @pytest.mark.parametrize("t", [1, 10**6])  # egreedy explores at t = 1 and exploits at 10**6
+    def test_empty_available_rejected(self, t):
         base = random_base(k=3, n=4, seed=24)
         for pol in self.make_all(base):
-            with pytest.raises(ValueError):
-                pol.select(np.arange(4), 1)
+            with pytest.raises(ValueError, match="^available arm set is empty$"):
+                pol.select(np.arange(4), t)
 
     def test_alinucb_tie_break_lowest(self):
         X = BaseMatrix(np.tile(np.ones((3, 1)) / 2, (1, 4)))  # identical columns
@@ -825,6 +821,14 @@ class TestMakePolicy:
         assert make_policy("thompson", X=base, seed=0).X is base.X
         with pytest.raises(TypeError, match="'X'"):
             make_policy("alinucb")
+
+    @pytest.mark.parametrize("policy_id", [pid for pid, cls in POLICIES.items() if cls.contextual])
+    def test_contextual_rejects_an_overflowing_column_norm(self, policy_id):
+        """Entries near 1e200 are finite, but their squared norm overflows to
+        inf: linucb would start at an infinite score, thompson would draw θ of
+        order 1e199 and alinucb would score inf / inf = NaN."""
+        with pytest.raises(ValueError, match="columns whose squared norm overflows"):
+            make_policy(policy_id, X=np.array([[1e200, 0.5, 0.2], [0.1, 0.3, 0.9]]), seed=0)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown policy"):

@@ -383,6 +383,17 @@ class TestTraceCsv:
         np.testing.assert_array_equal(loaded.arm, trace.arm)
         np.testing.assert_array_equal(loaded.cumulative, trace.cumulative)
 
+    def test_round_trip_of_a_zero_step_trace(self, tmp_path):
+        steps, values = np.zeros(0, dtype=np.int64), np.zeros(0)
+        trace = RegretTrace(steps, steps, steps, values, values, values, values, wall_time_seconds=0.0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        loaded = read_trace_csv(path)
+        assert loaded.steps == 0 and loaded.final_regret == 0.0
+        for name in ("t", "user", "arm", "revealed", "best", "increment", "cumulative"):
+            got, want = getattr(loaded, name), getattr(trace, name)
+            assert got.dtype == want.dtype and got.shape == want.shape == (0,), name
+
     def test_rejects_a_file_without_seven_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,user,arm,revealed,best,increment\n1,0,2,0.5,0.5,0.0\n")
