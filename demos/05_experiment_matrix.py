@@ -7,6 +7,7 @@ grid twice, and diffs the outputs.
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +43,8 @@ print("\nrerun comparison:")
 for name in sorted(os.listdir(first)):
     if not name.startswith("trace__"):
         continue
-    a = open(os.path.join(first, name), "rb").read()
-    b = open(os.path.join(second, name), "rb").read()
+    a = Path(first, name).read_bytes()
+    b = Path(second, name).read_bytes()
     print(f"  {name}: {'identical' if a == b else 'DIFFERENT'}")
 
 print(f"\noutputs in {workdir} — the equivalent shell command is:")

@@ -36,9 +36,10 @@ from .data import (
     orient,
     split_base_eval,
     subsample,
+    write_csv,
 )
 from .impute import DEFAULT_ALS_ITERS, DEFAULT_ALS_LAM, DEFAULT_RANK, METHODS
-from .impute import fill, method_from_name, method_label, write_base_csv
+from .impute import fill, method_from_name, method_label
 from .policies import DEFAULT_ALPHA, DEFAULT_C, DEFAULT_D, DEFAULT_GAMMA, DEFAULT_V, POLICIES, POLICY_IDS, make_policy
 from .replay import run_replay, write_trace_csv
 
@@ -282,7 +283,7 @@ def run_cell(ds: RatingDataset, cfg: ExperimentConfig, policy_id: str, impute_id
 
     write_trace_csv(trace, os.path.join(cfg.out, f"trace__{policy_id}__{impute_id}__seed{seed}.csv"))
     if cfg.dump_base:
-        write_base_csv(X, os.path.join(cfg.out, f"base__{policy_id}__{impute_id}__seed{seed}.csv"))
+        write_csv(os.path.join(cfg.out, f"base__{policy_id}__{impute_id}__seed{seed}.csv"), None, X.X.T)
     return CellResult(trace.final_regret, trace.steps, trace.wall_time_seconds)
 
 
@@ -348,7 +349,7 @@ def run_matrix(cfg: ExperimentConfig) -> int:
 
     results: dict[tuple[str, str, int], CellResult] = {}
     failures: list[str] = []
-    workers = cfg.workers if cfg.workers != 0 else _available_cpus()
+    workers = min(cfg.workers or _available_cpus(), len(tasks))  # a pool forks all its workers at once
 
     def record(task, outcome) -> None:
         _, policy_id, impute_id, seed = task
@@ -384,23 +385,11 @@ def run_matrix(cfg: ExperimentConfig) -> int:
             continue
         regrets = np.array([c.final_regret for c in cells])
         seconds = np.array([c.wall_seconds for c in cells])
-        rows.append(
-            (
-                policy_id,
-                _params_digest(cfg, policy_id, impute_id),
-                float(regrets.mean()),
-                float(regrets.std()),
-                float(seconds.mean()),
-                len(cells),
-            )
-        )
+        params = _params_digest(cfg, policy_id, impute_id)
+        rows.append((policy_id, params, float(regrets.mean()), float(regrets.std()), float(seconds.mean()), len(cells)))
 
     summary_path = os.path.join(cfg.out, "summary.csv")
-    lines = [
-        f"{policy_id},{params},{mean_r!r},{std_r!r},{mean_s!r},{n_cells}\n"
-        for policy_id, params, mean_r, std_r, mean_s, n_cells in rows
-    ]
-    atomic_write(summary_path, [SUMMARY_HEADER + "\n", *lines])
+    write_csv(summary_path, SUMMARY_HEADER, list(zip(*rows)))
 
     if failures:
         atomic_write(os.path.join(cfg.out, "failures.txt"), ["\n".join(failures) + "\n"])

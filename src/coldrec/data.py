@@ -32,6 +32,7 @@ __all__ = [
     "filter_min_ratings",
     "dataset_from_dense",
     "atomic_write",
+    "write_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -357,14 +358,26 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
+def write_csv(path, header, columns) -> None:
+    """Write equal-length 1-d columns as comma-separated rows, under a
+    header line unless it is None, atomically (see :func:`atomic_write`).
+
+    Every CSV file coldrec writes goes through here.  Each value is written
+    as ``str()`` of its Python scalar, which for a float is its shortest
+    repr: it reads back to the same bits, and equal values always give equal
+    bytes, so a rerun writes byte-identical files.
+    """
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    body = "".join(row % values for values in zip(*(np.asarray(col).tolist() for col in columns), strict=True))
+    atomic_write(path, [body] if header is None else [header + "\n", body])
+
+
 def save_csv_triples(ds: RatingDataset, path) -> None:
     """Write the canonical save format: ``user,item,rating``, 0-based ids,
-    one triple per line in (user, item) order, atomically (see
-    :func:`atomic_write`)."""
+    one triple per line in (user, item) order, through :func:`write_csv`."""
     rows = ds.user_rows
     users = np.repeat(np.arange(ds.n_users), np.diff(rows.starts))
-    columns = [users.tolist(), rows.items.tolist(), rows.ratings.tolist()]
-    atomic_write(path, ["".join(f"{u},{i},{float(r)!r}\n" for u, i, r in zip(*columns))])
+    write_csv(path, None, [users, rows.items, rows.ratings.astype(np.float64)])
 
 
 def normalize(ds: RatingDataset) -> RatingDataset:

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .data import RatingDataset, atomic_write
+from .data import RatingDataset
 
 __all__ = [
     "Zero",
@@ -28,7 +28,6 @@ __all__ = [
     "METHODS",
     "BaseMatrix",
     "fill",
-    "write_base_csv",
 ]
 
 DEFAULT_RANK = 16
@@ -247,8 +246,3 @@ def _build(base: RatingDataset, method: ImputationMethod, seed) -> np.ndarray:
         np.clip(X, 0.0, 1.0, out=X)
     X.flags.writeable = False
     return X
-
-
-def write_base_csv(base_matrix: BaseMatrix, path) -> None:
-    """Debug dump of the filled X as a CSV grid, one row per base user."""
-    atomic_write(path, ["".join(",".join(map(repr, row)) + "\n" for row in base_matrix.X.tolist())])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, atomic_write
+from .data import RatingDataset, write_csv
 from .policies import Policy, _is_revealed
 
 __all__ = [
@@ -29,10 +29,14 @@ __all__ = [
     "run_replay",
     "write_trace_csv",
     "read_trace_csv",
+    "TRACE_COLUMNS",
     "TRACE_HEADER",
 ]
 
-TRACE_HEADER = "t,user,arm,revealed,best,increment,cumulative"
+# A trace file's columns, as named in RegretTrace: the first three int64, the rest float64.
+TRACE_COLUMNS = ("t", "user", "arm", "revealed", "best", "increment", "cumulative")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+_INT_COLUMNS = 3
 
 
 class _UserState:
@@ -211,15 +215,11 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
-    """One row per step, written atomically; floats use shortest-repr
-    formatting so identical runs produce identical bytes."""
-    ints = [np.asarray(col).tolist() for col in (trace.t, trace.user, trace.arm)]
-    floats = [
-        np.asarray(col, dtype=np.float64).tolist()
-        for col in (trace.revealed, trace.best, trace.increment, trace.cumulative)
-    ]
-    rows = "".join(f"{t},{u},{a},{r!r},{b!r},{i!r},{c!r}\n" for t, u, a, r, b, i, c in zip(*ints, *floats))
-    atomic_write(path, [TRACE_HEADER + "\n", rows])
+    """One row per step under :data:`TRACE_HEADER`, through :func:`write_csv`.
+    The float columns are written as float64 whatever their dtype."""
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
+    columns[_INT_COLUMNS:] = [np.asarray(col, dtype=np.float64) for col in columns[_INT_COLUMNS:]]
+    write_csv(path, TRACE_HEADER, columns)
 
 
 def read_trace_csv(path) -> RegretTrace:
@@ -228,16 +228,9 @@ def read_trace_csv(path) -> RegretTrace:
     with open(path, encoding="utf-8") as fh:
         fh.readline()  # the header
         lines = fh.readlines()
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 7))
-    if rows.shape[1] != 7:
-        raise ValueError(f"{path}: expected 7 columns ({TRACE_HEADER})")
-    return RegretTrace(
-        t=rows[:, 0].astype(np.int64),
-        user=rows[:, 1].astype(np.int64),
-        arm=rows[:, 2].astype(np.int64),
-        revealed=rows[:, 3],
-        best=rows[:, 4],
-        increment=rows[:, 5],
-        cumulative=rows[:, 6],
-        wall_time_seconds=float("nan"),
-    )
+    n = len(TRACE_COLUMNS)
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, n))
+    if rows.shape[1] != n:
+        raise ValueError(f"{path}: expected {n} columns ({TRACE_HEADER})")
+    columns = [*rows[:, :_INT_COLUMNS].T.astype(np.int64, order="C"), *rows[:, _INT_COLUMNS:].T]
+    return RegretTrace(**dict(zip(TRACE_COLUMNS, columns)), wall_time_seconds=float("nan"))

@@ -1,8 +1,10 @@
 """Config resolution, matrix orchestration, output determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -83,7 +85,7 @@ class TestParseConfig:
 
     def test_config_file_and_flag_precedence(self, corpus, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"dataset={corpus}\npolicy=random,ucb\nalpha=0.5\nseeds=1,2\n")
+        cfg_file.write_text(f"# a comment\ndataset={corpus}\n\n  # indented\npolicy=random,ucb\nalpha=0.5\nseeds=1,2\n")
         cfg = parse_config(["--config", str(cfg_file), "--alpha", "0.125"])
         assert cfg.policy == ("random", "ucb")
         assert cfg.seeds == (1, 2)
@@ -382,6 +384,28 @@ class TestRunMatrix:
             b = Path(os.path.join(out_par, name)).read_text()
             assert a == b, name
 
+    def test_dying_worker_fails_its_cells_once(self, corpus, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_cell reaches pool workers only through fork")
+        out = str(tmp_path / "died")
+        real_run_cell = cli.run_cell
+
+        def dying(ds, cfg, policy_id, impute_id, seed):
+            if policy_id == "ucb":
+                os._exit(3)
+            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+
+        monkeypatch.setattr(cli, "run_cell", dying)
+        cfg = parse_config(base_args(corpus, out, ["--policy", "random,ucb", "--seeds", "0,1", "--workers", "2"]))
+        assert run_matrix(cfg) == 1
+        manifest = Path(os.path.join(out, "failures.txt")).read_text()
+        failed = [e.partition(":")[0] for e in re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]]
+        assert len(failed) == len(set(failed))
+        assert {"policy=ucb;impute=zero;seed=0", "policy=ucb;impute=zero;seed=1"} <= set(failed)
+        counted = {r["policy"]: int(r["cells"]) for r in read_summary(os.path.join(out, "summary.csv"))}
+        for policy in ("random", "ucb"):
+            assert counted.get(policy, 0) + sum(f.startswith(f"policy={policy};") for f in failed) == 2
+
     def test_dump_base_flag(self, corpus, tmp_path):
         out = str(tmp_path / "m6")
         cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0", "--dump-base"]))
@@ -413,6 +437,44 @@ class TestAvailableCpus:
         assert cli._available_cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli._available_cpus() == 1
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the workers asked for and
+    runs each task at submit, in this process."""
+
+    def __init__(self, requested, max_workers, initializer, initargs):
+        requested.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkerCount:
+    def run(self, corpus, tmp_path, monkeypatch, extra):
+        requested = []
+        monkeypatch.setattr(cli, "_WORKER_DATASET", None)  # the stand-in's initializer sets it here
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: _InlinePool(requested, **kw))
+        assert run_matrix(parse_config(base_args(corpus, str(tmp_path / "out"), extra))) == 0
+        return requested
+
+    def test_pool_has_no_more_workers_than_cells(self, corpus, tmp_path, monkeypatch):
+        extra = ["--policy", "random", "--seeds", "0,1", "--workers", "8"]
+        assert self.run(corpus, tmp_path, monkeypatch, extra) == [2]
+
+    def test_one_cell_runs_inline_whatever_the_cpus(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 8)
+        extra = ["--policy", "random", "--seeds", "0", "--workers", "0"]
+        assert self.run(corpus, tmp_path, monkeypatch, extra) == []
 
 
 class TestConsoleEntry:

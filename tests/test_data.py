@@ -24,6 +24,7 @@ from coldrec.data import (
     save_csv_triples,
     split_base_eval,
     subsample,
+    write_csv,
 )
 from coldrec.synthetic import linear_environment
 
@@ -159,6 +160,18 @@ class TestLoadCsvTriples:
             save_csv_triples(ds, path)
         assert path.read_text() == "0,0,1.0\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ratings.csv"]
+
+    def test_integer_ratings_are_saved_as_floats(self, tmp_path):
+        ds = RatingDataset(np.array([0, 0, 1]), np.array([1, 0, 2]), np.array([3, 5, 1]), 2, 3, 5.0)
+        path = tmp_path / "ints.csv"
+        save_csv_triples(ds, path)
+        assert path.read_text() == "0,0,5.0\n0,1,3.0\n1,2,1.0\n"
+
+    def test_write_csv_rejects_columns_of_unequal_length(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, "a,b", [np.arange(3), np.arange(2)])
+        assert not path.exists()
 
     @settings(max_examples=40, deadline=None)
     @given(

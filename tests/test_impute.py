@@ -16,7 +16,7 @@ from test_linalg import als_reference
 from scipy.sparse import coo_array
 
 from coldrec import linalg
-from coldrec.data import RatingDataset, dataset_from_dense
+from coldrec.data import RatingDataset, dataset_from_dense, write_csv
 from coldrec.linalg import als_wr_factorize, truncated_svd
 from coldrec.impute import (
     AlsWr,
@@ -27,7 +27,6 @@ from coldrec.impute import (
     fill,
     method_from_name,
     method_label,
-    write_base_csv,
 )
 
 # 5x5 fixture: column 2 has no observations at all, the rest are partial.
@@ -436,6 +435,6 @@ class TestMethodNames:
     def test_dump_csv(self, tmp_path, fixture_base):
         bm = fill(fixture_base, Zero())
         out = tmp_path / "base.csv"
-        write_base_csv(bm, out)
+        write_csv(out, None, bm.X.T)  # the --dump-base form: one row per base user
         grid = np.loadtxt(out, delimiter=",")
         np.testing.assert_array_equal(grid, bm.X)

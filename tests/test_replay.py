@@ -394,6 +394,13 @@ class TestTraceCsv:
             got, want = getattr(loaded, name), getattr(trace, name)
             assert got.dtype == want.dtype and got.shape == want.shape == (0,), name
 
+    def test_integer_valued_columns_are_written_as_floats(self, tmp_path):
+        steps, ones = np.arange(1, 3), np.ones(2, dtype=np.int64)
+        trace = RegretTrace(steps, steps, steps, ones, ones, ones - 1, ones - 1, wall_time_seconds=0.0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text().splitlines()[1:] == ["1,1,1,1.0,1.0,0.0,0.0", "2,2,2,1.0,1.0,0.0,0.0"]
+
     def test_rejects_a_file_without_seven_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,user,arm,revealed,best,increment\n1,0,2,0.5,0.5,0.0\n")
