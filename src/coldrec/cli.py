@@ -173,22 +173,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}, line {lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            dest = key.strip().replace("-", "_")
-            if dest not in _FIELDS:
-                raise ConfigError(f"{path}, line {lineno}: unknown key {key.strip()!r}")
-            try:
-                values[dest] = _FIELDS[dest].metadata["convert"](raw.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}, line {lineno}: bad value for {key.strip()!r}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}, line {lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        dest = key.strip().replace("-", "_")
+        if dest not in _FIELDS:
+            raise ConfigError(f"{path}, line {lineno}: unknown key {key.strip()!r}")
+        try:
+            values[dest] = _FIELDS[dest].metadata["convert"](raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {lineno}: bad value for {key.strip()!r}: {exc}") from None
     return values
 
 
@@ -295,6 +299,10 @@ def _init_worker(ds: RatingDataset) -> None:
     _WORKER_DATASET = ds
 
 
+def _pool(ds: RatingDataset, workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ds,))
+
+
 def _cell_task(task, ds: RatingDataset | None = None):
     """Run one cell on `ds` (in a pool worker, the dataset _init_worker
     stored); returns (result, None), or (None, traceback text) when it
@@ -340,7 +348,10 @@ def run_matrix(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"dataset: {exc}") from exc
     logger.info("dataset: %d users, %d items, %d ratings", ds.n_users, ds.n_items, ds.n_ratings)
 
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
     _remove_stale_outputs(cfg.out)
     atomic_write(os.path.join(cfg.out, "resolved_config.txt"), ["\n".join(_config_lines(cfg)) + "\n"])
 
@@ -367,16 +378,27 @@ def run_matrix(cfg: ExperimentConfig) -> int:
         for task in tasks:
             record(task, _cell_task(task, ds))
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(ds,)
-        ) as pool:
+        with _pool(ds, workers) as pool:
             futures = {pool.submit(_cell_task, task): task for task in tasks}
+            broken = []
             for fut in concurrent.futures.as_completed(futures):
                 try:
                     outcome = fut.result()
-                except Exception:  # the pool itself failed, e.g. a worker died
+                except concurrent.futures.BrokenExecutor:  # BrokenProcessPool: a worker died, in this cell or another
+                    broken.append(futures[fut])
+                    continue
+                except Exception:  # the pool itself failed, e.g. a result that cannot be pickled
                     outcome = None, traceback.format_exc()
                 record(futures[fut], outcome)
+        # Each cell a dead worker took down runs again alone, in a fresh process:
+        # only a cell that kills its own worker fails, and it cannot end this run.
+        for task in broken:
+            with _pool(ds, 1) as pool:
+                try:
+                    outcome = pool.submit(_cell_task, task).result()
+                except concurrent.futures.BrokenExecutor:  # this cell kills its worker
+                    outcome = None, traceback.format_exc()
+            record(task, outcome)
 
     rows = []
     for policy_id, impute_id in grid:

@@ -65,8 +65,8 @@ class RatingDataset:
     def __post_init__(self):
         if not (len(self.users) == len(self.items) == len(self.ratings)):
             raise ValueError("users/items/ratings arrays must have equal length")
-        if self.scale_max <= 0:
-            raise ValueError(f"scale_max must be positive, got {self.scale_max}")
+        if not 0 < self.scale_max < np.inf:  # a NaN fails too
+            raise ValueError(f"scale_max must be positive and finite, got {self.scale_max}")
 
     @property
     def n_ratings(self) -> int:

@@ -181,6 +181,23 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: dataset: ")
         assert {p.name: p.read_text() for p in out.iterdir()} == earlier
 
+    @pytest.mark.parametrize("config", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_names_its_key(self, corpus, tmp_path, capsys, config):
+        path = tmp_path / config
+        if config == "directory":
+            path.mkdir()
+        elif config == "not-utf-8":
+            path.write_bytes(b"\xff")
+        assert main(["--dataset", corpus, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+
+    def test_out_that_is_a_file_names_its_key(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory\n")
+        assert main(base_args(corpus, str(out))) == 2
+        assert capsys.readouterr().err.startswith("error: out: ")
+        assert out.read_bytes() == b"not a directory\n"
+
     @pytest.mark.parametrize(
         "key,repeated", [("seeds", "1,1,2"), ("policy", "random,random"), ("impute", "zero,svd,zero")]
     )
@@ -405,6 +422,27 @@ class TestRunMatrix:
         counted = {r["policy"]: int(r["cells"]) for r in read_summary(os.path.join(out, "summary.csv"))}
         for policy in ("random", "ucb"):
             assert counted.get(policy, 0) + sum(f.startswith(f"policy={policy};") for f in failed) == 2
+
+    def test_dying_worker_fails_only_its_own_cell(self, corpus, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_cell reaches pool workers only through fork")
+        out = str(tmp_path / "died-once")
+        real_run_cell = cli.run_cell
+
+        def dying(ds, cfg, policy_id, impute_id, seed):
+            if (policy_id, seed) == ("ucb", 0):
+                os._exit(3)
+            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+
+        monkeypatch.setattr(cli, "run_cell", dying)
+        extra = ["--policy", "random,ucb,egreedy,aver", "--seeds", "0,1,2", "--workers", "2", "--t", "200"]
+        assert run_matrix(parse_config(base_args(corpus, out, extra))) == 1
+        manifest = Path(os.path.join(out, "failures.txt")).read_text()
+        entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
+        assert [e.partition(":")[0] for e in entries] == ["policy=ucb;impute=zero;seed=0"]
+        assert "BrokenProcessPool" in entries[0]
+        counted = {r["policy"]: int(r["cells"]) for r in read_summary(os.path.join(out, "summary.csv"))}
+        assert counted == {"random": 3, "ucb": 2, "egreedy": 3, "aver": 3}
 
     def test_dump_base_flag(self, corpus, tmp_path):
         out = str(tmp_path / "m6")

@@ -308,7 +308,11 @@ BAD_CONSTRUCTIONS = {
     "unequal-lengths": (lambda: RatingDataset(np.array([0, 1]), np.array([0]), np.array([0.5]), 2, 1, 1.0),
                         "^users/items/ratings arrays must have equal length$"),
     "scale-max-0": (lambda: RatingDataset(np.array([0]), np.array([0]), np.array([0.5]), 1, 1, 0.0),
-                    r"^scale_max must be positive, got 0\.0$"),
+                    r"^scale_max must be positive and finite, got 0\.0$"),
+    "scale-max-nan": (lambda: RatingDataset(np.array([0]), np.array([0]), np.array([0.5]), 1, 1, float("nan")),
+                      "^scale_max must be positive and finite, got nan$"),
+    "scale-max-inf": (lambda: RatingDataset(np.array([0]), np.array([0]), np.array([0.5]), 1, 1, float("inf")),
+                      "^scale_max must be positive and finite, got inf$"),
     "row-without-rating": (lambda: dataset_from_dense(np.ones((2, 2)), np.array([[True, False], [False, False]])),
                            "^every user row needs at least one observed rating$"),
     "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),
