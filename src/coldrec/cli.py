@@ -26,12 +26,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .data import (
+    LOADERS,
     ProblemKind,
     RatingDataset,
     atomic_write,
     filter_min_ratings,
-    load_csv_triples,
-    load_movielens,
     normalize,
     orient,
     split_base_eval,
@@ -49,8 +48,7 @@ logger = logging.getLogger(__name__)
 
 SUMMARY_HEADER = "policy,params,mean_regret,std_regret,mean_seconds,cells"
 
-_LOADERS = {"movielens": load_movielens, "csv": load_csv_triples}
-_FORMATS = tuple(_LOADERS)
+_FORMATS = tuple(LOADERS)
 _PROBLEMS = tuple(kind.value for kind in ProblemKind)
 _IMPUTATIONS = tuple(METHODS)
 
@@ -343,7 +341,7 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     """
     logger.info("loading %s (%s)", cfg.dataset, cfg.format)
     try:
-        ds = normalize(_LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))
+        ds = normalize(LOADERS[cfg.format](cfg.dataset, scale_max=cfg.scale_max))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     logger.info("dataset: %d users, %d items, %d ratings", ds.n_users, ds.n_items, ds.n_ratings)

@@ -24,6 +24,7 @@ __all__ = [
     "CorpusSplit",
     "load_movielens",
     "load_csv_triples",
+    "LOADERS",
     "save_csv_triples",
     "normalize",
     "split_base_eval",
@@ -49,10 +50,10 @@ class ProblemKind(enum.Enum):
 class RatingDataset:
     """Sparse ratings as parallel arrays, plus the grid dimensions.
 
-    Invariants: users/items/ratings have equal length, ids lie inside
-    [0, n_users) × [0, n_items), (user, item) pairs are unique, and every
-    user id in range occurs at least once (loader-enforced; `orient` is the
-    one exception, see its docstring).
+    Invariants: users/items/ratings have equal length and the ids are
+    integers inside [0, n_users) × [0, n_items) (both checked here), (user,
+    item) pairs are unique, and every user id in range occurs at least once
+    (loader-enforced; `orient` is the one exception, see its docstring).
     """
 
     users: np.ndarray
@@ -65,6 +66,11 @@ class RatingDataset:
     def __post_init__(self):
         if not (len(self.users) == len(self.items) == len(self.ratings)):
             raise ValueError("users/items/ratings arrays must have equal length")
+        for name, ids, n in (("user", self.users, self.n_users), ("item", self.items, self.n_items)):
+            if not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"{name} ids must be integers, got {ids.dtype}")
+            if len(ids) and not (ids.min() >= 0 and ids.max() < n):
+                raise ValueError(f"{name} ids must lie in [0, {n}), got [{ids.min()}, {ids.max()}]")
         if not 0 < self.scale_max < np.inf:  # a NaN fails too
             raise ValueError(f"scale_max must be positive and finite, got {self.scale_max}")
 
@@ -206,6 +212,8 @@ def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: b
         raise ValueError(f"{where}: {exc}") from None
     if u < grammar.first_id or i < grammar.first_id:
         raise ValueError(f"{where}: {grammar.id_rule}, got user={u} item={i}")
+    if max(u, i) >= 2**63:  # wider than the int64 id arrays
+        raise ValueError(f"{where}: ids must be below 2**63, got user={u} item={i}")
     if not 0.0 <= r <= scale_max:
         raise ValueError(f"{where}: rating {r} outside [0, {scale_max}]")
     return u, i - grammar.first_id, r
@@ -337,6 +345,9 @@ def load_csv_triples(path, scale_max: float) -> RatingDataset:
     number.  Users are re-indexed densely; the item axis spans [0, max id].
     """
     return _build_dataset(*_read_triples(path, _CSV, scale_max), scale_max, str(path))
+
+
+LOADERS = {"movielens": load_movielens, "csv": load_csv_triples}  # each file format's loader, by its id
 
 
 def atomic_write(path, chunks) -> None:

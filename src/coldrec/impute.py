@@ -165,11 +165,6 @@ def _rated_over(base: RatingDataset, dense: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _average_filled(base: RatingDataset, means: np.ndarray) -> np.ndarray:
-    """The dense base with every missing entry at its item's mean."""
-    return _rated_over(base, np.broadcast_to(means, (base.n_users, base.n_items)).copy())
-
-
 def _mean_filled(base: RatingDataset, means: np.ndarray):
     """The mean-filled base as a LinearOperator, never built densely: the
     sparse residuals r_ij − means_j plus the rank-one 1 meansᵀ."""
@@ -214,10 +209,7 @@ def _check_method(method: ImputationMethod) -> None:
     if isinstance(method, (ImputedSvd, AlsWr)) and method.rank < 1:
         raise ValueError(f"rank must be at least 1, got {method.rank}")
     if isinstance(method, AlsWr):
-        if not 0 < method.lam < np.inf:
-            raise ValueError(f"regularization must be positive and finite, got {method.lam}")
-        if method.iters < 1:
-            raise ValueError(f"need at least one iteration, got {method.iters}")
+        linalg.check_als_wr_args(method.lam, method.iters)
 
 
 def _build(base: RatingDataset, method: ImputationMethod, seed) -> np.ndarray:
@@ -225,23 +217,21 @@ def _build(base: RatingDataset, method: ImputationMethod, seed) -> np.ndarray:
     read-only: nothing else references it, so BaseMatrix takes it without a
     copy."""
     p, q = base.n_users, base.n_items
+    # a full SVD of the mean-filled base (every direction kept, or an all-zero base) rebuilds it
+    full_svd = isinstance(method, ImputedSvd) and (method.rank >= min(p, q) or not base.ratings.any())
     if isinstance(method, Zero):
         X = _rated_over(base, np.zeros((p, q)))
-    elif isinstance(method, ItemAverage):
-        X = _average_filled(base, _column_means(base))
+    elif isinstance(method, ItemAverage) or full_svd:
+        X = _rated_over(base, np.broadcast_to(_column_means(base), (p, q)).copy())
     else:  # a factorization's reconstruction, clipped to the rating range
-        rank = min(method.rank, p, q)
         if isinstance(method, ImputedSvd):
-            # ARPACK takes the mean-filled base as an operator; LAPACK (rank at
-            # min(p, q)) and an all-zero base get it dense, as the average fill
-            mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
-            U, s, V = linalg.truncated_svd(mean_filled(base, _column_means(base)), rank)
+            U, s, V = linalg.truncated_svd(_mean_filled(base, _column_means(base)), method.rank)
             X = (U * s) @ V.T
         else:
             from scipy.sparse import coo_array  # see _mean_filled
 
             R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
-            U, V = linalg.als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
+            U, V = linalg.als_wr_factorize(R, min(method.rank, p, q), method.lam, method.iters, rng=seed)
             X = U @ V.T
         np.clip(X, 0.0, 1.0, out=X)
     X.flags.writeable = False

@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "truncated_svd",
     "als_wr_factorize",
+    "check_als_wr_args",
 ]
 
 
@@ -93,6 +94,14 @@ def _als_half_sweep(W, RW, fixed, lam, n_obs, extra_gram):
     return x.T.copy()
 
 
+def check_als_wr_args(lam: float, iters: int) -> None:
+    """Raise unless the regularization λ is positive and finite and there is at least one sweep."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"regularization must be positive and finite, got {lam}")
+    if iters < 1:
+        raise ValueError(f"need at least one iteration, got {iters}")
+
+
 def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):
     """Alternating least squares with weighted-λ regularization.
 
@@ -126,10 +135,7 @@ def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):
     p, q = R.shape
     if not 1 <= rank <= min(p, q):
         raise ValueError(f"rank must be in [1, {min(p, q)}] for a {p}x{q} matrix, got {rank}")
-    if not 0 < lam < np.inf:
-        raise ValueError(f"regularization must be positive and finite, got {lam}")
-    if iters < 1:
-        raise ValueError(f"need at least one iteration, got {iters}")
+    check_als_wr_args(lam, iters)
     Rt = R.T.tocsr()
     empty = np.diff(Rt.indptr) == 0
     empty_rows = np.flatnonzero(np.diff(R.indptr) + empty.sum() == 0)

@@ -621,9 +621,10 @@ POLICY_IDS = tuple(POLICIES)
 _HYPER_PARAMS = {name for cls in POLICIES.values() for name in cls.params}
 
 
-def make_policy(policy_id: str, X: BaseMatrix, seed=None, **hyper) -> Policy:
-    """Instantiate a policy by its CLI id over the base matrix X; a
-    non-contextual policy takes only its arm count, ``X.n_arms``.
+def make_policy(policy_id: str, X: BaseMatrix | np.ndarray, seed=None, **hyper) -> Policy:
+    """Instantiate a policy by its CLI id over the base matrix X (a
+    BaseMatrix or an array); a non-contextual policy takes only its arm
+    count, ``X.n_arms``.
 
     `hyper` holds hyper-parameters by name (alpha, c, d, gamma, v); each
     policy takes the ones it declares in ``params`` and ignores the rest, and
@@ -635,6 +636,7 @@ def make_policy(policy_id: str, X: BaseMatrix, seed=None, **hyper) -> Policy:
     if unknown:
         raise TypeError(f"unknown hyper-parameters {sorted(unknown)}; choose from {sorted(_HYPER_PARAMS)}")
     cls = POLICIES[policy_id]
+    X = _context_matrix(X)
     kwargs = {name: hyper[name] for name in cls.params if name in hyper}
     if cls.seeded:
         kwargs["seed"] = seed

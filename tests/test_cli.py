@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coldrec
 from coldrec import cli
 from coldrec.cli import ConfigError, ExperimentConfig, main, parse_config, run_matrix
 from coldrec.data import RatingDataset, save_csv_triples
@@ -161,7 +162,7 @@ class TestParseConfig:
         assert [p.name for p in out.iterdir()] == ["trace__random__zero__seed0.csv"]
         assert (out / "trace__random__zero__seed0.csv").read_text() == "from an earlier run\n"
 
-    @pytest.mark.parametrize("dataset", ["missing", "directory", "malformed"])
+    @pytest.mark.parametrize("dataset", ["missing", "directory", "malformed", "id-too-wide"])
     def test_unreadable_dataset_keeps_the_last_run(self, tmp_path, capsys, dataset):
         out = tmp_path / "out"
         out.mkdir()
@@ -177,9 +178,19 @@ class TestParseConfig:
             path.mkdir()
         elif dataset == "malformed":
             path.write_text("1::2::5::978300760\n1::3\n")
+        elif dataset == "id-too-wide":
+            path.write_text("1::2::5::978300760\n99999999999999999999::3::5::0\n")
         assert main(["--dataset", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: dataset: ")
         assert {p.name: p.read_text() for p in out.iterdir()} == earlier
+
+    def test_format_choices_are_the_loaders(self, corpus):
+        """--format takes exactly coldrec.LOADERS' ids, and its help and its error list them."""
+        for name in coldrec.LOADERS:
+            assert parse_config(["--dataset", corpus, "--format", name]).format == name
+        with pytest.raises(ConfigError, match=re.escape(f"format: must be one of {tuple(coldrec.LOADERS)}, got")):
+            parse_config(["--dataset", corpus, "--format", "xml"])
+        assert f"one of {'|'.join(coldrec.LOADERS)}" in " ".join(cli._build_parser().format_help().split())
 
     @pytest.mark.parametrize("config", ["missing", "directory", "not-utf-8"])
     def test_unreadable_config_names_its_key(self, corpus, tmp_path, capsys, config):

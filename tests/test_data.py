@@ -313,6 +313,12 @@ BAD_CONSTRUCTIONS = {
                       "^scale_max must be positive and finite, got nan$"),
     "scale-max-inf": (lambda: RatingDataset(np.array([0]), np.array([0]), np.array([0.5]), 1, 1, float("inf")),
                       "^scale_max must be positive and finite, got inf$"),
+    "item-past-the-grid": (lambda: RatingDataset(np.array([0, 0]), np.array([0, 3]), np.array([0.2, 1.0]), 1, 3, 1.0),
+                           r"^item ids must lie in \[0, 3\), got \[0, 3\]$"),
+    "negative-user": (lambda: RatingDataset(np.array([-1, 0]), np.array([0, 1]), np.array([0.2, 1.0]), 2, 2, 1.0),
+                      r"^user ids must lie in \[0, 2\), got \[-1, 0\]$"),
+    "float-ids": (lambda: RatingDataset(np.array([0.0]), np.array([0]), np.array([0.5]), 1, 1, 1.0),
+                  "^user ids must be integers, got float64$"),
     "row-without-rating": (lambda: dataset_from_dense(np.ones((2, 2)), np.array([[True, False], [False, False]])),
                            "^every user row needs at least one observed rating$"),
     "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),
@@ -361,6 +367,8 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             if u < first_id or i < first_id:
                 raise ValueError(f"{path}, line {lineno}: {id_rule}, got user={u} item={i}")
+            if max(u, i) >= 2**63:
+                raise ValueError(f"{path}, line {lineno}: ids must be below 2**63, got user={u} item={i}")
             if not 0.0 <= r <= scale_max:
                 raise ValueError(f"{path}, line {lineno}: rating {r} outside [0, {scale_max}]")
             last[(u, i - first_id)] = r
@@ -536,6 +544,10 @@ class TestLoaderAgainstLineByLineReference:
             (True, "1::1::5::0\n1:::2::5\n", 2, "expected UserID::MovieID::Rating::Timestamp"),
             (False, "0,1,5\n0,2,1.2.5\n", 2, "could not convert string to float: '1.2.5'"),
             (False, "user,item,rating\nuser,item,rating\n", 2, "invalid literal for int() with base 10: 'user'"),
+            (False, "0,1,3\n99999999999999999999,1,3\n", 2,
+             "ids must be below 2**63, got user=99999999999999999999 item=1"),
+            (True, "1::1::5::0\n1::9223372036854775808::3::0\n", 2,
+             "ids must be below 2**63, got user=1 item=9223372036854775808"),
         ],
     )
     def test_errors_name_the_first_bad_line(self, tmp_path, movielens, text, lineno, message):

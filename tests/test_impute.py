@@ -125,10 +125,24 @@ class TestReconstructionFills:
         X = fill(base, ImputedSvd(rank=1)).X
         np.testing.assert_allclose(X, M, atol=1e-8)
 
-    def test_imputed_svd_full_rank_reproduces_mean_fill(self, fixture_base):
-        mean_filled = fill(fixture_base, ItemAverage()).X
-        X = fill(fixture_base, ImputedSvd(rank=5)).X
-        np.testing.assert_allclose(X, mean_filled, atol=1e-8)
+    @pytest.mark.parametrize(
+        "shape,rank,zero",
+        [((5, 5), 5, False), ((3, 5), 4, False), ((5, 3), 3, False), ((4, 6), 2, True)],
+        ids=["full-rank", "wide-past-full-rank", "tall-full-rank", "all-zero"],
+    )
+    def test_imputed_svd_full_rank_reproduces_mean_fill(self, shape, rank, zero, monkeypatch):
+        """A full SVD of the mean-filled base, or of an all-zero one, rebuilds
+        it: the fill is the average fill itself, and no factorization runs."""
+        rng = np.random.default_rng(sum(shape))
+        mask = rng.random(shape) < 0.5
+        mask[:, 0] = True  # every row rated
+        base = dataset_from_dense(np.zeros(shape) if zero else np.round(rng.uniform(size=shape) * 8) / 8, mask)
+        calls = []
+        for name in linalg.__all__:
+            monkeypatch.setattr(linalg, name, lambda *args, name=name, **kwargs: calls.append(name))
+        X = fill(base, ImputedSvd(rank=rank)).X
+        assert np.array_equal(X, fill(base, ItemAverage()).X)
+        assert calls == []
 
     def test_alswr_runs_with_empty_column(self, fixture_base):
         X = fill(fixture_base, AlsWr(rank=2, lam=0.05, iters=8), seed=0).X
@@ -309,28 +323,29 @@ class TestFillValidation:
 def eager_fill(base, method, seed=None):
     """The fill as an eager function, to hold the deferred one to: the same
     steps, run at the call, into a BaseMatrix built from the array."""
-    from coldrec.impute import _average_filled, _column_means, _mean_filled, _rated_over
+    from coldrec.impute import _column_means, _mean_filled, _rated_over
 
-    if isinstance(method, Zero):
-        return BaseMatrix(_rated_over(base, np.zeros((base.n_users, base.n_items))))
-    means = _column_means(base)
-    if isinstance(method, ItemAverage):
-        return BaseMatrix(_average_filled(base, means))
     p, q = base.n_users, base.n_items
-    rank = min(method.rank, p, q)
+    if isinstance(method, Zero):
+        return BaseMatrix(_rated_over(base, np.zeros((p, q))))
+    means = _column_means(base)
+    if isinstance(method, ItemAverage) or (
+        isinstance(method, ImputedSvd) and (method.rank >= min(p, q) or not base.ratings.any())
+    ):
+        return BaseMatrix(_rated_over(base, np.broadcast_to(means, (p, q)).copy()))
     if isinstance(method, ImputedSvd):
-        mean_filled = _mean_filled if rank < min(p, q) and base.ratings.any() else _average_filled
-        U, s, V = truncated_svd(mean_filled(base, means), rank)
+        U, s, V = truncated_svd(_mean_filled(base, means), method.rank)
         X = (U * s) @ V.T
     else:
         R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
-        U, V = als_wr_factorize(R, rank, method.lam, method.iters, rng=seed)
+        U, V = als_wr_factorize(R, min(method.rank, p, q), method.lam, method.iters, rng=seed)
         X = U @ V.T
     return BaseMatrix(np.clip(X, 0.0, 1.0))
 
 
 class TestDeferredBuild:
-    @pytest.mark.parametrize("method", [Zero(), ItemAverage(), ImputedSvd(rank=4), AlsWr(rank=4, iters=6)],
+    @pytest.mark.parametrize("method", [Zero(), ItemAverage(), ImputedSvd(rank=4), ImputedSvd(rank=99),
+                                        AlsWr(rank=4, iters=6)],
                              ids=method_label)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_the_eager_fill(self, method, seed):

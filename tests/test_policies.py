@@ -16,6 +16,7 @@ from coldrec.data import dataset_from_dense
 from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, fill
 from coldrec.policies import (
     POLICIES,
+    POLICY_IDS,
     ALinUcbPolicy,
     AveragePolicy,
     EpsilonGreedyPolicy,
@@ -810,10 +811,11 @@ class TestOraclePolicy:
 
 
 class TestMakePolicy:
-    def test_all_ids_constructible(self):
+    @pytest.mark.parametrize("as_array", [False, True], ids=["base-matrix", "ndarray"])
+    def test_all_ids_constructible(self, as_array):
         base = random_base(k=3, n=5, seed=32)
-        for pid in ("random", "aver", "egreedy", "ucb", "exp3", "thompson", "linucb", "alinucb"):
-            pol = make_policy(pid, X=base, seed=0)
+        for pid in POLICY_IDS:
+            pol = make_policy(pid, X=base.X if as_array else base, seed=0)
             assert pol.n_arms == 5
 
     def test_contextual_needs_base(self):
