@@ -50,10 +50,10 @@ class ProblemKind(enum.Enum):
 class RatingDataset:
     """Sparse ratings as parallel arrays, plus the grid dimensions.
 
-    Invariants: users/items/ratings have equal length and the ids are
-    integers inside [0, n_users) × [0, n_items) (both checked here), (user,
-    item) pairs are unique, and every user id in range occurs at least once
-    (loader-enforced; `orient` is the one exception, see its docstring).
+    Invariants: users/items/ratings are 1-d and of equal length, the (user,
+    item) keys fit int64, and the ids lie in [0, n_users) × [0, n_items) (all
+    checked here); (user, item) pairs are unique, and every user id in range
+    occurs at least once (loader-enforced; `orient` is the one exception).
     """
 
     users: np.ndarray
@@ -66,6 +66,14 @@ class RatingDataset:
     def __post_init__(self):
         if not (len(self.users) == len(self.items) == len(self.ratings)):
             raise ValueError("users/items/ratings arrays must have equal length")
+        for name, arr in (("users", self.users), ("items", self.items), ("ratings", self.ratings)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1-d array, got {arr.ndim} dimensions")
+        for name, n in (("n_users", self.n_users), ("n_items", self.n_items)):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+        if self.n_users and self.n_items > np.iinfo(np.int64).max // self.n_users:
+            raise ValueError(f"{self.n_users} users x {self.n_items} items overflow the (user, item) keys")
         for name, ids, n in (("user", self.users, self.n_users), ("item", self.items, self.n_items)):
             if not np.issubdtype(ids.dtype, np.integer):
                 raise ValueError(f"{name} ids must be integers, got {ids.dtype}")
@@ -148,25 +156,18 @@ def _build_dataset(
     """Deduplicate (keep last), compact users, and sort canonically."""
     if ratings.size == 0:
         raise ValueError(f"{source}: no ratings")
-    n_items = int(items.max()) + 1
     uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
-    if n_items > np.iinfo(np.int64).max // len(uniq_users):
-        raise ValueError(f"{source}: {len(uniq_users)} users x {n_items} items overflow the (user, item) keys")
-    keys = dense_users * n_items + items
+    try:
+        raw = RatingDataset(dense_users, items, ratings, len(uniq_users), int(items.max()) + 1, scale_max)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     # The first occurrence of a key in reversed order is its last in file order.
-    _, first_reversed = np.unique(keys[::-1], return_index=True)
-    keep = keys.size - 1 - first_reversed
-    dupes = keys.size - keep.size
+    _, first_reversed = np.unique((raw.users * raw.n_items + raw.items)[::-1], return_index=True)
+    keep = raw.n_ratings - 1 - first_reversed
+    dupes = raw.n_ratings - keep.size
     if dupes:
         logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", source, dupes)
-    return RatingDataset(
-        users=dense_users[keep],
-        items=items[keep],
-        ratings=ratings[keep],
-        n_users=len(uniq_users),
-        n_items=n_items,
-        scale_max=scale_max,
-    )
+    return replace(raw, users=dense_users[keep], items=items[keep], ratings=ratings[keep])
 
 
 @dataclass(frozen=True)

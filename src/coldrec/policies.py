@@ -449,8 +449,6 @@ class ThompsonPolicy(Policy):
         The bracketed noise has covariance I + X diag(counts) Xᵀ = A, so θ̃
         has mean A⁻¹b and covariance v²A⁻¹AA⁻¹ = v²A⁻¹ exactly.
         """
-        if self.v == 0:
-            return dsymv(1.0, self.A_inv, self.b)
         k = len(self.b)
         eps = self.rng.standard_normal(k + self.n_arms)
         noise = eps[:k]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,10 +34,11 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-# A trace file's columns, as named in RegretTrace: the first three int64, the rest float64.
-TRACE_COLUMNS = ("t", "user", "arm", "revealed", "best", "increment", "cumulative")
+# A trace file's columns, as named in RegretTrace, and the type each is written and read as.
+_TRACE_DTYPE = np.dtype([("t", np.int64), ("user", np.int64), ("arm", np.int64), ("revealed", np.float64),
+                         ("best", np.float64), ("increment", np.float64), ("cumulative", np.float64)])
+TRACE_COLUMNS = _TRACE_DTYPE.names
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
-_INT_COLUMNS = 3
 
 
 class _UserState:
@@ -215,22 +217,21 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
-    """One row per step under :data:`TRACE_HEADER`, through :func:`write_csv`.
-    The float columns are written as float64 whatever their dtype."""
-    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
-    columns[_INT_COLUMNS:] = [np.asarray(col, dtype=np.float64) for col in columns[_INT_COLUMNS:]]
-    write_csv(path, TRACE_HEADER, columns)
+    """One row per step under :data:`TRACE_HEADER`, through :func:`write_csv`,
+    each column cast to its declared type: ids that are not integers raise."""
+    write_csv(path, TRACE_HEADER, [np.asarray(getattr(trace, name)).astype(_TRACE_DTYPE[name], casting="same_kind")
+                                   for name in TRACE_COLUMNS])
 
 
 def read_trace_csv(path) -> RegretTrace:
     """Read a trace written by :func:`write_trace_csv` (timing not stored);
-    the header-only file of a 0-step trace reads back as that trace."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # the header
-        lines = fh.readlines()
-    n = len(TRACE_COLUMNS)
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, n))
-    if rows.shape[1] != n:
-        raise ValueError(f"{path}: expected {n} columns ({TRACE_HEADER})")
-    columns = [*rows[:, :_INT_COLUMNS].T.astype(np.int64, order="C"), *rows[:, _INT_COLUMNS:].T]
-    return RegretTrace(**dict(zip(TRACE_COLUMNS, columns)), wall_time_seconds=float("nan"))
+    the header-only file of a 0-step trace reads back as that trace.  A file
+    in any other format raises a ValueError that starts with the path."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]  # an empty file has no header
+    if header != TRACE_HEADER:
+        raise ValueError(f"{path}: expected {len(TRACE_COLUMNS)} columns ({TRACE_HEADER}), got the header {header!r}")
+    try:
+        rows = np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, ndmin=1) if lines else np.empty(0, _TRACE_DTYPE)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return RegretTrace(**{name: rows[name] for name in TRACE_COLUMNS}, wall_time_seconds=float("nan"))

@@ -455,6 +455,29 @@ class TestRunMatrix:
         counted = {r["policy"]: int(r["cells"]) for r in read_summary(os.path.join(out, "summary.csv"))}
         assert counted == {"random": 3, "ucb": 2, "egreedy": 3, "aver": 3}
 
+    def test_unpicklable_result_fails_only_its_own_cell(self, corpus, tmp_path, monkeypatch):
+        """A cell whose result cannot be sent back fails through the pool's
+        other-error branch; the pool goes on with the other cells."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_cell reaches pool workers only through fork")
+        out = str(tmp_path / "unpicklable")
+        real_run_cell = cli.run_cell
+
+        def unpicklable(ds, cfg, policy_id, impute_id, seed):
+            if (policy_id, seed) == ("ucb", 0):
+                return lambda: None
+            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+
+        monkeypatch.setattr(cli, "run_cell", unpicklable)
+        extra = ["--policy", "random,ucb", "--seeds", "0,1", "--workers", "2"]
+        assert run_matrix(parse_config(base_args(corpus, out, extra))) == 1
+        manifest = Path(os.path.join(out, "failures.txt")).read_text()
+        entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
+        assert [e.partition(":")[0] for e in entries] == ["policy=ucb;impute=zero;seed=0"]
+        assert "BrokenProcessPool" not in entries[0]
+        counted = {r["policy"]: int(r["cells"]) for r in read_summary(os.path.join(out, "summary.csv"))}
+        assert counted == {"random": 2, "ucb": 1}
+
     def test_dump_base_flag(self, corpus, tmp_path):
         out = str(tmp_path / "m6")
         cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0", "--dump-base"]))
@@ -537,3 +560,10 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "summary written" in proc.stdout
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+    def test_module_help(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "coldrec", "--help"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: ") and "--dataset" in proc.stdout

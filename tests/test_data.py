@@ -106,6 +106,12 @@ class TestLoadCsvTriples:
         assert ds.n_ratings == 1
         assert ds.n_items == 2
 
+    def test_keys_past_int64_name_the_file(self, tmp_path):
+        path = write(tmp_path, "wide.csv", "0,0,1\n1,4611686018427387904,1\n")
+        with pytest.raises(ValueError) as got:
+            load_csv_triples(path, scale_max=5)
+        assert str(got.value) == f"{path}: 2 users x 4611686018427387905 items overflow the (user, item) keys"
+
     def test_malformed_line(self, tmp_path):
         path = write(tmp_path, "d.csv", "0,1,2.5\n0,2\n")
         with pytest.raises(ValueError, match="line 2"):
@@ -319,6 +325,21 @@ BAD_CONSTRUCTIONS = {
                       r"^user ids must lie in \[0, 2\), got \[-1, 0\]$"),
     "float-ids": (lambda: RatingDataset(np.array([0.0]), np.array([0]), np.array([0.5]), 1, 1, 1.0),
                   "^user ids must be integers, got float64$"),
+    "float-dimension": (lambda: RatingDataset(np.array([0, 1]), np.array([0, 1]), np.array([0.5, 0.5]), 2.5, 2, 1.0),
+                        r"^n_users must be a nonnegative integer, got 2\.5$"),
+    "negative-dimension": (lambda: RatingDataset(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), -3, 2, 1.0),
+                           "^n_users must be a nonnegative integer, got -3$"),
+    "bool-dimension": (lambda: RatingDataset(np.array([0]), np.array([0]), np.array([0.5]), 1, True, 1.0),
+                       "^n_items must be a nonnegative integer, got True$"),
+    "2-d-ids": (lambda: RatingDataset(np.array([[0], [1]]), np.array([0, 1]), np.array([0.5, 0.5]), 2, 2, 1.0),
+                "^users must be a 1-d array, got 2 dimensions$"),
+    "2-d-ratings": (lambda: RatingDataset(np.array([0, 1]), np.array([0, 1]), np.array([[0.5], [0.5]]), 2, 2, 1.0),
+                    "^ratings must be a 1-d array, got 2 dimensions$"),
+    # At 3 × 2**62 the keys of user 2 wrap to negative, so user_rows would
+    # hand user 0 user 2's item 0 and user 2 the items [3, 1], out of order.
+    "keys-past-int64": (lambda: RatingDataset(np.array([0, 1, 2, 2]), np.array([3, 1, 0, 1]),
+                                              np.array([0.5, 0.6, 0.9, 0.4]), 3, 2**62, 1.0),
+                        r"^3 users x 4611686018427387904 items overflow the \(user, item\) keys$"),
     "row-without-rating": (lambda: dataset_from_dense(np.ones((2, 2)), np.array([[True, False], [False, False]])),
                            "^every user row needs at least one observed rating$"),
     "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),

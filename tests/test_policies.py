@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dsymv
 from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
 from helpers import to_dense
 
@@ -344,6 +345,12 @@ class TestThompson:
         expected = argmax_over(theta @ base.X, np.arange(6))
         assert pol.select(NONE, 3) == expected
 
+    def test_v_zero_draws_the_posterior_mean(self):
+        pol = ThompsonPolicy(random_base(k=4, n=6, seed=18), v=0.0, seed=0)
+        for arm, reward in ((2, 1.0), (0, 0.25), (2, 0.5)):
+            pol.update(arm, reward)
+        assert np.array_equal(pol.sample_theta(), dsymv(1.0, pol.A_inv, pol.b))
+
     def test_sherman_morrison_inverse_matches_dense(self):
         """2500 rank-one downdates at k = n = 50 keep the stored upper
         triangle within 1e-8 of the dense inverse, applied in place."""
@@ -442,6 +449,9 @@ class TestSelectProtocol:
         scores = np.array([0.2, 0.9, 0.9])
         assert argmax_lowest(scores, NONE) == 1
         assert argmax_lowest(scores, np.array([1])) == 2
+
+    def test_argmax_takes_the_lowest_open_arm_when_every_open_arm_scores_minus_inf(self):
+        assert argmax_lowest(np.array([0.5, -np.inf, 0.2, -np.inf]), [0, 2]) == 1
 
     def test_revealed_may_be_any_ascending_sequence(self):
         """A tuple, a list and an int64 array of the same arms pick the same

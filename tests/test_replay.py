@@ -6,6 +6,7 @@ that draws one user per step.
 """
 
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -406,6 +407,38 @@ class TestTraceCsv:
         path.write_text("t,user,arm,revealed,best,increment\n1,0,2,0.5,0.5,0.0\n")
         with pytest.raises(ValueError, match=r"trace.csv: expected 7 columns \(t,user,arm,"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x,y,z,a,b,c,d\n1,0,2,0.5,0.5,0.0,0.0\n", r"expected 7 columns \(t,user,arm,.*got the header 'x,y,z"),
+            ("t,user,arm,revealed,best,increment,cumulative\n1,0,3.7,0.5,0.5,0.0,0.0\n",
+             "could not convert string '3.7' to int64"),
+        ],
+        ids=["another-header", "non-integer-arm"],
+    )
+    def test_rejects_a_file_in_another_format(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_trace_csv(path)
+
+    def test_writes_no_id_that_is_not_an_integer(self, tmp_path):
+        steps, values = np.arange(1, 2), np.zeros(1)
+        trace = RegretTrace(steps, steps, np.array([3.7]), values, values, values, values, wall_time_seconds=0.0)
+        with pytest.raises(TypeError, match="Cannot cast"):
+            write_trace_csv(trace, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_ids_read_back_exactly_past_two_to_the_53(self, tmp_path):
+        steps, values = np.arange(1, 3), np.zeros(2)
+        user = np.array([2**53 + 1, 0], dtype=np.int64)
+        trace = RegretTrace(steps, user, steps, values, values, values, values, wall_time_seconds=0.0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text().splitlines()[1] == "1,9007199254740993,1,0.0,0.0,0.0,0.0"
+        loaded = read_trace_csv(path)
+        assert loaded.user.dtype == np.int64 and loaded.user.tolist() == [2**53 + 1, 0]
 
     def test_header(self, tmp_path):
         X, evaluation = tiny_env(10)
