@@ -9,9 +9,11 @@ columns — a recommender knows its catalog, not which items got ratings).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import logging
 import os
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -146,28 +148,7 @@ class CorpusSplit:
     base_user_ids: np.ndarray
 
 
-def _build_dataset(
-    raw_users: np.ndarray,
-    items: np.ndarray,
-    ratings: np.ndarray,
-    scale_max: float,
-    source: str,
-) -> RatingDataset:
-    """Deduplicate (keep last), compact users, and sort canonically."""
-    if ratings.size == 0:
-        raise ValueError(f"{source}: no ratings")
-    uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
-    try:
-        raw = RatingDataset(dense_users, items, ratings, len(uniq_users), int(items.max()) + 1, scale_max)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    # The first occurrence of a key in reversed order is its last in file order.
-    _, first_reversed = np.unique((raw.users * raw.n_items + raw.items)[::-1], return_index=True)
-    keep = raw.n_ratings - 1 - first_reversed
-    dupes = raw.n_ratings - keep.size
-    if dupes:
-        logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", source, dupes)
-    return replace(raw, users=dense_users[keep], items=items[keep], ratings=ratings[keep])
+_TRIPLE = np.dtype([("user", "i8"), ("item", "i8"), ("rating", "f8")])
 
 
 @dataclass(frozen=True)
@@ -180,25 +161,24 @@ class _Grammar:
     expected: str  # the message for a wrong field count
     id_rule: str  # the message for an id below first_id
     header: bool  # the first non-blank line may be a header (non-integer first field)
+    fields: np.dtype  # a line split at sep[0]: user, item, rating, and the "sep" fields a longer sep leaves empty
 
 
-_MOVIELENS = _Grammar("::", 4, 1, "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based", False)
-_CSV = _Grammar(",", 3, 0, "expected user,item,rating", "ids must be nonnegative", True)
+_MOVIELENS = _Grammar("::", 4, 1, "expected UserID::MovieID::Rating::Timestamp", "MovieLens ids are 1-based", False,
+                      np.dtype([("user", "i8"), ("sep1", "S1"), ("item", "i8"), ("sep2", "S1"), ("rating", "f8"),
+                                ("sep3", "S1"), ("timestamp", "S0")]))  # the timestamp is free text, discarded
+_CSV = _Grammar(",", 3, 0, "expected user,item,rating", "ids must be nonnegative", True, _TRIPLE)
 
-_MAX_ID_DIGITS = 18  # every id of at most 18 digits fits in an int64
-_MAX_RATING_WIDTH = 16  # wider ratings are read by _parse_line
-_POWERS_OF_TEN = np.array([float(10**k) for k in range(_MAX_RATING_WIDTH)])
+# Bytes that numpy reads otherwise than _parse_line: it strips 0x1c-0x1f as whitespace, which int() rejects, takes a
+# NUL for a string's padding, and reads some non-ASCII characters as digits ("1\u01fe" as the id 472)
+_NOT_FOR_NUMPY = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: bool, where: str):
     """The (user, item, rating) triple of one stripped, non-empty line, or
     None for a header; any other line raises a ValueError that starts with
-    `where`.
-
-    This defines the grammar: :func:`_plain_lines` reads the common form in
-    bulk, exactly as this would, and :func:`_read_triples` hands every other
-    line here.
-    """
+    `where`.  This defines the grammar: :func:`_bulk_triples` reads a file
+    in numpy's form exactly as this would, and any other file is read here."""
     parts = line.split(grammar.sep)
     if len(parts) != grammar.n_fields:
         raise ValueError(f"{where}: {grammar.expected}")
@@ -220,132 +200,84 @@ def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: b
     return u, i - grammar.first_id, r
 
 
-def _decimal_field(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_width: int, max_dots: int):
-    """The fields buf[lo:hi] read left to right: their digits as one int64,
-    the count of digits after the '.', and which are plain: 1 to max_width
-    bytes of digits with at most max_dots '.', not '.' alone.  A field that
-    is not plain, as one that is empty or overlapped by its separators
-    (hi < lo, as in ":::"), has meaningless digits and count."""
-    plain = (hi > lo) & (hi - lo <= max_width)
-    digits = np.zeros(lo.size, dtype=np.int64)
-    frac = np.zeros(lo.size, dtype=np.uint8)
-    dots = np.zeros(lo.size, dtype=np.uint8)
-    pos = lo.copy()
-    for _ in range(max_width):
-        live = pos < hi  # the plain fields with a byte at pos
-        live &= plain
-        if not live.any():
-            break
-        byte = buf.take(pos, mode="clip")
-        is_dot = (byte == ord(".")) & live
-        byte -= ord("0")  # the digit, or past 9 for a byte below '0'
-        is_digit = (byte < 10) & live
-        np.multiply(digits, 10, out=digits, where=is_digit)
-        np.add(digits, byte, out=digits, where=is_digit)
-        frac += is_digit & (dots > 0)
-        dots += is_dot
-        plain ^= live  # a field read here stays plain on a digit or a '.'
-        plain |= is_digit
-        plain |= is_dot
-        pos += 1
-    plain &= (dots <= max_dots) & (dots < np.subtract(hi, lo, out=pos))
-    return digits, frac, plain
+def _stripped_lines(path):
+    """(line number, stripped text) of each non-blank line of the file."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        yield from ((lineno, text) for lineno, line in enumerate(fh, start=1) if (text := line.strip()))
 
 
-def _plain_lines(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, grammar: _Grammar, scale_max: float):
-    """The lines buf[starts:ends] of the plain form, and their triples.
-
-    A plain line has exactly n_fields − 1 separators, none overlapping
-    another, ids of 1 to 18 digits, at least first_id, and a rating of at
-    most 16 bytes of digits with at most one '.', at most scale_max (see
-    :func:`_decimal_field`); :func:`_parse_line` reads such a line the same
-    way.  A plain rating is digits / 10**n_frac, which is float(text) bit
-    for bit: with a '.' there are at most 15 digits, so both operands are
-    exact and the division rounds correctly; without one, only the
-    conversion rounds, correctly.  Separators are counted overlapping ("::"
-    twice in ":::"), so an overlap leaves a field that is not plain.
-    Returns (line indices, users, items, ratings).
-    """
-    sep = grammar.sep.encode()
-    n_seps = grammar.n_fields - 1
-    is_sep = buf[: buf.size - len(sep) + 1] == sep[0]
-    for k in range(1, len(sep)):
-        is_sep &= buf[k : buf.size - len(sep) + 1 + k] == sep[k]
-    hits = np.flatnonzero(is_sep)
-    del is_sep
-    counts = np.diff(np.searchsorted(hits, ends), prepend=0)  # separators per line
-    plain = counts == n_seps
-    seps = hits[np.repeat(plain, counts)].reshape(-1, n_seps)
-    del hits, counts
-    lines = np.flatnonzero(plain)
-    rating_end = seps[:, 2] if n_seps > 2 else ends[lines]  # MovieLens: a timestamp follows
-    users, _, ok = _decimal_field(buf, starts[lines], seps[:, 0], _MAX_ID_DIGITS, 0)
-    items, _, item_ok = _decimal_field(buf, seps[:, 0] + len(sep), seps[:, 1], _MAX_ID_DIGITS, 0)
-    digits, frac, rating_ok = _decimal_field(buf, seps[:, 1] + len(sep), rating_end, _MAX_RATING_WIDTH, 1)
-    del seps, rating_end
-    scale = _POWERS_OF_TEN[frac]
-    ratings = np.divide(digits, scale, out=scale)
-    del digits, frac
-    ok &= item_ok & rating_ok & (users >= grammar.first_id) & (items >= grammar.first_id) & (ratings <= scale_max)
-    items -= grammar.first_id
-    return lines[ok], users[ok], items[ok], ratings[ok]
+def _bulk_triples(path, grammar: _Grammar, scale_max: float, skip: int):
+    """(users, items, ratings) of the lines after the first `skip`, read by
+    numpy's C parser, or None unless :func:`_parse_line` reads each line to
+    the same triple: numpy also reads ids below first_id, ratings outside
+    [0, scale_max] and text inside a separator, which the checks reject."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, grammar.fields, comments=None, delimiter=grammar.sep[0], skiprows=skip,
+                              encoding="utf-8", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    users, items, ratings = rows["user"], rows["item"], rows["rating"]
+    if (min(users.min(), items.min()) < grammar.first_id or not (ratings.min() >= 0.0 and ratings.max() <= scale_max)
+            or any(rows[name].view(np.uint8).any() for name in grammar.fields.names if name.startswith("sep"))):
+        return None
+    return users.copy(), items - grammar.first_id, ratings.copy()  # the rows are freed on return
 
 
-def _read_triples(path, grammar: _Grammar, scale_max: float):
-    """(users, items, ratings) of the file's lines, in file order, read in
-    one pass: the plain lines in bulk, every other non-empty line through
-    :func:`_parse_line`.  Errors name the physical line.  Its buffers are
-    freed on return, before the caller builds the dataset."""
+def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
+    """The file's triples as a dataset: deduplicated (keep last), users
+    compacted, sorted canonically.  They are read by :func:`_bulk_triples`
+    (past a CSV header that :func:`_parse_line` detects), or else line by
+    line through :func:`_parse_line`, whose errors name the first bad line."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if b"\r" in data:  # universal newlines
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lines, users, items, ratings = _plain_lines(buf, starts, ends, grammar, scale_max)
-    rest = ends > starts
-    rest[lines] = False
-    first_plain = lines[0] if lines.size else ends.size
-    may_be_header = grammar.header
-    at, triples = [], []
-    for i, lo, hi in zip(np.flatnonzero(rest).tolist(), starts[rest].tolist(), ends[rest].tolist()):
-        line = data[lo:hi].decode("utf-8", errors="replace").strip()
-        if not line:
-            continue
-        triple = _parse_line(line, grammar, scale_max, may_be_header and i < first_plain, f"{path}, line {i + 1}")
-        may_be_header = False
-        if triple is not None:
-            at.append(i)
-            triples.append(triple)
-    if triples:
-        pos = np.searchsorted(lines, at)
-        users, items, ratings = (np.insert(a, pos, v) for a, v in zip((users, items, ratings), zip(*triples)))
-    return users, items, ratings
+    numpy_form = data.isascii() and not any(map(data.__contains__, _NOT_FOR_NUMPY))
+    del data  # before numpy reads the file
+    triples = _bulk_triples(path, grammar, scale_max, 0) if numpy_form else None
+    if triples is None and numpy_form and grammar.header:
+        lineno, line = next(_stripped_lines(path), (0, ""))
+        if line and _parse_line(line, grammar, scale_max, True, f"{path}, line {lineno}") is None:
+            triples = _bulk_triples(path, grammar, scale_max, lineno)  # past the header and the blank lines above it
+    if triples is None:
+        with contextlib.closing(_stripped_lines(path)) as lines:  # and the file, when a line raises
+            rows = np.array([triple for n, (lineno, line) in enumerate(lines)
+                             if (triple := _parse_line(line, grammar, scale_max, grammar.header and n == 0,
+                                                       f"{path}, line {lineno}"))], dtype=_TRIPLE)
+        triples = rows["user"], rows["item"], rows["rating"]
+    raw_users, items, ratings = triples
+    if ratings.size == 0:
+        raise ValueError(f"{path}: no ratings")
+    uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
+    try:
+        raw = RatingDataset(dense_users, items, ratings, len(uniq_users), int(items.max()) + 1, scale_max)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    keys = raw.users * raw.n_items + raw.items
+    order = np.argsort(keys, kind="stable")  # equal keys in file order
+    keys = keys[order]
+    keep = order[np.append(keys[1:] != keys[:-1], True)]  # the last of each key
+    del keys, order
+    if keep.size < raw.n_ratings:
+        logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", path, raw.n_ratings - keep.size)
+    return replace(raw, users=dense_users[keep], items=items[keep], ratings=ratings[keep])
 
 
 def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
     """Load a MovieLens ``UserID::MovieID::Rating::Timestamp`` file.
 
-    Ids are 1-based in this format; items are shifted to 0-based and keep
-    the catalog width (n_items = largest id), users are re-indexed densely.
-    Timestamps are discarded.  Duplicate (user, item) pairs keep the last
-    occurrence and are counted in a warning.
-    """
-    return _build_dataset(*_read_triples(path, _MOVIELENS, scale_max), scale_max, str(path))
+    Its ids are 1-based: items are shifted to 0-based and keep the catalog
+    width (n_items = largest id), users are re-indexed densely.  Timestamps
+    are discarded.  A repeated (user, item) pair keeps its last rating and
+    is counted in a warning."""
+    return _load(path, _MOVIELENS, scale_max)
 
 
 def load_csv_triples(path, scale_max: float) -> RatingDataset:
-    """Load a ``user,item,rating`` file with 0-based ids.
-
-    A header line is tolerated (detected by a non-numeric first field) as
-    the first non-blank line.
-    Ratings outside [0, scale_max] are rejected with the offending line
-    number.  Users are re-indexed densely; the item axis spans [0, max id].
-    """
-    return _build_dataset(*_read_triples(path, _CSV, scale_max), scale_max, str(path))
+    """Load a ``user,item,rating`` file with 0-based ids, and a header
+    line if the first non-blank line has a non-numeric first field.  Users
+    are re-indexed densely; the item axis spans [0, max id]."""
+    return _load(path, _CSV, scale_max)
 
 
 LOADERS = {"movielens": load_movielens, "csv": load_csv_triples}  # each file format's loader, by its id

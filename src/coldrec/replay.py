@@ -15,6 +15,7 @@ the policy never perturbs the user sequence for a given replay seed.
 from __future__ import annotations
 
 import bisect
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,6 +233,12 @@ def read_trace_csv(path) -> RegretTrace:
         raise ValueError(f"{path}: expected {len(TRACE_COLUMNS)} columns ({TRACE_HEADER}), got the header {header!r}")
     try:
         rows = np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, ndmin=1) if lines else np.empty(0, _TRACE_DTYPE)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError:  # numpy's row numbers skip blank lines and change base: name the first bad line instead
+        for lineno, line in enumerate(lines, start=2):
+            try:
+                if line:
+                    np.loadtxt([line], delimiter=",", dtype=_TRACE_DTYPE)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {re.sub(r' at row [0-9]+', '', str(exc))}") from None
+        raise
     return RegretTrace(**{name: rows[name] for name in TRACE_COLUMNS}, wall_time_seconds=float("nan"))

@@ -2,6 +2,8 @@
 
 import errno
 import logging
+import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -407,17 +409,17 @@ def reference_load(path, movielens: bool, scale_max: float) -> RatingDataset:
     )
 
 
-def assert_loads_like_reference(path, movielens: bool):
+def assert_loads_like_reference(path, movielens: bool, scale_max: float = 5.0):
     """Both give the same dataset, or both raise the same message."""
     load = load_movielens if movielens else load_csv_triples
     try:
-        want = reference_load(path, movielens, 5.0)
+        want = reference_load(path, movielens, scale_max)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            load(path, scale_max=5.0)
+            load(path, scale_max=scale_max)
         assert str(got.value) == str(exc)
     else:
-        assert_same_dataset(load(path, scale_max=5.0), want)
+        assert_same_dataset(load(path, scale_max=scale_max), want)
 
 
 def count_line_parses(load, path):
@@ -476,8 +478,8 @@ class TestLoaderAgainstLineByLineReference:
     )
     def test_canonical_files_parse_in_bulk(self, tmp_path_factory, rows, movielens, newline, header, blank_every):
         """Duplicates, blank lines, CRLF, a CSV header, half stars: the bulk
-        parse gives the reference's arrays and reads no line one by one but
-        the header."""
+        parse gives the reference's arrays and hands no line to the line
+        parser but the header."""
         header = header and not movielens
         path = tmp_path_factory.mktemp("load") / "ratings.txt"
         path.write_bytes(render(rows, movielens, newline, header, blank_every).encode())
@@ -520,11 +522,17 @@ class TestLoaderAgainstLineByLineReference:
             (True, "1::10::5::978300760\n2::12::3.5::978300761\n\n3::1::0.5::0\n", 0),
             (False, "0,1,5\n1,2,2.5\n", 0),
             (False, "user,item,rating\n0,1,5\n1,2,2.5\n", 1),
-            (True, "1::10::5::1\n 1::1::5::0\n2::3::4::2\n", 1),
-            (False, "0,1,5\n0, 2,4\n1,2,2.5\n", 1),
-            (False, "0,1,5\n1,2,2.5\n0,1,4e0\n", 1),
-            (True, "1::2::3::0\n0000000000000000002::3::4::0\n", 1),  # a 19-digit id
-            (False, "0,1,2.50000000000000000000000000000001\n1,1,1\n", 1),  # a 34-byte rating
+            (True, "1::10::5::1\n 1::1::5::0\n2::3::4::2\n", 0),
+            (False, "0,1,5\n0, 2,4\n1,2,2.5\n", 0),
+            (False, "0,1,5\n1,2,2.5\n0,1,4e0\n", 0),
+            (True, "1::2::3::0\n0000000000000000002::3::4::0\n", 0),  # a 19-digit id
+            (False, "0,1,2.50000000000000000000000000000001\n1,1,1\n", 0),  # a 34-byte rating
+            # outside numpy's form, so the whole file is read line by line (a CSV's first line twice: once as a
+            # possible header)
+            (True, "1::10::5::1\n1::1::5::0:0\n2::3::4::2\n", 3),
+            (False, "0,1,5\n  \n1,2,2.5\n", 3),
+            (False, "user,item,rating\n0,1,5\n1,2,0_5\n", 4),
+            (False, "0,1,5\n1,2,2.5\u2028\n", 2),  # not ASCII: no header check
         ],
     )
     def test_only_irregular_lines_are_read_one_by_one(self, tmp_path, movielens, text, parsed):
@@ -582,44 +590,104 @@ class TestLoaderAgainstLineByLineReference:
         assert str(want.value) == str(got.value)
 
 
+def write_fields(tmp_path_factory, rows, movielens):
+    path = tmp_path_factory.mktemp("fields") / "ratings.txt"
+    sep = "::" if movielens else ","
+    path.write_bytes("".join(sep.join(row) + (f"{sep}0\n" if movielens else "\n") for row in rows).encode())
+    return path
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.from_regex(r"[0-9]{0,18}(\.[0-9]{0,18})?", fullmatch=True), min_size=1, max_size=25))
-def test_plain_ratings_read_bit_for_bit_as_float(texts):
-    """Every field of at most 16 bytes of digits and at most one '.' (but
-    '.' alone) is plain, and reads bit for bit as float() reads it."""
-    text = "".join(t + "\n" for t in texts).encode()
-    buf = np.frombuffer(text, dtype=np.uint8)
-    hi = np.flatnonzero(buf == ord("\n"))
-    lo = np.concatenate(([0], hi[:-1] + 1))
-    digits, frac, ok = data._decimal_field(buf, lo, hi, 16, 1)
-    value = digits / 10.0 ** frac
-    for t, v, plain in zip(texts, value.tolist(), ok.tolist()):
-        assert plain == (0 < len(t) <= 16 and t != "."), t
-        if plain:
-            assert np.float64(v).tobytes() == np.float64(float(t)).tobytes(), t
+def test_plain_ratings_read_bit_for_bit_as_float(tmp_path_factory, texts):
+    """Ratings of digits and at most one '.' load bit for bit as float()
+    reads them, or fail at the reference's line."""
+    path = write_fields(tmp_path_factory, [(str(n), "0", t) for n, t in enumerate(texts)], movielens=False)
+    assert_loads_like_reference(path, movielens=False, scale_max=1e300)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.from_regex(r"[0-9]{0,20}(\.[0-9]*)?", fullmatch=True), min_size=1, max_size=25))
-@example(["9" * 18, "1" * 19, "0" * 18, "", ".", "7.", "12.5"])  # the bulk path ends at 18 digits
-def test_plain_ids_read_as_int(texts):
-    """An id field is plain exactly when it has 1 to 18 digits and no '.',
-    and then its digits are int() of it."""
-    text = "".join(t + "\n" for t in texts).encode()
-    buf = np.frombuffer(text, dtype=np.uint8)
-    hi = np.flatnonzero(buf == ord("\n"))
-    lo = np.concatenate(([0], hi[:-1] + 1))
-    digits, frac, ok = data._decimal_field(buf, lo, hi, 18, 0)
-    for t, d, plain in zip(texts, digits.tolist(), ok.tolist()):
-        assert plain == (0 < len(t) <= 18 and "." not in t), t
-        if plain:
-            assert d == int(t), t
+@example(["9" * 18, "1" * 19, "0" * 18, "", ".", "7.", "12.5"])
+@example(["9223372036854775807", "9223372036854775808"])  # the int64 edge
+def test_plain_ids_read_as_int(tmp_path_factory, texts):
+    """User ids of digits load as int() reads them, or fail at the
+    reference's line."""
+    path = write_fields(tmp_path_factory, [(t, "0", "1") for t in texts], movielens=False)
+    assert_loads_like_reference(path, movielens=False)
+
+
+# Characters that numpy's parser or str/int/float treat specially: whitespace that only str.isspace() knows,
+# separators of other kinds, signs, exponents, words, an Arabic-Indic digit, and a letter numpy reads as a digit.
+ODD_CHARACTERS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\x00", " ", "\t", "_", "+",
+                  "-", "e", ".", ":", "nan", "inf", "\u0663", "\u01fe"]
+odd_field = st.lists(st.sampled_from([*"0123456789", *ODD_CHARACTERS]), max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(odd_field, odd_field, odd_field), min_size=1, max_size=8), movielens=st.booleans())
+@example(rows=[("0", "1", "5"), ("5\x1c", "2", "3")], movielens=False)
+@example(rows=[("1", "1\u01fe", "3")], movielens=True)
+def test_fields_from_a_wider_alphabet_load_as_the_reference_reads_them(tmp_path_factory, rows, movielens):
+    assert_loads_like_reference(write_fields(tmp_path_factory, rows, movielens), movielens)
+
+
+@pytest.mark.parametrize(
+    "movielens,text,lineno,message",
+    [
+        # numpy strips 0x1c as whitespace; int() does not
+        (False, "0,1,5\n5\x1c,2,3\n", 2, r"invalid literal for int() with base 10: '5\x1c'"),
+        # numpy reads text between a separator's colons into an S1 field
+        (True, "1::1::5::0\n1:x:2::3::4\n", 2, "expected UserID::MovieID::Rating::Timestamp"),
+        # a NUL is an empty S1 field to numpy
+        (True, "1::1::5::0\n1:\x00:2::3::4\n", 2, "expected UserID::MovieID::Rating::Timestamp"),
+        # numpy reads U+01FE as a digit: the id 472
+        (False, "0,1,5\n1\u01fe,2,3\n", 2, "invalid literal for int() with base 10: '1\u01fe'"),
+    ],
+)
+def test_lines_numpy_alone_accepts_are_errors(tmp_path, movielens, text, lineno, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as got:
+        (load_movielens if movielens else load_csv_triples)(path, scale_max=5.0)
+    assert str(got.value) == f"{path}, line {lineno}: {message}"
+    assert_loads_like_reference(path, movielens)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "user,item,rating\n", "\nuser,item,rating\n\n"])
+def test_a_file_without_ratings_raises_no_warning(tmp_path, text):
+    """numpy warns that such a file holds no data; the loader raises its own error instead."""
+    path = write(tmp_path, "none.csv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no ratings$"):
+            load_csv_triples(path, scale_max=5.0)
+
+
+def test_load_peak_grows_with_the_file(tmp_path):
+    """The load's allocations peak at no more than 3x the bytes of a
+    MovieLens file of 100k lines."""
+    rng = np.random.default_rng(0)
+    n = 100_000
+    users, items = np.sort(rng.integers(1, 2001, n)), rng.integers(1, 4001, n)
+    stars, stamps = rng.integers(1, 6, n), 956_703_932 + rng.integers(0, 34_000_000, n)
+    path = tmp_path / "ratings.dat"
+    rows = zip(users.tolist(), items.tolist(), stars.tolist(), stamps.tolist())
+    path.write_text("".join(f"{u}::{i}::{r}::{s}\n" for u, i, r, s in rows))
+    tracemalloc.start()
+    try:
+        ds = load_movielens(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_ratings > 0.99 * n
+    assert peak <= 3 * path.stat().st_size
 
 
 @pytest.mark.parametrize(
     "rating,parsed",
     [("0.1", 0), ("4.99999999999999", 0), ("0.00000000000003", 0), ("3.", 0), (".25", 0), ("002.5", 0),
-     ("4.999999999999999", 1)],  # 17 bytes: read line by line
+     ("4.999999999999999", 0)],
 )
 def test_ratings_load_as_float_reads_them(tmp_path, rating, parsed):
     path = write(tmp_path, "r.csv", f"0,0,{rating}\n1,1,1\n")

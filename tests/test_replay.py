@@ -32,7 +32,7 @@ from coldrec.policies import (
     make_policy,
     nth_open_arm,
 )
-from coldrec.replay import RegretTrace, RevealLog, read_trace_csv, run_replay, write_trace_csv
+from coldrec.replay import TRACE_HEADER, RegretTrace, RevealLog, read_trace_csv, run_replay, write_trace_csv
 from coldrec.synthetic import linear_environment
 
 
@@ -420,7 +420,24 @@ class TestTraceCsv:
     def test_rejects_a_file_in_another_format(self, tmp_path, text, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}(, line 2)?: {message}"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows,lineno,message",
+        [
+            (["1,0,3.7,0.5,0.5,0.0,0.0"], 2, "could not convert string '3.7' to int64, column 3."),
+            (["1,0,2,0.5,0.5,0.0,0.0", "", "2,0,3,0.5,0.5,0.0"], 4, "the dtype passed requires 7 columns but 6 were"),
+            (["1,0,2,0.5,0.5,0.0,0.0", "2,0,3,0.5,0.5,0.0"], 3, "the dtype passed requires 7 columns but 6 were"),
+        ],
+        ids=["non-integer-arm", "six-fields-after-a-blank-line", "six-fields"],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, rows, lineno, message):
+        """numpy numbers a conversion error's row from 0 and a field count's from 1, both among the non-blank
+        data rows; the reader names the line of the file."""
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([TRACE_HEADER, *rows, ""]))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line {lineno}: {message}')}"):
             read_trace_csv(path)
 
     def test_writes_no_id_that_is_not_an_integer(self, tmp_path):
