@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import glob
 import hashlib
 import logging
@@ -109,7 +110,8 @@ class ExperimentConfig:
 
     Every field is one key, spelled ``--key`` as a flag and ``key=`` in a
     config file and in resolved_config.txt (the field name with '-' for '_').
-    Building one, from flags or in code, checks every value (ConfigError).
+    Building one, from flags or in code, checks every value (ConfigError),
+    and that its resolved_config.txt line reads back as that value.
     """
 
     dataset: str = _option(MISSING, str, "path to the ratings file (required)", (bool, "non-empty"))
@@ -145,13 +147,28 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            key, value = _key(f.name), getattr(self, f.name)
+            if value is None and f.default is None:  # an optional key left unset
+                continue
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{_key(f.name)}: must be finite")
-            check = f.metadata["check"]
-            unset_optional = value is None and f.default is None
-            if check is not None and not unset_optional and not check[0](value):
-                raise ConfigError(f"{_key(f.name)}: must be {check[1]}, got {value!r}")
+                raise ConfigError(f"{key}: must be finite")
+            check, text = f.metadata["check"], _config_text(value)
+            with contextlib.suppress(TypeError):  # a value of another type, which cannot read back either
+                if check is not None and not check[0](value):
+                    raise ConfigError(f"{key}: must be {check[1]}, got {value!r}")
+            try:  # as the config-file reader reads its line: one line, stripped, converted
+                reads_back = "\n" not in text and "\r" not in text and f.metadata["convert"](text.strip()) == value
+            except ValueError:
+                reads_back = False
+            if not reads_back:
+                raise ConfigError(f"{key}: {value!r} does not read back from its config line {f'{key}={text}'!r}")
+
+
+def _config_text(value) -> str:
+    """A value as its resolved_config.txt line writes it after `key=`."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -215,17 +232,7 @@ def parse_config(argv) -> ExperimentConfig:
 
 
 def _config_lines(cfg: ExperimentConfig) -> list[str]:
-    lines = []
-    for name in _FIELDS:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{_key(name)}={value}")
-    return lines
+    return [f"{_key(name)}={_config_text(getattr(cfg, name))}" for name in _FIELDS if getattr(cfg, name) is not None]
 
 
 def _stable_digest(text: str) -> int:

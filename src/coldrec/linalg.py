@@ -16,41 +16,25 @@ __all__ = [
 ]
 
 
-def _finite_matrix(M) -> np.ndarray:
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError(f"matrix must be 2-d, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains non-finite entries")
-    return M
-
-
 def truncated_svd(M, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-`rank` factorization of M in the Frobenius norm.
+    """Best rank-`rank` factorization, in the Frobenius norm, of a nonzero
+    ``scipy.sparse.linalg.LinearOperator`` M (the imputer's mean-filled base
+    is one), computed from M's products alone.
 
     Returns (U, s, V) with orthonormal-column U (p×r) and V (q×r) and
-    nonincreasing singular values s (length r), so that M ≈ U @ diag(s) @ V.T.
-    Inputs of lower actual rank simply come back with trailing zero singular
-    values.
-
+    nonincreasing singular values s (length r), so that M ≈ U @ diag(s) @ V.T;
+    an M of lower actual rank comes back with trailing zero singular values.
     Only the leading triplets are computed, by implicitly restarted Lanczos
-    (ARPACK) to full precision from a fixed start vector, so reruns are
-    bit-identical.  ARPACK needs rank < min(p, q) and a nonzero M; a dense M
-    outside that takes a full LAPACK SVD.  M may also be a nonzero
-    ``scipy.sparse.linalg.LinearOperator`` (the imputer's mean-filled base
-    is one), factored through its products alone, at rank < min(p, q).
+    (ARPACK, which needs rank < min(p, q)) to full precision from a fixed
+    start vector, so reruns are bit-identical.
     """
     from scipy.sparse.linalg import LinearOperator, svds  # here, not at the top: a 4 MB import
 
-    is_operator = isinstance(M, LinearOperator)
-    M = M if is_operator else _finite_matrix(M)
+    if not isinstance(M, LinearOperator):
+        raise TypeError(f"M must be a scipy.sparse.linalg.LinearOperator, got {type(M).__name__}")
     p, q = M.shape
-    if not 1 <= rank <= min(p, q) - is_operator:
-        kind = "operator" if is_operator else "matrix"
-        raise ValueError(f"rank must be in [1, {min(p, q) - is_operator}] for a {p}x{q} {kind}, got {rank}")
-    if not is_operator and (rank == min(p, q) or not M.any()):
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        return U[:, :rank].copy(), s[:rank].copy(), Vt[:rank].T.copy()
+    if not 1 <= rank < min(p, q):
+        raise ValueError(f"rank must be in [1, {min(p, q) - 1}] for a {p}x{q} operator, got {rank}")
     start = np.random.default_rng(0).uniform(-1.0, 1.0, min(p, q))
     U, s, Vt = svds(M, k=rank, tol=0, v0=start, solver="arpack")
     order = np.argsort(s, kind="stable")[::-1]

@@ -320,20 +320,7 @@ class Exp3Policy(Policy):
         self.gamma = gamma
         self.rng = np.random.default_rng(seed)
         self._pending = None  # (arm, probability) from the last select
-        self.set_weights(np.ones(n_arms))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """A copy of the current weights."""
-        return np.array(self._w)
-
-    def set_weights(self, weights) -> None:
-        """Replace the weights, which must be positive and finite, and
-        rebuild the tree from them."""
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (self.n_arms,) or not np.all((w > 0.0) & (w < np.inf)):
-            raise ValueError(f"weights must be {self.n_arms} positive finite values")
-        self._w = w.tolist()
+        self._w = [1.0] * n_arms
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -347,7 +334,6 @@ class Exp3Policy(Policy):
                 tree[parent] += tree[i]
         self._tree = tree
         self._total = math.fsum(self._w)
-        self._top = max(self._w, default=0.0)
         self._stale = 0  # updates since the rebuild
 
     def select(self, revealed, t):
@@ -391,10 +377,8 @@ class Exp3Policy(Policy):
         self._pending = None
         old = self._w[arm]
         new = self._w[arm] = old * math.exp(self.gamma * (reward / prob) / self.n_arms)
-        self._top = max(self._top, new)  # weights never shrink
-        # rescaling leaves the mixture distribution unchanged
-        if self._top > 1e150:
-            top = self._top
+        if new > 1e150:  # weights only grow, so the one just raised is the first past the bound
+            top = max(self._w)  # rescaling leaves the mixture distribution unchanged
             self._w = [x / top for x in self._w]
             self._rebuild()
             return
@@ -548,9 +532,6 @@ class ALinUcbPolicy(Policy):
         self._sums_mv, self._q_mv, self._widths_mv, self._scores_mv = map(
             memoryview, (self.reward_sums, self._q, self.widths, self._scores)
         )
-
-    def score(self, j: int) -> float:
-        return float(self._scores[j])
 
     def select(self, revealed, t):
         return argmax_lowest(self._scores, revealed)

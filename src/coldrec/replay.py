@@ -226,13 +226,14 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
 def read_trace_csv(path) -> RegretTrace:
     """Read a trace written by :func:`write_trace_csv` (timing not stored);
-    the header-only file of a 0-step trace reads back as that trace.  A file
-    in any other format raises a ValueError that starts with the path."""
+    a header followed by nothing or by empty lines reads back as a 0-step
+    trace.  Any other format raises a ValueError that starts with the path."""
     header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]  # an empty file has no header
     if header != TRACE_HEADER:
         raise ValueError(f"{path}: expected {len(TRACE_COLUMNS)} columns ({TRACE_HEADER}), got the header {header!r}")
     try:
-        rows = np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, ndmin=1) if lines else np.empty(0, _TRACE_DTYPE)
+        rows = (np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, ndmin=1) if any(lines)  # not only empty lines
+                else np.empty(0, _TRACE_DTYPE))
     except ValueError:  # numpy's row numbers skip blank lines and change base: name the first bad line instead
         for lineno, line in enumerate(lines, start=2):
             try:

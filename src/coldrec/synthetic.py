@@ -30,6 +30,8 @@ def linear_environment(
     """
     if min(n_base_users, n_arms, n_eval_users) < 1:
         raise ValueError("environment dimensions must be positive")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n_base_users, n_arms))
     tastes = rng.dirichlet(np.ones(n_base_users), size=n_eval_users)

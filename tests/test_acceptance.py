@@ -58,7 +58,7 @@ def test_criterion_1_closed_form_correctness():
         worst = max(worst, abs(float(pol.widths[0]) ** 2 - float(xs @ B_inv @ xs)))
         theta = B_inv @ (rewards.sum() * xs)
         oracle = float(theta @ xs + alpha * np.sqrt(xs @ B_inv @ xs))
-        worst = max(worst, abs(pol.score(0) - oracle))
+        worst = max(worst, abs(pol._scores[0] - oracle))
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-10 and elapsed < 5.0, f"max deviation {worst:.2e} in {elapsed:.2f}s (< 5s)")
 

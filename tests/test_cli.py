@@ -147,6 +147,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^alpha: must be nonnegative, got -1.0$"):
             dataclasses.replace(cfg, alpha=-1.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("min_ratings", 1.5), ("t", 2.5), ("rank", True), ("rank", None), ("alpha", "0.1"), ("seeds", [0, 1]),
+        ("dump_base", "no"), ("out", "runs "), ("out", "runs\nx"),
+    ])
+    def test_config_built_in_code_must_read_back(self, corpus, name, value):
+        """A value its resolved_config.txt line cannot reproduce is refused,
+        as the flag or config-file line that would be needed is."""
+        cfg = parse_config(["--dataset", corpus])
+        with pytest.raises(ConfigError, match=f"^{cli._key(name)}: "):
+            dataclasses.replace(cfg, **{name: value})
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_empty_dataset_exits_before_touching_out(self, tmp_path, capsys, source):
         out = tmp_path / "out"

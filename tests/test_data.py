@@ -345,6 +345,8 @@ BAD_CONSTRUCTIONS = {
     "row-without-rating": (lambda: dataset_from_dense(np.ones((2, 2)), np.array([[True, False], [False, False]])),
                            "^every user row needs at least one observed rating$"),
     "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),
+    **{f"noise-{noise}": (lambda noise=noise: linear_environment(3, 4, 5, noise=noise),
+                          f"^noise must be finite and nonnegative, got {noise}$") for noise in (-0.05, np.nan, np.inf)},
 }
 
 

@@ -176,12 +176,13 @@ class TestReconstructionFills:
 
 
 def reference_svd_fill(base, rank):
-    """Truncated SVD of the mean-filled base built as a dense matrix."""
+    """LAPACK's full SVD of the mean-filled base built as a dense matrix,
+    truncated to rank."""
     dense, mask = to_dense(base)
     counts = mask.sum(axis=0)
     means = np.divide(dense.sum(axis=0), counts, out=np.zeros(base.n_items), where=counts > 0)
-    U, s, V = truncated_svd(np.where(mask, dense, means), min(rank, *dense.shape))
-    return np.clip((U * s) @ V.T, 0.0, 1.0)
+    U, s, Vt = np.linalg.svd(np.where(mask, dense, means), full_matrices=False)
+    return np.clip((U[:, :rank] * s[:rank]) @ Vt[:rank], 0.0, 1.0)
 
 
 def reference_alswr_fill(base, method, seed):

@@ -1,15 +1,17 @@
 """Kernel correctness against independent dense-algebra oracles.
 
-The truncated SVD is checked against a brute-force eigendecomposition of the
-Gram matrix and against a truncated full LAPACK SVD, and the masked ALS
-against its own exact-blockwise-minimization guarantee and against a
-row-by-row reference on a dense matrix and mask.
+The truncated SVD of an operator is checked against a brute-force
+eigendecomposition of the Gram matrix and against LAPACK's full SVD of the
+same matrix, truncated, and the masked ALS against its own
+exact-blockwise-minimization guarantee and against a row-by-row reference
+on a dense matrix and mask.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.sparse import coo_array, csr_array
+from scipy.sparse.linalg import aslinearoperator
 
 from coldrec.linalg import _als_half_sweep, als_wr_factorize, truncated_svd
 
@@ -20,9 +22,15 @@ def observed(M, mask):
     return coo_array((M[mask], np.nonzero(mask)), shape=M.shape)
 
 
+def full_svd(M, rank):
+    """Reference: LAPACK's full SVD of the dense M, truncated to rank."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U[:, :rank], s[:rank], Vt[:rank].T
+
+
 class TestTruncatedSvd:
     def test_diagonal(self):
-        U, s, V = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+        U, s, V = truncated_svd(aslinearoperator(np.diag([3.0, 2.0, 1.0])), 2)
         np.testing.assert_allclose(s, [3.0, 2.0], atol=1e-12)
         np.testing.assert_allclose((U * s) @ V.T, np.diag([3.0, 2.0, 0.0]), atol=1e-12)
 
@@ -31,15 +39,15 @@ class TestTruncatedSvd:
         M = np.outer(rng.uniform(size=8), rng.uniform(size=6)) + np.outer(
             rng.uniform(size=8), rng.uniform(size=6)
         )
-        U, s, V = truncated_svd(M, 2)
+        U, s, V = truncated_svd(aslinearoperator(M), 2)
         assert np.abs((U * s) @ V.T - M).max() < 1e-8
 
     def test_best_approximation_matches_full_svd_truncation(self):
         rng = np.random.default_rng(31)
         M = rng.standard_normal((20, 15))
-        U, s, V = truncated_svd(M, 5)
-        Uf, sf, Vtf = np.linalg.svd(M)
-        oracle = (Uf[:, :5] * sf[:5]) @ Vtf[:5]
+        U, s, V = truncated_svd(aslinearoperator(M), 5)
+        Uf, sf, Vf = full_svd(M, 5)
+        oracle = (Uf * sf) @ Vf.T
         got_err = np.linalg.norm(M - (U * s) @ V.T)
         oracle_err = np.linalg.norm(M - oracle)
         assert abs(got_err - oracle_err) < 1e-8
@@ -49,8 +57,8 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(37)
         for shape in ((5, 5), (12, 9), (20, 20)):
             M = rng.standard_normal(shape)
-            r = min(shape)
-            _, s, _ = truncated_svd(M, r)
+            r = min(shape) - 1
+            _, s, _ = truncated_svd(aslinearoperator(M), r)
             gram_eigs = np.linalg.eigvalsh(M.T @ M)[::-1]
             oracle = np.sqrt(np.clip(gram_eigs, 0.0, None))[:r]
             np.testing.assert_allclose(s, oracle, atol=1e-8)
@@ -58,30 +66,21 @@ class TestTruncatedSvd:
     def test_orthonormal_columns_and_ordering(self):
         rng = np.random.default_rng(41)
         M = rng.uniform(size=(10, 7))
-        U, s, V = truncated_svd(M, 4)
+        U, s, V = truncated_svd(aslinearoperator(M), 4)
         np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-8)
         np.testing.assert_allclose(V.T @ V, np.eye(4), atol=1e-8)
         assert np.all(np.diff(s) <= 1e-12)
         assert np.all(s >= 0)
 
-    def test_zero_matrix_degenerate(self):
-        U, s, V = truncated_svd(np.zeros((4, 3)), 2)
-        np.testing.assert_array_equal(s, np.zeros(2))
-        np.testing.assert_allclose(U.T @ U, np.eye(2), atol=1e-8)
-
     def test_rank_out_of_range(self):
-        M = np.eye(3)
-        with pytest.raises(ValueError):
-            truncated_svd(M, 0)
-        with pytest.raises(ValueError):
-            truncated_svd(M, 4)
+        M = aslinearoperator(np.eye(3))
+        for rank in (0, 3, 4):
+            with pytest.raises(ValueError, match=rf"^rank must be in \[1, 2\] for a 3x3 operator, got {rank}$"):
+                truncated_svd(M, rank)
 
-    @pytest.mark.parametrize("M,message", [
-        (np.ones(3), r"^matrix must be 2-d, got shape \(3,\)"),
-        (np.array([[1.0, np.nan], [0.0, 1.0]]), "^matrix contains non-finite entries"),
-    ], ids=["1-d", "nan"])
-    def test_rejects_a_matrix_it_cannot_factor(self, M, message):
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("M", [np.eye(3), csr_array(np.eye(3))], ids=["ndarray", "sparse"])
+    def test_rejects_a_matrix_it_cannot_factor(self, M):
+        with pytest.raises(TypeError, match=f"LinearOperator, got {type(M).__name__}$"):
             truncated_svd(M, 1)
 
 
@@ -339,53 +338,46 @@ class TestTruncatedSvdAgainstFullSvd:
         rank = 16
         s_true = np.concatenate([np.linspace(40.0, 3.77, rank), np.linspace(3.72, 0.01, 184)])
         M = spectrum_matrix(rng, 300, 200, s_true)
-        U, s, V = truncated_svd(M, rank)
-        Uf, sf, Vtf = np.linalg.svd(M, full_matrices=False)
-        np.testing.assert_allclose(s, sf[:rank], rtol=1e-12)
-        np.testing.assert_allclose((U * s) @ V.T, (Uf[:, :rank] * sf[:rank]) @ Vtf[:rank], rtol=0, atol=1e-10)
+        U, s, V = truncated_svd(aslinearoperator(M), rank)
+        Uf, sf, Vf = full_svd(M, rank)
+        np.testing.assert_allclose(s, sf, rtol=1e-12)
+        np.testing.assert_allclose((U * s) @ V.T, (Uf * sf) @ Vf.T, rtol=0, atol=1e-10)
         np.testing.assert_allclose(U.T @ U, np.eye(rank), atol=1e-12)
         np.testing.assert_allclose(V.T @ V, np.eye(rank), atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (6, 6)])
-    def test_dispatch_boundary(self, shape, monkeypatch):
-        calls = []
-        svds = scipy.sparse.linalg.svds
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", lambda *a, **kw: calls.append(1) or svds(*a, **kw))
-        rng = np.random.default_rng(67)
-        M = rng.uniform(size=shape)
-        Uf, sf, Vtf = np.linalg.svd(M, full_matrices=False)
-        for rank, lanczos in ((min(shape) - 1, True), (min(shape), False)):
-            calls.clear()
-            U, s, V = truncated_svd(M, rank)
-            assert bool(calls) == lanczos
-            np.testing.assert_allclose(s, sf[:rank], rtol=1e-10)
-            oracle = (Uf[:, :rank] * sf[:rank]) @ Vtf[:rank]
-            np.testing.assert_allclose((U * s) @ V.T, oracle, rtol=0, atol=1e-10)
-
-    def test_zero_matrix_takes_the_full_svd(self, monkeypatch):
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", None)  # calling it would raise
-        U, s, V = truncated_svd(np.zeros((9, 7)), 3)
-        np.testing.assert_array_equal(s, np.zeros(3))
+    def test_rank_boundary(self, shape):
+        """min(p, q) − 1, ARPACK's largest rank, agrees with the full SVD;
+        min(p, q) raises."""
+        M = np.random.default_rng(67).uniform(size=shape)
+        rank = min(shape) - 1
+        U, s, V = truncated_svd(aslinearoperator(M), rank)
+        Uf, sf, Vf = full_svd(M, rank)
+        np.testing.assert_allclose(s, sf, rtol=1e-10)
+        np.testing.assert_allclose((U * s) @ V.T, (Uf * sf) @ Vf.T, rtol=0, atol=1e-10)
+        with pytest.raises(ValueError, match=rf"got {min(shape)}$"):
+            truncated_svd(aslinearoperator(M), min(shape))
 
     def test_reruns_bit_identical(self):
         rng = np.random.default_rng(71)
-        M = rng.uniform(size=(60, 45))
+        M = aslinearoperator(rng.uniform(size=(60, 45)))
         first = truncated_svd(M, 8)
         for a, b in zip(first, truncated_svd(M, 8)):
             np.testing.assert_array_equal(a, b)
 
 
 class TestTruncatedSvdOfAnOperator:
-    """A LinearOperator is factored through its products alone, and agrees
-    with the same matrix passed densely."""
+    """A LinearOperator is factored through its products alone."""
 
     @pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
     def test_agrees_with_the_dense_matrix(self, shape):
+        """An operator that has only M·x and Mᵀ·y agrees with the full SVD of M."""
         M = np.random.default_rng(73).uniform(size=shape)
-        operator = scipy.sparse.linalg.aslinearoperator(M)
+        operator = scipy.sparse.linalg.LinearOperator(shape, matvec=lambda x: M @ x, rmatvec=lambda y: M.T @ y,
+                                                      dtype=np.float64)
         for rank in (3, min(shape) - 1):
             U, s, V = truncated_svd(operator, rank)
-            U_ref, s_ref, V_ref = truncated_svd(M, rank)
+            U_ref, s_ref, V_ref = full_svd(M, rank)
             np.testing.assert_allclose(s, s_ref, rtol=1e-12)
             np.testing.assert_allclose((U * s) @ V.T, (U_ref * s_ref) @ V_ref.T, rtol=0, atol=1e-12)
 

@@ -395,6 +395,12 @@ class TestTraceCsv:
             got, want = getattr(loaded, name), getattr(trace, name)
             assert got.dtype == want.dtype and got.shape == want.shape == (0,), name
 
+    @pytest.mark.parametrize("blank", ["\n\n", "\n\n\n"], ids=["one", "two"])
+    def test_empty_lines_after_the_header_read_as_zero_steps(self, tmp_path, blank):
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_HEADER + blank)
+        assert read_trace_csv(path).steps == 0
+
     def test_integer_valued_columns_are_written_as_floats(self, tmp_path):
         steps, ones = np.arange(1, 3), np.ones(2, dtype=np.int64)
         trace = RegretTrace(steps, steps, steps, ones, ones, ones - 1, ones - 1, wall_time_seconds=0.0)
@@ -429,8 +435,9 @@ class TestTraceCsv:
             (["1,0,3.7,0.5,0.5,0.0,0.0"], 2, "could not convert string '3.7' to int64, column 3."),
             (["1,0,2,0.5,0.5,0.0,0.0", "", "2,0,3,0.5,0.5,0.0"], 4, "the dtype passed requires 7 columns but 6 were"),
             (["1,0,2,0.5,0.5,0.0,0.0", "2,0,3,0.5,0.5,0.0"], 3, "the dtype passed requires 7 columns but 6 were"),
+            ([" "], 2, "the dtype passed requires 7 columns but 1 were"),
         ],
-        ids=["non-integer-arm", "six-fields-after-a-blank-line", "six-fields"],
+        ids=["non-integer-arm", "six-fields-after-a-blank-line", "six-fields", "whitespace-only"],
     )
     def test_errors_name_the_file_line(self, tmp_path, rows, lineno, message):
         """numpy numbers a conversion error's row from 0 and a field count's from 1, both among the non-blank
