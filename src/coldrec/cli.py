@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import glob
 import hashlib
 import logging
@@ -153,15 +152,14 @@ class ExperimentConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite")
             check, text = f.metadata["check"], _config_text(value)
-            with contextlib.suppress(TypeError):  # a value of another type, which cannot read back either
-                if check is not None and not check[0](value):
-                    raise ConfigError(f"{key}: must be {check[1]}, got {value!r}")
             try:  # as the config-file reader reads its line: one line, stripped, converted
                 reads_back = "\n" not in text and "\r" not in text and f.metadata["convert"](text.strip()) == value
             except ValueError:
                 reads_back = False
             if not reads_back:
                 raise ConfigError(f"{key}: {value!r} does not read back from its config line {f'{key}={text}'!r}")
+            if check is not None and not check[0](value):  # a value that reads back has the key's type
+                raise ConfigError(f"{key}: must be {check[1]}, got {value!r}")
 
 
 def _config_text(value) -> str:
@@ -189,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc

@@ -9,13 +9,12 @@ columns — a recommender knows its catalog, not which items got ratings).
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import logging
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -172,6 +171,7 @@ _CSV = _Grammar(",", 3, 0, "expected user,item,rating", "ids must be nonnegative
 # Bytes that numpy reads otherwise than _parse_line: it strips 0x1c-0x1f as whitespace, which int() rejects, takes a
 # NUL for a string's padding, and reads some non-ASCII characters as digits ("1\u01fe" as the id 472)
 _NOT_FOR_NUMPY = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_open_text = partial(open, encoding="utf-8-sig", errors="replace")  # a leading byte-order mark is not part of line 1
 
 
 def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: bool, where: str):
@@ -200,10 +200,9 @@ def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: b
     return u, i - grammar.first_id, r
 
 
-def _stripped_lines(path):
-    """(line number, stripped text) of each non-blank line of the file."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        yield from ((lineno, text) for lineno, line in enumerate(fh, start=1) if (text := line.strip()))
+def _stripped_lines(fh):
+    """(line number, stripped text) of each non-blank line of an open text file."""
+    return ((lineno, text) for lineno, line in enumerate(fh, start=1) if (text := line.strip()))
 
 
 def _bulk_triples(path, grammar: _Grammar, scale_max: float, skip: int):
@@ -236,12 +235,13 @@ def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
     del data  # before numpy reads the file
     triples = _bulk_triples(path, grammar, scale_max, 0) if numpy_form else None
     if triples is None and numpy_form and grammar.header:
-        lineno, line = next(_stripped_lines(path), (0, ""))
+        with _open_text(path) as fh:
+            lineno, line = next(_stripped_lines(fh), (0, ""))
         if line and _parse_line(line, grammar, scale_max, True, f"{path}, line {lineno}") is None:
             triples = _bulk_triples(path, grammar, scale_max, lineno)  # past the header and the blank lines above it
     if triples is None:
-        with contextlib.closing(_stripped_lines(path)) as lines:  # and the file, when a line raises
-            rows = np.array([triple for n, (lineno, line) in enumerate(lines)
+        with _open_text(path) as fh:  # closed when a line raises too
+            rows = np.array([triple for n, (lineno, line) in enumerate(_stripped_lines(fh))
                              if (triple := _parse_line(line, grammar, scale_max, grammar.header and n == 0,
                                                        f"{path}, line {lineno}"))], dtype=_TRIPLE)
         triples = rows["user"], rows["item"], rows["rating"]

@@ -10,7 +10,7 @@ entries bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -108,8 +108,8 @@ class BaseMatrix:
     """
 
     def __init__(self, X: np.ndarray):
-        self._build = None
-        self._take(X)
+        self._build = lambda: X
+        self._checked  # X raises here, not at its first read
 
     @classmethod
     def _deferred(cls, shape: tuple[int, int], build) -> BaseMatrix:
@@ -118,7 +118,10 @@ class BaseMatrix:
         self._shape, self._build = shape, build
         return self
 
-    def _take(self, X: np.ndarray) -> None:
+    @cached_property
+    def _checked(self) -> tuple[np.ndarray, np.ndarray]:
+        """X and its squared column norms, read-only; a build that raises stores nothing."""
+        X = self._build()
         if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.owndata and not X.flags.writeable):
             X = np.array(X, dtype=np.float64)
         if X.ndim != 2 or X.size == 0:
@@ -127,21 +130,17 @@ class BaseMatrix:
         if not np.isfinite(norms_sq).all():
             raise ValueError("base matrix contains non-finite entries or columns whose squared norm overflows")
         X.flags.writeable = norms_sq.flags.writeable = False
-        self._X, self._norms_sq, self._shape = X, norms_sq, X.shape
-
-    def _built(self) -> BaseMatrix:
-        if self._build is not None:
-            self._take(self._build())
-            self._build = None
-        return self
+        self._shape = X.shape
+        del self._build
+        return X, norms_sq
 
     @property
     def X(self) -> np.ndarray:
-        return self._built()._X
+        return self._checked[0]
 
     @property
     def column_norms_sq(self) -> np.ndarray:
-        return self._built()._norms_sq
+        return self._checked[1]
 
     @property
     def k(self) -> int:

@@ -138,7 +138,7 @@ def _context_matrix(X) -> BaseMatrix:
 
 
 class Policy:
-    """Base of the select/update protocol; subclasses fill in both sides.
+    """Base of the select/update protocol: subclasses fill in select, and update if a reward moves their state.
 
     For :func:`make_policy`, a subclass declares the hyper-parameters its
     constructor takes as keywords (named as the CLI config keys), whether it
@@ -162,7 +162,7 @@ class Policy:
         raise NotImplementedError
 
     def update(self, arm: int, reward: float) -> None:
-        raise NotImplementedError
+        _check_reward(reward)
 
 
 class RandomPolicy(Policy):
@@ -176,9 +176,6 @@ class RandomPolicy(Policy):
 
     def select(self, revealed, t):
         return nth_open_arm(revealed, int(self.rng.integers(_check_open(self.n_arms, revealed))))
-
-    def update(self, arm, reward):
-        _check_reward(reward)
 
 
 class _CountsPolicy(Policy):
@@ -579,9 +576,6 @@ class OraclePolicy(Policy):
             return int(items[hidden.argmax()])
         # every open arm is unrated or rated 0: the lowest one ties for best
         return nth_open_arm(revealed, 0)
-
-    def update(self, arm, reward):
-        _check_reward(reward)
 
 
 POLICIES: dict[str, type[Policy]] = {

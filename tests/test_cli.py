@@ -1,8 +1,10 @@
 """Config resolution, matrix orchestration, output determinism, exit codes."""
 
+import codecs
 import concurrent.futures
 import csv
 import dataclasses
+import inspect
 import math
 import multiprocessing
 import os
@@ -17,7 +19,9 @@ import pytest
 import coldrec
 from coldrec import cli
 from coldrec.cli import ConfigError, ExperimentConfig, main, parse_config, run_matrix
-from coldrec.data import RatingDataset, save_csv_triples
+from coldrec.data import RatingDataset, dataset_from_dense, save_csv_triples
+from coldrec.impute import AlsWr, ImputedSvd, fill
+from coldrec.policies import POLICIES, make_policy
 from coldrec.synthetic import linear_environment
 
 
@@ -92,6 +96,12 @@ class TestParseConfig:
         assert cfg.seeds == (1, 2)
         assert cfg.alpha == 0.125  # flag wins over file
 
+    def test_config_file_may_start_with_a_byte_order_mark(self, corpus, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(codecs.BOM_UTF8 + f"dataset={corpus}\npolicy=random\n".encode())
+        cfg = parse_config(["--config", str(cfg_file)])
+        assert (cfg.dataset, cfg.policy) == (corpus, ("random",))
+
     def test_unknown_config_key_rejected(self, corpus, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"dataset={corpus}\nlearning-rate=0.1\n")
@@ -157,6 +167,11 @@ class TestParseConfig:
         cfg = parse_config(["--dataset", corpus])
         with pytest.raises(ConfigError, match=f"^{cli._key(name)}: "):
             dataclasses.replace(cfg, **{name: value})
+
+    def test_a_value_that_neither_reads_back_nor_is_in_range_reports_the_read_back(self, corpus):
+        cfg = parse_config(["--dataset", corpus])
+        with pytest.raises(ConfigError, match=r"^rank: -1\.5 does not read back from its config line 'rank=-1\.5'$"):
+            dataclasses.replace(cfg, rank=-1.5)
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_empty_dataset_exits_before_touching_out(self, tmp_path, capsys, source):
@@ -260,6 +275,51 @@ class TestParseConfig:
         resolved = os.path.join(out, "resolved_config.txt")
         assert by_flags == by_file == parse_config(["--config", resolved])
         assert "als-lambda=0.125\n" in Path(resolved).read_text()
+
+
+def _policy_rule(policy_id, name):
+    return lambda value: make_policy(policy_id, np.ones((2, 3)), **{name: value})
+
+
+_FILL_BASE = dataset_from_dense(np.full((3, 4), 0.5))
+
+# each range-checked key the config shares with the library, and a build that
+# applies the library's own check to a value of it; there is one per owner
+LIBRARY_RULES = [
+    *((name, policy_id, _policy_rule(policy_id, name)) for policy_id, cls in POLICIES.items() for name in cls.params),
+    ("rank", "svd", lambda rank: fill(_FILL_BASE, ImputedSvd(rank=rank))),
+    ("rank", "alswr", lambda rank: fill(_FILL_BASE, AlsWr(rank=rank))),
+    ("als_lambda", "alswr", lambda lam: fill(_FILL_BASE, AlsWr(lam=lam))),
+    ("als_iters", "alswr", lambda iters: fill(_FILL_BASE, AlsWr(iters=iters))),
+    ("scale_max", "RatingDataset", lambda scale: dataclasses.replace(_FILL_BASE, scale_max=scale)),
+]
+
+
+class TestConfigAgreesWithTheLibrary:
+    """The config restates ranges and defaults that the library owns; the
+    two statements must not drift apart."""
+
+    @pytest.mark.parametrize("policy_id", POLICIES)
+    def test_policy_params_are_keys_with_the_constructor_defaults(self, policy_id):
+        cls = POLICIES[policy_id]
+        signature = inspect.signature(cls)
+        for name in cls.params:
+            assert name in cli._FIELDS, name
+            assert cli._FIELDS[name].default == signature.parameters[name].default, name
+
+    @pytest.mark.parametrize("name,owner,build", LIBRARY_RULES, ids=[f"{n}-{o}" for n, o, _ in LIBRARY_RULES])
+    def test_the_config_accepts_exactly_what_the_library_accepts(self, name, owner, build):
+        def accepts(check, value):
+            try:
+                check(value)
+            except ValueError:  # a ConfigError too
+                return False
+            return True
+
+        is_int = cli._FIELDS[name].metadata["convert"] is int
+        for value in (-1, 0, 1, 2) if is_int else (-1.0, 0.0, 0.5, 1.0, 1.5):
+            in_config = accepts(lambda v: ExperimentConfig(dataset="ratings.csv", **{name: v}), value)
+            assert in_config == accepts(build, value), (name, value)
 
 
 class TestRunMatrix:

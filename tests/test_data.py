@@ -1,5 +1,6 @@
 """Loader grammar, normalization, splitting, and role-swap behavior."""
 
+import codecs
 import errno
 import logging
 import tracemalloc
@@ -91,6 +92,12 @@ class TestLoadMovielens:
         with pytest.raises(ValueError, match="outside"):
             load_movielens(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        text = "1::10::5::0\n1::12::3::0\n"
+        path = tmp_path / "bom.dat"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert_same_dataset(load_movielens(path), load_movielens(write(tmp_path, "plain.dat", text)))
+
 
 class TestLoadCsvTriples:
     def test_basic(self, tmp_path):
@@ -126,6 +133,16 @@ class TestLoadCsvTriples:
         ds = load_csv_triples(path, scale_max=5)
         assert (ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()) == ([0], [1], [2.0])
         assert_same_dataset(ds, reference_load(path, False, 5.0))
+
+    @pytest.mark.parametrize("header", ["", "user,item,rating\n"], ids=["ratings", "header"])
+    def test_byte_order_mark_drops_no_rating(self, tmp_path, header):
+        """A leading UTF-8 byte-order mark is not part of the first field, so
+        a first rating is not taken for a header."""
+        text = header + "0,1,3\n0,2,4\n1,1,5\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        ds = load_csv_triples(path, scale_max=5)
+        assert (ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()) == ([0, 0, 1], [1, 2, 1], [3.0, 4.0, 5.0])
 
     def test_header_only_before_the_first_rating(self, tmp_path):
         path = write(tmp_path, "f.csv", "\n0,1,2\nuser,item,rating\n")
@@ -298,6 +315,12 @@ class TestSubsampleAndFilter:
         kept = filter_min_ratings(ds, min_ratings=2)
         assert kept.n_users == 1
         assert kept.n_ratings == 3
+
+    def test_subsample_that_keeps_no_rating(self):
+        # both ratings are of item 0, and the one item of ten that seed 0 keeps is another
+        ds = RatingDataset(np.array([0, 1]), np.array([0, 0]), np.array([1.0, 0.5]), 2, 10, 1.0)
+        with pytest.raises(ValueError, match="^subsample removed every rating$"):
+            subsample(ds, max_items=1, seed=0)
 
     def test_filter_all_gone(self):
         ds = toy_dataset(4, 3, seed=4)
