@@ -191,21 +191,23 @@ def _read_config_file(path) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
-    values = {}
+    values, set_on = {}, {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}, line {lineno}: expected key=value")
-        key, _, raw = line.partition("=")
-        dest = key.strip().replace("-", "_")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
         if dest not in _FIELDS:
-            raise ConfigError(f"{path}, line {lineno}: unknown key {key.strip()!r}")
+            raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
+        if (first := set_on.setdefault(dest, lineno)) != lineno:
+            raise ConfigError(f"{path}, line {lineno}: {key!r} is already set on line {first}")
         try:
-            values[dest] = _FIELDS[dest].metadata["convert"](raw.strip())
+            values[dest] = _FIELDS[dest].metadata["convert"](raw)
         except ValueError as exc:
-            raise ConfigError(f"{path}, line {lineno}: bad value for {key.strip()!r}: {exc}") from None
+            raise ConfigError(f"{path}, line {lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 

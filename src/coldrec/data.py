@@ -159,7 +159,7 @@ class _Grammar:
     first_id: int  # ids below it are rejected; items are shifted down by it
     expected: str  # the message for a wrong field count
     id_rule: str  # the message for an id below first_id
-    header: bool  # the first non-blank line may be a header (non-integer first field)
+    header: bool  # the first non-blank line is a header if it has n_fields fields and float() rejects the first
     fields: np.dtype  # a line split at sep[0]: user, item, rating, and the "sep" fields a longer sep leaves empty
 
 
@@ -174,19 +174,14 @@ _NOT_FOR_NUMPY = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _open_text = partial(open, encoding="utf-8-sig", errors="replace")  # a leading byte-order mark is not part of line 1
 
 
-def _parse_line(line: str, grammar: _Grammar, scale_max: float, may_be_header: bool, where: str):
-    """The (user, item, rating) triple of one stripped, non-empty line, or
-    None for a header; any other line raises a ValueError that starts with
-    `where`.  This defines the grammar: :func:`_bulk_triples` reads a file
-    in numpy's form exactly as this would, and any other file is read here."""
+def _parse_line(line: str, grammar: _Grammar, scale_max: float, where: str):
+    """The (user, item, rating) triple of one stripped, non-empty line; any
+    other line raises a ValueError that starts with `where`.  This defines
+    the grammar: :func:`_bulk_triples` reads a file in numpy's form exactly
+    as this would, and any other file is read here."""
     parts = line.split(grammar.sep)
     if len(parts) != grammar.n_fields:
         raise ValueError(f"{where}: {grammar.expected}")
-    if may_be_header:
-        try:
-            int(parts[0])
-        except ValueError:
-            return None
     try:
         u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError as exc:
@@ -226,24 +221,27 @@ def _bulk_triples(path, grammar: _Grammar, scale_max: float, skip: int):
 
 def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
     """The file's triples as a dataset: deduplicated (keep last), users
-    compacted, sorted canonically.  They are read by :func:`_bulk_triples`
-    (past a CSV header that :func:`_parse_line` detects), or else line by
-    line through :func:`_parse_line`, whose errors name the first bad line."""
+    compacted, sorted canonically.  The lines past a header are read by
+    :func:`_bulk_triples`, or else line by line through :func:`_parse_line`,
+    whose errors name the first bad line."""
+    skip = 0
+    if grammar.header:
+        with _open_text(path) as fh:
+            lineno, line = next(_stripped_lines(fh), (0, ""))
+        parts = line.split(grammar.sep)
+        try:
+            float(parts[0])
+        except ValueError:
+            skip = lineno if len(parts) == grammar.n_fields else 0  # the header and the blank lines above it
     with open(path, "rb") as fh:
         data = fh.read()
     numpy_form = data.isascii() and not any(map(data.__contains__, _NOT_FOR_NUMPY))
     del data  # before numpy reads the file
-    triples = _bulk_triples(path, grammar, scale_max, 0) if numpy_form else None
-    if triples is None and numpy_form and grammar.header:
-        with _open_text(path) as fh:
-            lineno, line = next(_stripped_lines(fh), (0, ""))
-        if line and _parse_line(line, grammar, scale_max, True, f"{path}, line {lineno}") is None:
-            triples = _bulk_triples(path, grammar, scale_max, lineno)  # past the header and the blank lines above it
+    triples = _bulk_triples(path, grammar, scale_max, skip) if numpy_form else None
     if triples is None:
         with _open_text(path) as fh:  # closed when a line raises too
-            rows = np.array([triple for n, (lineno, line) in enumerate(_stripped_lines(fh))
-                             if (triple := _parse_line(line, grammar, scale_max, grammar.header and n == 0,
-                                                       f"{path}, line {lineno}"))], dtype=_TRIPLE)
+            rows = np.fromiter((_parse_line(line, grammar, scale_max, f"{path}, line {lineno}")
+                                for lineno, line in _stripped_lines(fh) if lineno > skip), dtype=_TRIPLE)
         triples = rows["user"], rows["item"], rows["rating"]
     raw_users, items, ratings = triples
     if ratings.size == 0:
@@ -274,9 +272,9 @@ def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
 
 
 def load_csv_triples(path, scale_max: float) -> RatingDataset:
-    """Load a ``user,item,rating`` file with 0-based ids, and a header
-    line if the first non-blank line has a non-numeric first field.  Users
-    are re-indexed densely; the item axis spans [0, max id]."""
+    """Load a ``user,item,rating`` file with 0-based ids.  A first non-blank
+    line of three fields whose first field float() rejects is a header.
+    Users are re-indexed densely; the item axis spans [0, max id]."""
     return _load(path, _CSV, scale_max)
 
 

@@ -108,6 +108,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="learning-rate"):
             parse_config(["--config", str(cfg_file)])
 
+    def test_config_key_set_twice_rejected(self, corpus, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"dataset={corpus}\nalpha=0.1\n# a comment\nalpha=0.5\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{cfg_file}, line 4: ')}'alpha' is already set on line 2$"):
+            parse_config(["--config", str(cfg_file)])
+
     @pytest.mark.parametrize("line,message", [
         ("alpha 0.5", "expected key=value"),
         ("alpha=lots", "bad value for 'alpha': could not convert string to float: 'lots'"),
