@@ -39,7 +39,8 @@ from .data import (
 )
 from .impute import DEFAULT_ALS_ITERS, DEFAULT_ALS_LAM, DEFAULT_RANK, METHODS
 from .impute import fill, method_from_name, method_label
-from .policies import DEFAULT_ALPHA, DEFAULT_C, DEFAULT_D, DEFAULT_GAMMA, DEFAULT_V, POLICIES, POLICY_IDS, make_policy
+from .policies import DEFAULT_ALPHA, DEFAULT_C, DEFAULT_D, DEFAULT_GAMMA, DEFAULT_V, HYPER_RULES, POLICY_IDS
+from .policies import make_policy, policy_params
 from .replay import run_replay, write_trace_csv
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_matrix", "main", "SUMMARY_HEADER"]
@@ -127,11 +128,11 @@ class ExperimentConfig:
     policy: tuple[str, ...] = _option(
         ("alinucb",), _csv_strings, f"comma list from {'|'.join(POLICY_IDS)}", _ids_from(POLICY_IDS)
     )
-    alpha: float = _option(DEFAULT_ALPHA, float, "(a-)linucb exploration weight", _NONNEGATIVE)
-    c: float = _option(DEFAULT_C, float, "egreedy schedule constant c", _POSITIVE)
-    d: float = _option(DEFAULT_D, float, "egreedy schedule constant d", _POSITIVE)
-    gamma: float = _option(DEFAULT_GAMMA, float, "exp3 mixture weight", (lambda g: 0 < g <= 1, "in (0, 1]"))
-    v: float = _option(DEFAULT_V, float, "thompson posterior noise scale", _NONNEGATIVE)
+    alpha: float = _option(DEFAULT_ALPHA, float, "(a-)linucb exploration weight", HYPER_RULES["alpha"])
+    c: float = _option(DEFAULT_C, float, "egreedy schedule constant c", HYPER_RULES["c"])
+    d: float = _option(DEFAULT_D, float, "egreedy schedule constant d", HYPER_RULES["d"])
+    gamma: float = _option(DEFAULT_GAMMA, float, "exp3 mixture weight", HYPER_RULES["gamma"])
+    v: float = _option(DEFAULT_V, float, "thompson posterior noise scale", HYPER_RULES["v"])
     t: int | None = _option(None, int, "replay horizon (default: eval ratings / 10)", _POSITIVE)
     seeds: tuple[int, ...] = _option(
         (0,), _csv_ints, "comma list of integer seeds",
@@ -175,6 +176,7 @@ _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coldrec",
+        allow_abbrev=False,  # one spelling per key: no flag prefixes
         description="Replay-based cumulative-regret benchmark for cold-start recommendation policies.",
     )
     parser.add_argument("--config", help="key=value config file; flags override its values")
@@ -200,7 +202,7 @@ def _read_config_file(path) -> dict:
             raise ConfigError(f"{path}, line {lineno}: expected key=value")
         key, raw = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in _FIELDS:
+        if dest not in _FIELDS or _key(dest) != key:  # config keys are spelled with '-', as flags are
             raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
         if (first := set_on.setdefault(dest, lineno)) != lineno:
             raise ConfigError(f"{path}, line {lineno}: {key!r} is already set on line {first}")
@@ -251,7 +253,7 @@ def _imputation(cfg: ExperimentConfig, impute_id: str):
 
 
 def _params_digest(cfg: ExperimentConfig, policy_id: str, impute_id: str) -> str:
-    parts = [f"{name}={getattr(cfg, name)}" for name in POLICIES[policy_id].params]
+    parts = [f"{name}={getattr(cfg, name)}" for name in policy_params(policy_id)]
     parts.append(f"impute={method_label(_imputation(cfg, impute_id))}")
     return ";".join(parts)
 
@@ -280,7 +282,7 @@ def run_cell(ds: RatingDataset, cfg: ExperimentConfig, policy_id: str, impute_id
     split = split_base_eval(work, k, seed=split_ss)
 
     X = fill(split.base, _imputation(cfg, impute_id), seed=fill_ss)
-    hyper = {name: getattr(cfg, name) for name in POLICIES[policy_id].params}
+    hyper = {name: getattr(cfg, name) for name in policy_params(policy_id)}
     policy = make_policy(policy_id, X=X, seed=policy_ss, **hyper)  # a contextual policy builds X here
     logger.info(
         "cell policy=%s impute=%s seed=%d: prepared %dx%d base in %.3fs (excluded from run timing)",

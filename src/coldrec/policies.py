@@ -19,6 +19,7 @@ adapted variant removes; a closed-form flag exists for ablation only.
 from __future__ import annotations
 
 import bisect
+import inspect
 import itertools
 import math
 from collections.abc import Sequence
@@ -41,6 +42,8 @@ __all__ = [
     "ALinUcbPolicy",
     "OraclePolicy",
     "make_policy",
+    "policy_params",
+    "HYPER_RULES",
     "POLICIES",
     "POLICY_IDS",
     "egreedy_epsilon",
@@ -58,6 +61,16 @@ DEFAULT_C = 0.1
 DEFAULT_D = 0.5
 DEFAULT_GAMMA = 0.01
 DEFAULT_V = 0.1
+
+# Each hyper-parameter's range: (predicate, what the predicate requires).  The
+# config checks its key of the same name with the same pair.
+HYPER_RULES = {
+    "alpha": (lambda value: value >= 0, "nonnegative"),
+    "c": (lambda value: value > 0, "positive"),
+    "d": (lambda value: value > 0, "positive"),
+    "gamma": (lambda value: 0 < value <= 1, "in (0, 1]"),
+    "v": (lambda value: value >= 0, "nonnegative"),
+}
 
 
 def _check_open(n_arms: int, revealed) -> int:
@@ -110,10 +123,10 @@ def egreedy_epsilon(c: float, d: float, n: int, t: int) -> float:
     """Decaying exploration rate min(1, c·n / (d²·(t − n − 1))).
 
     Degenerate denominators (t ≤ n + 1) mean the schedule has not started
-    decaying yet: explore with probability 1.
+    decaying yet: explore with probability 1, as when d² underflows to 0.
     """
     span = t - n - 1
-    if span <= 0:
+    if span <= 0 or d * d == 0.0:
         return 1.0
     return min(1.0, (c * n) / (d * d * span))
 
@@ -125,11 +138,12 @@ def _check_reward(reward: float) -> float:
     return reward
 
 
-def _check_hyper(name: str, value: float, positive: bool = False) -> float:
-    """A hyper-parameter must be finite and nonnegative (or positive); NaN
+def _check_hyper(name: str, value: float) -> float:
+    """A hyper-parameter must be finite and in its HYPER_RULES range; NaN
     would make every score NaN and the argmax a fixed arm."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {value}")
+    in_range, requirement = HYPER_RULES[name]
+    if not (math.isfinite(value) and in_range(value)):
+        raise ValueError(f"{name} must be finite and {requirement}, got {value}")
     return value
 
 
@@ -140,16 +154,13 @@ def _context_matrix(X) -> BaseMatrix:
 class Policy:
     """Base of the select/update protocol: subclasses fill in select, and update if a reward moves their state.
 
-    For :func:`make_policy`, a subclass declares the hyper-parameters its
-    constructor takes as keywords (named as the CLI config keys), whether it
-    is built from the base matrix X rather than an arm count, and whether it
-    takes a `seed`.
+    :func:`make_policy` reads a registered subclass's constructor: a first
+    parameter named ``X`` takes the base matrix, any other name the arm
+    count; a ``seed`` keyword takes the cell's seed; and each keyword named
+    in HYPER_RULES (the CLI config key of the same name) is a hyper-parameter.
     """
 
     n_arms: int
-    params: tuple[str, ...] = ()
-    contextual = False
-    seeded = False
 
     def observe_user(self, user: int) -> None:
         """Hook called by the replay loop before each select.
@@ -167,8 +178,6 @@ class Policy:
 
 class RandomPolicy(Policy):
     """Uniform choice among the available arms."""
-
-    seeded = True
 
     def __init__(self, n_arms: int, seed=None):
         self.n_arms = n_arms
@@ -238,13 +247,10 @@ class EpsilonGreedyPolicy(_CountsPolicy):
     on the exploit branch.
     """
 
-    params = ("c", "d")
-    seeded = True
-
     def __init__(self, n_arms: int, c: float = DEFAULT_C, d: float = DEFAULT_D, seed=None):
         super().__init__(n_arms)
-        self.c = _check_hyper("c", c, positive=True)
-        self.d = _check_hyper("d", d, positive=True)
+        self.c = _check_hyper("c", c)
+        self.d = _check_hyper("d", d)
         self.rng = np.random.default_rng(seed)
 
     def select(self, revealed, t):
@@ -307,14 +313,9 @@ class Exp3Policy(Policy):
     as ``Generator.choice`` maps it.
     """
 
-    params = ("gamma",)
-    seeded = True
-
     def __init__(self, n_arms: int, gamma: float = DEFAULT_GAMMA, seed=None):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
         self.n_arms = n_arms
-        self.gamma = gamma
+        self.gamma = _check_hyper("gamma", gamma)
         self.rng = np.random.default_rng(seed)
         self._pending = None  # (arm, probability) from the last select
         self._w = [1.0] * n_arms
@@ -406,10 +407,6 @@ class ThompsonPolicy(Policy):
     :meth:`sample_theta`), so every step is O(k² + k·n) with no factorization.
     """
 
-    params = ("v",)
-    contextual = True
-    seeded = True
-
     def __init__(self, X, v: float = DEFAULT_V, seed=None):
         _check_hyper("v", v)
         base = _context_matrix(X)
@@ -463,9 +460,6 @@ class LinUcbPolicy(Policy):
     ablation.
     """
 
-    params = ("alpha",)
-    contextual = True
-
     def __init__(self, X, alpha: float = DEFAULT_ALPHA, dense_inversion: bool = True):
         _check_hyper("alpha", alpha)
         base = _context_matrix(X)
@@ -511,9 +505,6 @@ class ALinUcbPolicy(Policy):
 
         score_j = S_j·‖x_j‖²/(1+‖x_j‖²) + α·√(‖x_j‖²/(1+‖x_j‖²))
     """
-
-    params = ("alpha",)
-    contextual = True
 
     def __init__(self, X, alpha: float = DEFAULT_ALPHA):
         _check_hyper("alpha", alpha)
@@ -591,26 +582,30 @@ POLICIES: dict[str, type[Policy]] = {
 
 POLICY_IDS = tuple(POLICIES)
 
-_HYPER_PARAMS = {name for cls in POLICIES.values() for name in cls.params}
+
+def policy_params(policy_id: str) -> tuple[str, ...]:
+    """The hyper-parameters a registered policy's constructor takes, in signature order."""
+    return tuple(name for name in inspect.signature(POLICIES[policy_id]).parameters if name in HYPER_RULES)
 
 
 def make_policy(policy_id: str, X: BaseMatrix | np.ndarray, seed=None, **hyper) -> Policy:
     """Instantiate a policy by its CLI id over the base matrix X (a
-    BaseMatrix or an array); a non-contextual policy takes only its arm
-    count, ``X.n_arms``.
+    BaseMatrix or an array), as :class:`Policy` describes; a non-contextual
+    policy takes only its arm count, ``X.n_arms``.
 
     `hyper` holds hyper-parameters by name (alpha, c, d, gamma, v); each
-    policy takes the ones it declares in ``params`` and ignores the rest, and
+    policy takes the ones its constructor names and ignores the rest, and
     those it is not given keep their defaults.
     """
     if policy_id not in POLICIES:
         raise ValueError(f"unknown policy {policy_id!r}; choose from {POLICY_IDS}")
-    unknown = set(hyper) - _HYPER_PARAMS
+    unknown = set(hyper) - set(HYPER_RULES)
     if unknown:
-        raise TypeError(f"unknown hyper-parameters {sorted(unknown)}; choose from {sorted(_HYPER_PARAMS)}")
+        raise TypeError(f"unknown hyper-parameters {sorted(unknown)}; choose from {sorted(HYPER_RULES)}")
     cls = POLICIES[policy_id]
+    first, *names = inspect.signature(cls).parameters
     X = _context_matrix(X)
-    kwargs = {name: hyper[name] for name in cls.params if name in hyper}
-    if cls.seeded:
+    kwargs = {name: hyper[name] for name in names if name in hyper}
+    if "seed" in names:
         kwargs["seed"] = seed
-    return cls(X if cls.contextual else X.n_arms, **kwargs)
+    return cls(X if first == "X" else X.n_arms, **kwargs)

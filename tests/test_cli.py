@@ -21,7 +21,7 @@ from coldrec import cli
 from coldrec.cli import ConfigError, ExperimentConfig, main, parse_config, run_matrix
 from coldrec.data import RatingDataset, dataset_from_dense, save_csv_triples
 from coldrec.impute import AlsWr, ImputedSvd, fill
-from coldrec.policies import POLICIES, make_policy
+from coldrec.policies import HYPER_RULES, POLICIES, policy_params
 from coldrec.synthetic import linear_environment
 
 
@@ -107,6 +107,23 @@ class TestParseConfig:
         cfg_file.write_text(f"dataset={corpus}\nlearning-rate=0.1\n")
         with pytest.raises(ConfigError, match="learning-rate"):
             parse_config(["--config", str(cfg_file)])
+
+    @pytest.mark.parametrize("line", ["als_lambda=0.2", "dump_base=true"])
+    def test_config_key_spelled_with_an_underscore_rejected(self, corpus, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"dataset={corpus}\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{cfg_file}, line 2: ')}unknown key '{key}'$"):
+            parse_config(["--config", str(cfg_file)])
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--work", "2"], ["--dump"]], ids=["seed", "work", "dump"])
+    def test_abbreviated_flag_rejected(self, corpus, flag, capsys):
+        """argparse would read a prefix as the one flag it starts; each key
+        has one spelling, so the prefix is an unrecognized argument."""
+        with pytest.raises(SystemExit) as exit_info:
+            parse_config(["--dataset", corpus, *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_config_key_set_twice_rejected(self, corpus, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -283,16 +300,13 @@ class TestParseConfig:
         assert "als-lambda=0.125\n" in Path(resolved).read_text()
 
 
-def _policy_rule(policy_id, name):
-    return lambda value: make_policy(policy_id, np.ones((2, 3)), **{name: value})
-
-
 _FILL_BASE = dataset_from_dense(np.full((3, 4), 0.5))
 
 # each range-checked key the config shares with the library, and a build that
-# applies the library's own check to a value of it; there is one per owner
+# applies the library's own check to a value of it; there is one per owner.
+# The policy hyper-parameters are not here: the config checks them with the
+# library's own HYPER_RULES entry (TestPolicyConvention).
 LIBRARY_RULES = [
-    *((name, policy_id, _policy_rule(policy_id, name)) for policy_id, cls in POLICIES.items() for name in cls.params),
     ("rank", "svd", lambda rank: fill(_FILL_BASE, ImputedSvd(rank=rank))),
     ("rank", "alswr", lambda rank: fill(_FILL_BASE, AlsWr(rank=rank))),
     ("als_lambda", "alswr", lambda lam: fill(_FILL_BASE, AlsWr(lam=lam))),
@@ -307,9 +321,8 @@ class TestConfigAgreesWithTheLibrary:
 
     @pytest.mark.parametrize("policy_id", POLICIES)
     def test_policy_params_are_keys_with_the_constructor_defaults(self, policy_id):
-        cls = POLICIES[policy_id]
-        signature = inspect.signature(cls)
-        for name in cls.params:
+        signature = inspect.signature(POLICIES[policy_id])
+        for name in policy_params(policy_id):
             assert name in cli._FIELDS, name
             assert cli._FIELDS[name].default == signature.parameters[name].default, name
 
@@ -326,6 +339,22 @@ class TestConfigAgreesWithTheLibrary:
         for value in (-1, 0, 1, 2) if is_int else (-1.0, 0.0, 0.5, 1.0, 1.5):
             in_config = accepts(lambda v: ExperimentConfig(dataset="ratings.csv", **{name: v}), value)
             assert in_config == accepts(build, value), (name, value)
+
+
+class TestPolicyConvention:
+    """make_policy reads each registered constructor, so every constructor
+    must follow the convention Policy's docstring states."""
+
+    @pytest.mark.parametrize("policy_id", POLICIES)
+    def test_constructor_takes_only_what_make_policy_passes(self, policy_id):
+        first, *rest = inspect.signature(POLICIES[policy_id]).parameters
+        assert first in ("X", "n_arms")
+        extra = {"dense_inversion"} if policy_id == "linucb" else set()  # an ablation switch, left at its default
+        assert set(rest) <= {"seed", *HYPER_RULES, *extra}, rest
+
+    @pytest.mark.parametrize("name", HYPER_RULES)
+    def test_each_hyper_parameter_is_a_config_key_with_the_library_rule(self, name):
+        assert cli._FIELDS[name].metadata["check"] is HYPER_RULES[name]
 
 
 class TestRunMatrix:

@@ -2,6 +2,7 @@
 select/update protocol contract (tie-breaking, determinism, validation)."""
 
 import hashlib
+import inspect
 import math
 from dataclasses import replace
 
@@ -142,6 +143,14 @@ class TestEgreedyEpsilon:
         values = [egreedy_epsilon(0.1, 0.5, 10, t) for t in (100, 1000, 10_000, 10**7)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-4
+
+    def test_underflowing_d_squared_explores(self):
+        """d = 1e-200 is positive but d² is 0.0: past step n + 1 the rate is
+        its limit 1, not a division by zero."""
+        assert egreedy_epsilon(0.1, 1e-200, 10, 20) == 1.0
+        _, evaluation = linear_environment(4, 10, 20, seed=37)
+        trace = run_replay(EpsilonGreedyPolicy(10, d=1e-200, seed=0), evaluation, 30, seed=0)
+        assert trace.steps == 30
 
 
 class TestUcbScore:
@@ -740,7 +749,7 @@ class TestExp3Protocol:
 
     @pytest.mark.parametrize("gamma", [0.0, 1.5, float("nan")])
     def test_rejects_gamma_outside_unit_interval(self, gamma):
-        with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\], got"):
+        with pytest.raises(ValueError, match=r"^gamma must be finite and in \(0, 1\], got"):
             Exp3Policy(3, gamma=gamma, seed=0)
 
     def test_update_requires_selected_arm(self):
@@ -851,13 +860,30 @@ class TestMakePolicy:
         with pytest.raises(TypeError, match="'X'"):
             make_policy("alinucb")
 
-    @pytest.mark.parametrize("policy_id", [pid for pid, cls in POLICIES.items() if cls.contextual])
+    @pytest.mark.parametrize(
+        "policy_id", [pid for pid, cls in POLICIES.items() if "X" in inspect.signature(cls).parameters]
+    )
     def test_contextual_rejects_an_overflowing_column_norm(self, policy_id):
         """Entries near 1e200 are finite, but their squared norm overflows to
         inf: linucb would start at an infinite score, thompson would draw θ of
         order 1e199 and alinucb would score inf / inf = NaN."""
         with pytest.raises(ValueError, match="columns whose squared norm overflows"):
             make_policy(policy_id, X=np.array([[1e200, 0.5, 0.2], [0.1, 0.3, 0.9]]), seed=0)
+
+    @pytest.mark.parametrize(
+        "policy_id", [pid for pid, cls in POLICIES.items() if "seed" in inspect.signature(cls).parameters]
+    )
+    def test_seed_reaches_every_seeded_policy(self, policy_id):
+        base = random_base(k=3, n=50, seed=38)
+
+        def picks():
+            pol, arms = make_policy(policy_id, X=base, seed=0), []
+            for t in range(1, 21):
+                arms.append(pol.select(NONE, t))
+                pol.update(arms[-1], (arms[-1] % 3) / 2)
+            return arms
+
+        assert picks() == picks()
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown policy"):
