@@ -10,6 +10,7 @@ columns — a recommender knows its catalog, not which items got ratings).
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import os
 import warnings
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+_CSV_CHUNK_ROWS = 10_000  # rows write_csv formats per write, so the text held at once does not grow with the file
 
 
 class ProblemKind(enum.Enum):
@@ -307,11 +309,17 @@ def write_csv(path, header, columns) -> None:
     Every CSV file coldrec writes goes through here.  Each value is written
     as ``str()`` of its Python scalar, which for a float is its shortest
     repr: it reads back to the same bits, and equal values always give equal
-    bytes, so a rerun writes byte-identical files.
+    bytes, so a rerun writes byte-identical files.  Rows are formatted and
+    written a fixed-size chunk at a time.
     """
+    columns = [np.asarray(col) for col in columns]
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns must have equal lengths, got {sorted(lengths)}")
     row = ",".join(["%s"] * len(columns)) + "\n"
-    body = "".join(row % values for values in zip(*(np.asarray(col).tolist() for col in columns), strict=True))
-    atomic_write(path, [body] if header is None else [header + "\n", body])
+    chunks = ("".join(row % values for values in zip(*(col[lo:lo + _CSV_CHUNK_ROWS].tolist() for col in columns)))
+              for lo in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS))
+    atomic_write(path, chunks if header is None else itertools.chain([header + "\n"], chunks))
 
 
 def save_csv_triples(ds: RatingDataset, path) -> None:

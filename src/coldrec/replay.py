@@ -1,20 +1,21 @@
 """Offline replay of the sequential recommendation protocol.
 
-Each step draws an evaluation user uniformly among those who still have
-un-revealed arms, asks the policy for one of that user's un-revealed arms,
-reveals the held-out rating (zero when the user never rated the arm), and
-charges regret against the user's best still-hidden known rating.  A
-(user, arm) pair is revealed at most once over the whole run, and the
-bookkeeping for it takes memory in proportion to the ratings, never to
-users × items.
+Each step takes the next user of a schedule drawn up front, asks the
+policy for one of that user's un-revealed arms, reveals the held-out rating
+(zero when the user never rated the arm), and charges regret against the
+user's best still-hidden known rating.  A (user, arm) pair is revealed at
+most once over the whole run, and the bookkeeping for it takes memory in
+proportion to the ratings, never to users × items.
 
-User draws and policy randomness come from separate generators, so swapping
-the policy never perturbs the user sequence for a given replay seed.
+The schedule draws each step's user uniformly among those with an arm left,
+from its own generator: it depends on the evaluation's shape, T and the
+replay seed alone, so swapping the policy never changes the users.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 import re
 import time
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "RegretTrace",
     "RevealLog",
     "run_replay",
+    "user_schedule",
     "write_trace_csv",
     "read_trace_csv",
     "TRACE_COLUMNS",
@@ -137,91 +139,86 @@ class RegretTrace:
         return float(self.cumulative[-1]) if self.steps else 0.0
 
 
-def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
-    """Run the replay protocol for T steps (or until every user is spent).
+def user_schedule(evaluation: RatingDataset, T: int, seed=None) -> np.ndarray:
+    """The replay's users in step order: T of them, fewer once every user is spent.
 
-    A step looks the drawn user's state up once in the :class:`RevealLog`:
-    the best hidden rating is read, not searched for, and a reveal costs a
-    bisect in the user's revealed arms and one in their ratings; the user's
-    ratings are sorted only when their best is revealed.  ``select`` is
-    handed the user's own sorted list of revealed arms, not a copy: it may
-    read the list during the call and must not change it.  The wall clock
-    covers the decision loop, including building the state of the users it
-    draws; grouping the ratings by user and taking every user's best rating
-    happen before it.
+    Each step draws uniformly among the users with an arm left and reveals
+    one arm, so the schedule depends on the evaluation's shape, T and the
+    seed alone, never on the arms played.  A block of draws is no longer
+    than the fewest arms any pooled user has left, so at most its last draw
+    can spend a user, and one batched draw equals that many scalar draws.
     """
     if T < 1:
         raise ValueError(f"horizon T must be >= 1, got {T}")
     if evaluation.n_ratings == 0:
         raise ValueError("evaluation dataset is empty")
+    arms_left = np.full(evaluation.n_users, evaluation.n_items, dtype=np.int64)
+    pool, size = np.arange(evaluation.n_users), evaluation.n_users
+    rng = np.random.default_rng(seed)
+    blocks, t = [], 0
+    while t < T and size:
+        idx = rng.integers(size, size=min(T - t, int(arms_left[pool[:size]].min())))
+        users = pool[idx]
+        np.subtract.at(arms_left, users, 1)
+        if arms_left[users[-1]] == 0:
+            size -= 1
+            pool[idx[-1]] = pool[size]
+        blocks.append(users)
+        t += len(users)
+    return np.concatenate(blocks)
+
+
+def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
+    """Run the replay protocol over the users of :func:`user_schedule`.
+
+    A step looks the user's state up once in the :class:`RevealLog`: the
+    best hidden rating is read, not searched for, and a reveal costs a
+    bisect in the user's revealed arms and one in their ratings; the user's
+    ratings are sorted only when their best is revealed.  ``select`` is
+    handed the user's own sorted list of revealed arms, not a copy: it may
+    read the list during the call and must not change it, and it returns an
+    integer arm.  The wall clock covers drawing the schedule and the
+    decision loop, including building the state of the users it meets;
+    grouping the ratings by user and taking every user's best rating happen
+    before it.
+    """
     n_arms = policy.n_arms
     if evaluation.n_items != n_arms:
-        raise ValueError(
-            f"policy scores {n_arms} arms but evaluation has {evaluation.n_items} items"
-        )
+        raise ValueError(f"policy scores {n_arms} arms but evaluation has {evaluation.n_items} items")
     evaluation.check_normalized("evaluation")
 
     log = RevealLog(evaluation)
-    arms_left = np.full(evaluation.n_users, n_arms, dtype=np.int64)
-    left = memoryview(arms_left)
-    pool = np.arange(evaluation.n_users)
-    pool_size = evaluation.n_users
-    user_rng = np.random.default_rng(seed)
-
-    users, arms, rewards, bests = [], [], [], []
-    t = 0
-    exhausted = False
     start = time.perf_counter()
-    while t < T:
-        if pool_size == 0:
-            exhausted = True
-            break
-        # No user in the pool can run out before the block's last step, so
-        # the pool stays as it is and one batched draw equals `block` draws.
-        block = min(T - t, int(arms_left[pool[:pool_size]].min()))
-        for idx in user_rng.integers(pool_size, size=block).tolist():
-            t += 1
-            user = pool.item(idx)
-            policy.observe_user(user)
-            state = log.user(user)
-            best = state.best
-            arm = int(policy.select(state.revealed, t))
-            try:
-                reward = state.reveal(arm, n_arms)
-            except RuntimeError as exc:
-                raise RuntimeError(f"policy violated the protocol at step {t}: {exc} for user {user}") from None
-            left[user] = n_left = n_arms - len(state.revealed)
-            if n_left == 0:
-                pool_size -= 1
-                pool[idx] = pool[pool_size]
-            policy.update(arm, reward)
-            users.append(user)
-            arms.append(arm)
-            rewards.append(reward)
-            bests.append(best)
+    schedule = user_schedule(evaluation, T, seed)
+    arm, revealed, best = np.empty(len(schedule), np.int64), np.empty(len(schedule)), np.empty(len(schedule))
+    arms, rewards, bests = memoryview(arm), memoryview(revealed), memoryview(best)  # no numpy call per item
+    for i, user in enumerate(memoryview(schedule)):
+        policy.observe_user(user)
+        state = log.user(user)
+        bests[i] = state.best
+        choice = policy.select(state.revealed, i + 1)
+        try:
+            choice = operator.index(choice)
+            reward = state.reveal(choice, n_arms)
+        except (TypeError, RuntimeError) as exc:
+            raise RuntimeError(f"policy violated the protocol at step {i + 1}: {exc} for user {user}") from None
+        policy.update(choice, reward)
+        arms[i], rewards[i] = choice, reward
     wall = time.perf_counter() - start
 
-    best = np.array(bests, dtype=np.float64)
-    revealed = np.array(rewards, dtype=np.float64)
     increment = best - revealed
-    return RegretTrace(
-        t=np.arange(1, len(users) + 1, dtype=np.int64),
-        user=np.array(users, dtype=np.int64),
-        arm=np.array(arms, dtype=np.int64),
-        revealed=revealed,
-        best=best,
-        increment=increment,
-        cumulative=np.cumsum(increment),  # sequential, as the step-by-step running sum
-        wall_time_seconds=wall,
-        exhausted=exhausted,
-    )
+    return RegretTrace(t=np.arange(1, len(schedule) + 1, dtype=np.int64), user=schedule, arm=arm, revealed=revealed,
+                       best=best, increment=increment,
+                       cumulative=np.cumsum(increment),  # sequential, as the step-by-step running sum
+                       wall_time_seconds=wall, exhausted=len(schedule) < T)
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
     """One row per step under :data:`TRACE_HEADER`, through :func:`write_csv`,
     each column cast to its declared type: ids that are not integers raise."""
-    write_csv(path, TRACE_HEADER, [np.asarray(getattr(trace, name)).astype(_TRACE_DTYPE[name], casting="same_kind")
-                                   for name in TRACE_COLUMNS])
+    columns = [np.asarray(getattr(trace, name)).astype(_TRACE_DTYPE[name], casting="same_kind", copy=False)
+               for name in TRACE_COLUMNS]  # a column already of its type is not copied
+    write_csv(path, TRACE_HEADER, columns)
 
 
 def read_trace_csv(path) -> RegretTrace:

@@ -198,6 +198,26 @@ class TestLoadCsvTriples:
             write_csv(path, "a,b", [np.arange(3), np.arange(2)])
         assert not path.exists()
 
+    def test_write_csv_rejects_a_length_difference_past_the_first_chunks(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        n = 2 * data._CSV_CHUNK_ROWS + 1
+        with pytest.raises(ValueError, match=rf"^columns must have equal lengths, got \[{n - 1}, {n}\]$"):
+            write_csv(path, "a,b", [np.arange(n), np.arange(n - 1)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("chunks", [1, 2, 2.5])
+    def test_write_csv_in_chunks_writes_the_bytes_of_one_join(self, tmp_path, chunks):
+        n = int(chunks * data._CSV_CHUNK_ROWS)
+        ints, floats = np.arange(n) - 3, np.random.default_rng(n).uniform(size=n) * 1e-3
+        path = tmp_path / "rows.csv"
+        write_csv(path, None, [ints, floats])
+        assert path.read_text() == "".join(f"{i},{x!r}\n" for i, x in zip(ints.tolist(), floats.tolist()))
+
+    def test_write_csv_without_columns_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        write_csv(path, "policy,cells", [])
+        assert path.read_text() == "policy,cells\n"
+
     @settings(max_examples=40, deadline=None)
     @given(
         n_users=st.integers(1, 8),

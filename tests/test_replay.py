@@ -2,7 +2,7 @@
 
 The evaluator's fast paths are checked against slow references kept here:
 a dense m×n reveal log, a dict-walking best-surrogate, and the replay loop
-that draws one user per step.
+that draws one user per step, which the user schedule must reproduce.
 """
 
 import hashlib
@@ -32,7 +32,15 @@ from coldrec.policies import (
     make_policy,
     nth_open_arm,
 )
-from coldrec.replay import TRACE_HEADER, RegretTrace, RevealLog, read_trace_csv, run_replay, write_trace_csv
+from coldrec.replay import (
+    TRACE_HEADER,
+    RegretTrace,
+    RevealLog,
+    read_trace_csv,
+    run_replay,
+    user_schedule,
+    write_trace_csv,
+)
 from coldrec.synthetic import linear_environment
 
 
@@ -337,6 +345,35 @@ class TestRunReplay:
         message = "policy violated the protocol at step 2: arm 0 is not available for user 0"
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             run_replay(StubbornPolicy(), single_user, T=3, seed=0)
+
+    @pytest.mark.parametrize("arm,kind", [(2.9, "float"), (np.float64(1.0), "numpy.float64"), ("1", "str")])
+    def test_an_arm_that_is_not_an_integer_is_a_protocol_violation(self, arm, kind):
+        class FloatArms(Policy):
+            n_arms = 3
+
+            def select(self, revealed, t):
+                return arm
+
+            def update(self, arm, reward):
+                pass
+
+        evaluation = dataset_from_dense(np.array([[0.5, 0.25, 1.0]]))
+        message = f"policy violated the protocol at step 1: '{kind}' object cannot be interpreted as an integer for user 0"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_replay(FloatArms(), evaluation, T=2, seed=0)
+
+    def test_integer_arms_of_numpy_type_are_played(self):
+        class NumpyArms(Policy):
+            n_arms = 3
+
+            def select(self, revealed, t):
+                return np.int32(nth_open_arm(revealed, 0))
+
+            def update(self, arm, reward):
+                assert type(arm) is int
+
+        evaluation = dataset_from_dense(np.array([[0.5, 0.25, 1.0]]))
+        assert run_replay(NumpyArms(), evaluation, T=3, seed=0).arm.tolist() == [0, 1, 2]
 
     def test_validation(self):
         X, evaluation = tiny_env(8)
@@ -654,23 +691,62 @@ RUN_OUT_SETS = {
 
 
 class TestBatchedDraws:
-    """run_replay draws users in blocks; the reference draws one per step."""
+    """user_schedule draws users in blocks; the reference draws one per step."""
 
     @pytest.mark.parametrize("name", sorted(RUN_OUT_SETS))
     @pytest.mark.parametrize("T", [1, 3, 4, 6, 15, 100])
     def test_matches_per_step_reference_until_users_run_out(self, name, T):
         evaluation = RUN_OUT_SETS[name]
         for seed in range(4):
+            schedule = user_schedule(evaluation, T, seed)
             for policy_id, make in all_policies(evaluation, seed).items():
                 fast = run_replay(make(), evaluation, T, seed=seed)
                 slow = reference_replay(make(), evaluation, T, seed=seed)
                 assert_same_trace(fast, slow)
+                np.testing.assert_array_equal(fast.user, schedule, err_msg=policy_id)
         assert fast.exhausted == (T > evaluation.n_users * evaluation.n_items)
 
     def test_matches_per_step_reference_on_pinned_corpus(self):
         _, evaluation = pinned_corpus()
+        schedule = user_schedule(evaluation, 70, seed=5)
         for policy_id, make in all_policies(evaluation, 3).items():
-            assert_same_trace(run_replay(make(), evaluation, 70, seed=5), reference_replay(make(), evaluation, 70, seed=5))
+            fast = run_replay(make(), evaluation, 70, seed=5)
+            assert_same_trace(fast, reference_replay(make(), evaluation, 70, seed=5))
+            np.testing.assert_array_equal(fast.user, schedule, err_msg=policy_id)
+
+
+@st.composite
+def schedule_cases(draw):
+    """An evaluation set of up to 6 users × 5 arms with some users who rated
+    nothing, and a horizon that may outlast every user's arms."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((m, n)) < draw(st.sampled_from([0.3, 1.0]))
+    mask[0, rng.integers(n)] = True
+    users, items = np.nonzero(mask)
+    evaluation = RatingDataset(users, items, rng.integers(1, 5, size=users.size) / 4, m, n, 1.0)
+    return evaluation, draw(st.integers(1, m * n + 5)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestUserSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(schedule_cases())
+    def test_matches_the_per_step_reference(self, case):
+        evaluation, T, seed = case
+        reference = reference_replay(RandomPolicy(evaluation.n_items, seed=seed), evaluation, T, seed=seed)
+        schedule = user_schedule(evaluation, T, seed)
+        np.testing.assert_array_equal(schedule, reference.user)
+        assert (len(schedule) < T) == reference.exhausted
+
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_rejects_a_horizon_below_one(self, T):
+        with pytest.raises(ValueError, match=f"^horizon T must be >= 1, got {T}$"):
+            user_schedule(RUN_OUT_SETS["2x2"], T, seed=0)
+
+    def test_rejects_an_empty_evaluation_set(self):
+        no_ratings = RatingDataset(np.array([], int), np.array([], int), np.array([]), 2, 3, 1.0)
+        with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
+            user_schedule(no_ratings, 5, seed=0)
 
 
 def test_memory_grows_with_ratings_not_users_times_items():
@@ -705,3 +781,24 @@ def test_dense_evaluation_memory_stays_with_the_shared_arrays():
         tracemalloc.stop()
     assert trace.steps == 2_000
     assert peak < 6 * 2**20, f"replay peaked at {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.slow
+def test_replay_and_trace_write_take_fixed_bytes_per_step(tmp_path):
+    """T = 200,000 steps of 2,000 users × 1,000 arms: the log fills arrays of
+    8 bytes per column and step, and the trace is written a chunk of rows at
+    a time, so replay plus write peak at 240 bytes per step or less (Python
+    lists of the columns and one string of the whole file took 485)."""
+    rng = np.random.default_rng(0)
+    m, n, T = 2_000, 1_000, 200_000
+    users, items = np.divmod(np.unique(rng.integers(0, m * n, size=110_000))[:100_000], n)
+    evaluation = RatingDataset(users, items, rng.uniform(size=users.size), m, n, 1.0)
+    tracemalloc.start()
+    try:
+        trace = run_replay(RandomPolicy(n, seed=1), evaluation, T, seed=1)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == T and not trace.exhausted
+    assert peak <= 240 * T, f"replay and write peaked at {peak / T:.0f} B per step"
