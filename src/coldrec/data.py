@@ -202,17 +202,22 @@ def _stripped_lines(fh):
     return ((lineno, text) for lineno, line in enumerate(fh, start=1) if (text := line.strip()))
 
 
-def _bulk_triples(path, grammar: _Grammar, scale_max: float, skip: int):
-    """(users, items, ratings) of the lines after the first `skip`, read by
-    numpy's C parser, or None unless :func:`_parse_line` reads each line to
-    the same triple: numpy also reads ids below first_id, ratings outside
-    [0, scale_max] and text inside a separator, which the checks reject."""
+def _numpy_rows(path, dtype: np.dtype, delimiter: str, skip: int):
+    """The rows after line `skip`, parsed from disk by numpy (UTF-8, no comments), or None on a bad row or on none."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, grammar.fields, comments=None, delimiter=grammar.sep[0], skiprows=skip,
-                              encoding="utf-8", ndmin=1)
+            return np.loadtxt(path, dtype, comments=None, delimiter=delimiter, skiprows=skip, encoding="utf-8", ndmin=1)
     except (ValueError, Warning):
+        return None
+
+
+def _bulk_triples(path, grammar: _Grammar, scale_max: float, skip: int):
+    """(users, items, ratings) of the lines after the first `skip`, read by :func:`_numpy_rows`, or None unless
+    :func:`_parse_line` reads each line to the same triple: numpy also reads ids below first_id, ratings outside
+    [0, scale_max] and text inside a separator, which the checks reject."""
+    rows = _numpy_rows(path, grammar.fields, grammar.sep[0], skip)
+    if rows is None:
         return None
     users, items, ratings = rows["user"], rows["item"], rows["rating"]
     if (min(users.min(), items.min()) < grammar.first_id or not (ratings.min() >= 0.0 and ratings.max() <= scale_max)

@@ -205,8 +205,9 @@ def _check_method(method: ImputationMethod) -> None:
     """The errors the factorizations would raise, raised before any build."""
     if not isinstance(method, tuple(METHODS.values())):
         raise TypeError(f"unknown imputation method {method!r}")
-    if isinstance(method, (ImputedSvd, AlsWr)) and method.rank < 1:
-        raise ValueError(f"rank must be at least 1, got {method.rank}")
+    rank = getattr(method, "rank", 1)  # zero and average take no rank
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or rank < 1:
+        raise ValueError(f"rank must be at least 1 and an integer, got {rank!r}")
     if isinstance(method, AlsWr):
         linalg.check_als_wr_args(method.lam, method.iters)
 

@@ -79,11 +79,11 @@ def _als_half_sweep(W, RW, fixed, lam, n_obs, extra_gram):
 
 
 def check_als_wr_args(lam: float, iters: int) -> None:
-    """Raise unless the regularization λ is positive and finite and there is at least one sweep."""
+    """Raise unless the regularization λ is positive and finite and the sweeps are an integer count of at least 1."""
     if not 0 < lam < np.inf:
         raise ValueError(f"regularization must be positive and finite, got {lam}")
-    if iters < 1:
-        raise ValueError(f"need at least one iteration, got {iters}")
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"need at least one iteration, got {iters!r}: iters must be an integer of at least 1")
 
 
 def als_wr_factorize(R, rank: int, lam: float, iters: int, rng=None):

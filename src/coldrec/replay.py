@@ -19,11 +19,10 @@ import operator
 import re
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import RatingDataset, write_csv
+from .data import RatingDataset, _numpy_rows, write_csv
 from .policies import Policy, _is_revealed
 
 __all__ = [
@@ -222,21 +221,25 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
 
 def read_trace_csv(path) -> RegretTrace:
-    """Read a trace written by :func:`write_trace_csv` (timing not stored);
-    a header followed by nothing or by empty lines reads back as a 0-step
-    trace.  Any other format raises a ValueError that starts with the path."""
-    header, *lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]  # an empty file has no header
-    if header != TRACE_HEADER:
-        raise ValueError(f"{path}: expected {len(TRACE_COLUMNS)} columns ({TRACE_HEADER}), got the header {header!r}")
-    try:
-        rows = (np.loadtxt(lines, delimiter=",", dtype=_TRACE_DTYPE, ndmin=1) if any(lines)  # not only empty lines
-                else np.empty(0, _TRACE_DTYPE))
-    except ValueError:  # numpy's row numbers skip blank lines and change base: name the first bad line instead
-        for lineno, line in enumerate(lines, start=2):
-            try:
-                if line:
-                    np.loadtxt([line], delimiter=",", dtype=_TRACE_DTYPE)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {re.sub(r' at row [0-9]+', '', str(exc))}") from None
-        raise
+    """Read a trace written by :func:`write_trace_csv` (timing not stored): the loaders' numpy call reads the rows
+    from disk, and `t` and `cumulative` must be what :func:`run_replay` derives, bit for bit.  A header followed
+    by nothing or by empty lines is a 0-step trace; any other file raises a ValueError that starts with the path."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
+        if header != TRACE_HEADER:
+            raise ValueError(f"{path}: expected {len(TRACE_COLUMNS)} columns ({TRACE_HEADER}), "
+                             f"got the header {header!r}")
+        rows = _numpy_rows(path, _TRACE_DTYPE, ",", 1)
+        if rows is None:  # numpy's row numbers skip blank lines and change base: name the first bad line instead
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    if line := line.decode("utf-8").rstrip("\r\n"):
+                        np.loadtxt([line], _TRACE_DTYPE, comments=None, delimiter=",")
+                except ValueError as exc:  # a UnicodeDecodeError too
+                    raise ValueError(f"{path}, line {lineno}: {re.sub(r' at row [0-9]+', '', str(exc))}") from None
+            rows = np.empty(0, _TRACE_DTYPE)  # numpy found no row, and no line but empty ones
+    if not np.array_equal(rows["t"], np.arange(1, len(rows) + 1)):
+        raise ValueError(f"{path}: column t must be the steps 1..n")
+    if not np.array_equal(rows["cumulative"].view(np.int64), np.cumsum(rows["increment"]).view(np.int64)):
+        raise ValueError(f"{path}: column cumulative must be the running sum of increment")
     return RegretTrace(**{name: rows[name] for name in TRACE_COLUMNS}, wall_time_seconds=float("nan"))

@@ -336,7 +336,7 @@ class TestConfigAgreesWithTheLibrary:
             return True
 
         is_int = cli._FIELDS[name].metadata["convert"] is int
-        for value in (-1, 0, 1, 2) if is_int else (-1.0, 0.0, 0.5, 1.0, 1.5):
+        for value in (-1, 0, 1, 2, 1.5, True) if is_int else (-1.0, 0.0, 0.5, 1.0, 1.5):
             in_config = accepts(lambda v: ExperimentConfig(dataset="ratings.csv", **{name: v}), value)
             assert in_config == accepts(build, value), (name, value)
 

@@ -299,6 +299,10 @@ FILL_ERRORS = {
     "unknown-method": (NORMALIZED, "zero", TypeError, "unknown imputation method"),
     "svd-rank-0": (NORMALIZED, ImputedSvd(rank=0), ValueError, "^rank must be at least 1"),
     "alswr-rank-0": (NORMALIZED, AlsWr(rank=0), ValueError, "^rank must be at least 1"),
+    "svd-rank-float": (NORMALIZED, ImputedSvd(rank=1.5), ValueError, "^rank must be at least 1 and an integer"),
+    "alswr-rank-float": (NORMALIZED, AlsWr(rank=1.5), ValueError, "^rank must be at least 1 and an integer"),
+    "alswr-rank-bool": (NORMALIZED, AlsWr(rank=True), ValueError, "^rank must be at least 1 and an integer"),
+    "alswr-iters-float": (NORMALIZED, AlsWr(iters=1.5), ValueError, "^need at least one iteration, got 1.5"),
     "alswr-lambda-0": (NORMALIZED, AlsWr(lam=0.0), ValueError, "^regularization must be positive and finite"),
     "alswr-lambda-negative": (NORMALIZED, AlsWr(lam=-1.0), ValueError, "^regularization must be positive and finite"),
     "alswr-lambda-nan": (NORMALIZED, AlsWr(lam=np.nan), ValueError, "^regularization must be positive and finite"),

@@ -457,8 +457,12 @@ class TestTraceCsv:
             ("x,y,z,a,b,c,d\n1,0,2,0.5,0.5,0.0,0.0\n", r"expected 7 columns \(t,user,arm,.*got the header 'x,y,z"),
             ("t,user,arm,revealed,best,increment,cumulative\n1,0,3.7,0.5,0.5,0.0,0.0\n",
              "could not convert string '3.7' to int64"),
+            (f"{TRACE_HEADER}\n5,0,0,0.5,0.5,0.0,0.0\n", r"column t must be the steps 1\.\.n$"),
+            # 0.1 + 0.2 sums to 0.30000000000000004, which the writer writes as such: 0.3 is one bit off
+            (f"{TRACE_HEADER}\n1,0,0,0.0,0.1,0.1,0.1\n2,0,1,0.0,0.2,0.2,0.3\n",
+             "column cumulative must be the running sum of increment$"),
         ],
-        ids=["another-header", "non-integer-arm"],
+        ids=["another-header", "non-integer-arm", "t-not-the-steps", "cumulative-not-the-running-sum"],
     )
     def test_rejects_a_file_in_another_format(self, tmp_path, text, message):
         path = tmp_path / "trace.csv"
@@ -473,8 +477,11 @@ class TestTraceCsv:
             (["1,0,2,0.5,0.5,0.0,0.0", "", "2,0,3,0.5,0.5,0.0"], 4, "the dtype passed requires 7 columns but 6 were"),
             (["1,0,2,0.5,0.5,0.0,0.0", "2,0,3,0.5,0.5,0.0"], 3, "the dtype passed requires 7 columns but 6 were"),
             ([" "], 2, "the dtype passed requires 7 columns but 1 were"),
+            (["# a comment", "1,0,0,0.5,0.5,0.0,0.0"], 2, "the dtype passed requires 7 columns but 1 were found"),
+            (["1,0,0,0.5,0.5,0.0,0.0#x"], 2, "could not convert string '0.0#x' to float64, column 7."),
         ],
-        ids=["non-integer-arm", "six-fields-after-a-blank-line", "six-fields", "whitespace-only"],
+        ids=["non-integer-arm", "six-fields-after-a-blank-line", "six-fields", "whitespace-only", "comment-line",
+             "trailing-comment"],
     )
     def test_errors_name_the_file_line(self, tmp_path, rows, lineno, message):
         """numpy numbers a conversion error's row from 0 and a field count's from 1, both among the non-blank
@@ -482,6 +489,20 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         path.write_text("\n".join([TRACE_HEADER, *rows, ""]))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line {lineno}: {message}')}"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "data,where",
+        [
+            (TRACE_HEADER.encode() + b"\n1,0,0,0.5,0.5,0.0,0.0\n2,0,0,0.5,0.5,\xff,0.0\n", ", line 3: 'utf-8' codec"),
+            (TRACE_HEADER.encode() + b"\xff\n", r": expected 7 columns .*got the header"),
+        ],
+        ids=["row", "header"],
+    )
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path, data, where):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{where}"):
             read_trace_csv(path)
 
     def test_writes_no_id_that_is_not_an_integer(self, tmp_path):
@@ -802,3 +823,27 @@ def test_replay_and_trace_write_take_fixed_bytes_per_step(tmp_path):
         tracemalloc.stop()
     assert trace.steps == T and not trace.exhausted
     assert peak <= 240 * T, f"replay and write peaked at {peak / T:.0f} B per step"
+
+
+@pytest.mark.slow
+def test_trace_read_takes_fixed_bytes_per_row(tmp_path):
+    """A T = 200,000-row trace is parsed by numpy straight from the file into
+    the 56-byte rows, plus one derived column at a time for the checks, so the
+    read peaks at 84 bytes per row or less (the file's text and a list of its
+    lines took 223)."""
+    rng = np.random.default_rng(0)
+    T = 200_000
+    steps, revealed = np.arange(1, T + 1), rng.uniform(size=T)
+    best = np.maximum(revealed, rng.uniform(size=T))
+    trace = RegretTrace(steps, rng.integers(0, 2_000, size=T), rng.integers(0, 1_000, size=T), revealed, best,
+                        best - revealed, np.cumsum(best - revealed), wall_time_seconds=0.0)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    tracemalloc.start()
+    try:
+        loaded = read_trace_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("t", "user", "arm", "revealed", "best", "increment", "cumulative"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(trace, name))
+    assert peak <= 84 * T, f"trace read peaked at {peak / T:.0f} B per row"
