@@ -14,6 +14,10 @@ which collapses scoring to two cached scalars per arm — no matrix is ever
 inverted on its fast path.  The standard LinUCB baseline deliberately pays
 the dense O(k³) inversion on every re-score, which is exactly the cost the
 adapted variant removes; a closed-form flag exists for ablation only.
+Thompson sampling keeps a square-root factor of its posterior projected
+onto the arms, one n×k matrix and no k×k one, so its step is O(k·n): each
+select reads the factor once and applies the rank-one step the previous
+update deferred.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dsyr
+from scipy.linalg.blas import dger
 
 from .data import RatingDataset
 from .impute import BaseMatrix
@@ -400,52 +404,62 @@ class ThompsonPolicy(Policy):
     maximizing θ̃ᵀx_j (Agrawal & Goyal, ICML 2013).  v = 0 degenerates to the
     posterior-mean greedy.
 
-    A itself is never stored.  The upper triangle of ``A_inv`` (its lower
-    triangle is stale) is kept current by the symmetric Sherman–Morrison
-    rank-one downdate, and since A = I + X diag(counts) Xᵀ
-    an exact draw needs only A⁻¹ and the per-arm play counts (see
-    :meth:`sample_theta`), so every step is O(k² + k·n) with no factorization.
+    Only the arms' scores θ̃ᵀX are ever needed, so neither A, A⁻¹ nor X is
+    stored.  With a square-root factor L of A⁻¹ (LLᵀ = A⁻¹), the policy keeps
+    the n×k matrix ``K`` = XᵀL and the k-vector ``h`` = Lᵀb; the scores
+    K(h + v·z), z ~ N(0, I_k), have mean XᵀA⁻¹b and covariance v²XᵀA⁻¹X,
+    exactly those of θ̃ᵀX.  An observation of arm a is Potter's square-root
+    update (Potter & Stern 1963; Bierman 1977): with p = Lᵀx_a, the row
+    ``K[a]``, L ← L(I − βppᵀ) where β = 1/(σ(1 + σ)) and σ = √(1 + pᵀp).
+    So a step costs O(k·n) and no k×k matrix exists.  The rank-one step
+    K ← K − β(Kp)pᵀ is deferred to the next select, which forms Kp and Ky
+    in one read of K, scores arms by K'y = Ky − β(pᵀy)Kp, and only then
+    updates K in place; an update with no select since the previous one
+    applies the pending step first.
     """
 
     def __init__(self, X, v: float = DEFAULT_V, seed=None):
         _check_hyper("v", v)
         base = _context_matrix(X)
-        self.X = base.X
         self.n_arms = base.n_arms
         self.v = v
         self.rng = np.random.default_rng(seed)
-        k = base.k
-        # Fortran order lets dsyr downdate the upper triangle in place
-        self.A_inv = np.eye(k, order="F")
-        self.b = np.zeros(k)
-        self.counts = np.zeros(self.n_arms, dtype=np.int64)
+        self.K = np.array(base.X.T, order="F")  # L = I; Fortran order lets dger update it in place
+        self.h = np.zeros(base.k)
+        # column 0 holds the pending step's p, column 1 the vector select scores with
+        self._py = np.zeros((base.k, 2), order="F")
+        self._beta = 0.0  # the pending step's β; 0 once K is current
 
-    def sample_theta(self) -> np.ndarray:
-        """One draw θ̃ = A⁻¹(b + v·(z₀ + X(√counts ∘ ε))), z₀ ~ N(0, I_k),
-        ε ~ N(0, I_n).
+    def _scores(self, y: np.ndarray) -> np.ndarray:
+        """K'y, where K' is K after the pending step, which this applies."""
+        py, beta = self._py, self._beta
+        py[:, 1] = y
+        Kp, Ky = (self.K @ py).T
+        Ky -= (beta * (py[:, 0] @ y)) * Kp
+        self.K = dger(-beta, Kp, py[:, 0], a=self.K, overwrite_a=True)
+        self._beta = 0.0
+        return Ky
 
-        The bracketed noise has covariance I + X diag(counts) Xᵀ = A, so θ̃
-        has mean A⁻¹b and covariance v²A⁻¹AA⁻¹ = v²A⁻¹ exactly.
-        """
-        k = len(self.b)
-        eps = self.rng.standard_normal(k + self.n_arms)
-        noise = eps[:k]
-        noise += self.X @ (np.sqrt(self.counts) * eps[k:])
-        noise *= self.v
-        noise += self.b
-        return dsymv(1.0, self.A_inv, noise)
+    def sample_scores(self) -> np.ndarray:
+        """One draw of the arms' scores θ̃ᵀX = K(h + v·z), z ~ N(0, I_k)."""
+        return self._scores(self.h + self.v * self.rng.standard_normal(len(self.h)))
 
     def select(self, revealed, t):
-        return argmax_lowest(self.sample_theta() @ self.X, revealed)
+        return argmax_lowest(self.sample_scores(), revealed)
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
-        x = self.X[:, arm]
-        u = dsymv(1.0, self.A_inv, x)
-        # A⁻¹ ← A⁻¹ − u uᵀ / (1 + xᵀu), in place
-        self.A_inv = dsyr(-1.0 / (1.0 + x @ u), u, a=self.A_inv, overwrite_a=True)
-        self.b += reward * x
-        self.counts[arm] += 1
+        if self._beta:  # no select since the last update
+            self._scores(np.zeros(len(self.h)))
+        p = self._py[:, 0]
+        p[:] = self.K[arm]  # Lᵀx_a
+        sigma = math.sqrt(1.0 + p @ p)
+        beta = 1.0 / (sigma * (1.0 + sigma))
+        # h ← (I − βppᵀ)(h + r·p)
+        h = self.h
+        h += reward * p
+        h -= (beta * (p @ h)) * p
+        self._beta = beta
 
 
 class LinUcbPolicy(Policy):

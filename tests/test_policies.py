@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dsymv
 from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
 from helpers import to_dense
 
@@ -344,6 +343,28 @@ def dense_thompson_posterior(X, counts, b):
     return A, np.linalg.solve(A, b)
 
 
+def dense_score_moments(X, counts, b):
+    """Oracle for Thompson's arm scores θ̃ᵀX: their mean XᵀA⁻¹b and, per v²,
+    their covariance XᵀA⁻¹X."""
+    A, theta = dense_thompson_posterior(X, counts, b)
+    return theta @ X, X.T @ np.linalg.solve(A, X)
+
+
+def thompson_after_updates(base, n_updates, seed, v=0.1):
+    """A ThompsonPolicy after n_updates random (arm, reward) updates, with
+    the play counts and b = Σ r·x those updates add up to."""
+    k, n = base.X.shape
+    pol = ThompsonPolicy(base, v=v, seed=seed)
+    counts, b = np.zeros(n), np.zeros(k)
+    rng = np.random.default_rng([seed, n_updates])
+    for _ in range(n_updates):
+        arm, reward = int(rng.integers(n)), float(rng.uniform())
+        pol.update(arm, reward)
+        counts[arm] += 1
+        b += reward * base.X[:, arm]
+    return pol, counts, b
+
+
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -358,31 +379,50 @@ class TestThompson:
         pol = ThompsonPolicy(base, v=0.0, seed=0)
         pol.update(2, 1.0)
         pol.update(2, 1.0)
-        _, theta = dense_thompson_posterior(base.X, pol.counts, pol.b)
+        counts = np.array([0, 0, 2, 0, 0, 0])
+        _, theta = dense_thompson_posterior(base.X, counts, 2.0 * base.X[:, 2])
         expected = argmax_over(theta @ base.X, np.arange(6))
         assert pol.select(NONE, 3) == expected
 
-    def test_v_zero_draws_the_posterior_mean(self):
-        pol = ThompsonPolicy(random_base(k=4, n=6, seed=18), v=0.0, seed=0)
-        for arm, reward in ((2, 1.0), (0, 0.25), (2, 0.5)):
-            pol.update(arm, reward)
-        assert np.array_equal(pol.sample_theta(), dsymv(1.0, pol.A_inv, pol.b))
+    def test_v_zero_scores_are_the_posterior_mean(self):
+        base = random_base(k=4, n=6, seed=18)
+        pol, counts, b = thompson_after_updates(base, 40, seed=19, v=0.0)
+        mean, _ = dense_score_moments(base.X, counts, b)
+        np.testing.assert_allclose(pol.sample_scores(), mean, rtol=0, atol=1e-10)
 
-    def test_sherman_morrison_inverse_matches_dense(self):
-        """2500 rank-one downdates at k = n = 50 keep the stored upper
-        triangle within 1e-8 of the dense inverse, applied in place."""
-        base = random_base(k=50, n=50, seed=28)
-        pol = ThompsonPolicy(base, v=0.1, seed=29)
-        A_inv = pol.A_inv
-        rng = np.random.default_rng(30)
-        for _ in range(2500):
-            pol.update(int(rng.integers(50)), float(rng.uniform()))
-        assert pol.counts.sum() == 2500
-        assert pol.A_inv is A_inv  # downdated in place, never reallocated
-        full = np.triu(pol.A_inv) + np.triu(pol.A_inv, 1).T
-        A, mean = dense_thompson_posterior(base.X, pol.counts, pol.b)
-        assert rel_err(full, np.linalg.inv(A)) < 1e-8
-        assert rel_err(full @ pol.b, mean) < 1e-8
+    @pytest.mark.parametrize("k,n", [(50, 50), (80, 30), (30, 120)], ids=["square", "tall", "wide"])
+    def test_square_root_factor_matches_dense(self, k, n):
+        """2500 square-root updates keep KKᵀ and Kh within 1e-8 of XᵀA⁻¹X and
+        XᵀA⁻¹b, at k = n, k > n and n > k."""
+        base = random_base(k=k, n=n, seed=28)
+        pol, counts, b = thompson_after_updates(base, 2500, seed=29)
+        pol.sample_scores()  # applies the step the last update deferred
+        mean, cov = dense_score_moments(base.X, counts, b)
+        assert rel_err(pol.K @ pol.K.T, cov) < 1e-8
+        assert rel_err(pol.K @ pol.h, mean) < 1e-8
+
+    def test_factor_is_updated_in_place(self):
+        pol = ThompsonPolicy(random_base(k=7, n=11, seed=34), seed=35)
+        K = pol.K
+        for t in range(1, 30):
+            pol.update(pol.select(NONE, t), 0.5)
+            pol.update(t % 11, 0.25)  # an update with no select since the last one
+        assert pol.K is K and K.flags.f_contiguous
+
+    def test_deferred_step_matches_interleaved_selects(self):
+        """Updates with no select between them give the same K and h, bit
+        for bit, as the same updates with a select after each."""
+        base = random_base(k=9, n=14, seed=36)
+        plain, interleaved = ThompsonPolicy(base, seed=37), ThompsonPolicy(base, seed=38)
+        rng = np.random.default_rng(39)
+        for t in range(1, 60):
+            arm, reward = int(rng.integers(14)), float(rng.uniform())
+            plain.update(arm, reward)
+            interleaved.update(arm, reward)
+            interleaved.select(NONE, t)
+        plain.sample_scores()  # both with every step applied
+        assert np.array_equal(plain.K, interleaved.K)
+        assert np.array_equal(plain.h, interleaved.h)
 
     def test_v_zero_matches_dense_solve_argmax(self):
         """200 select/update steps over random arm subsets pick the
@@ -402,18 +442,15 @@ class TestThompson:
             counts[arm] += 1
             b += reward * base.X[:, arm]
 
-    def test_posterior_sample_moments_match(self):
-        """Monte Carlo through the policy's own draw: 20000 θ̃ have mean
-        A⁻¹b and covariance v²A⁻¹ within 4 standard errors per entry."""
+    def test_score_moments_match(self):
+        """Monte Carlo through the policy's own draw: 20000 score vectors have
+        mean XᵀA⁻¹b and covariance v²XᵀA⁻¹X within 4 standard errors per entry."""
         base = random_base(k=3, n=5, seed=19)
         v, n_draws = 0.5, 20_000
-        pol = ThompsonPolicy(base, v=v, seed=20)
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            pol.update(int(rng.integers(5)), float(rng.uniform()))
-        A, mean = dense_thompson_posterior(base.X, pol.counts, pol.b)
-        cov = v * v * np.linalg.inv(A)
-        draws = np.array([pol.sample_theta() for _ in range(n_draws)])
+        pol, counts, b = thompson_after_updates(base, 25, seed=20, v=v)
+        mean, cov = dense_score_moments(base.X, counts, b)
+        cov *= v * v
+        draws = np.array([pol.sample_scores() for _ in range(n_draws)])
         mean_se = np.sqrt(np.diag(cov) / n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * mean_se)
         var = np.diag(cov)
@@ -856,7 +893,8 @@ class TestMakePolicy:
 
     def test_contextual_needs_base(self):
         base = random_base(k=3, n=5, seed=31)
-        assert make_policy("thompson", X=base, seed=0).X is base.X
+        pol = make_policy("thompson", X=base, seed=0)
+        assert np.array_equal(pol.K, base.X.T) and not np.shares_memory(pol.K, base.X)  # its own copy of Xᵀ
         with pytest.raises(TypeError, match="'X'"):
             make_policy("alinucb")
 

@@ -606,7 +606,8 @@ def pinned_base(impute):
 # fills (alswr on its pinned_base), T = 50, policy seed 7, user seed 11,
 # fills at rank 3 with seed 1.  Recorded with the dense evaluator and the
 # available-array select protocol, the alswr column with the dense-mask
-# ALS-WR fill; the traces must not change.
+# ALS-WR fill, and the thompson row with its square-root factor; the traces
+# must not change.
 PINNED_TRACE_SHA256 = {
     "random": ("1945232fe06a22d6a7233f644ae929f44572eb31647f6c616535a9cde74a9adf",) * 3,
     "aver": ("f2b491be8cd94e206cf6d711bebcb39c9db45c090e84265a121fae80e15c1f07",) * 3,
@@ -614,9 +615,9 @@ PINNED_TRACE_SHA256 = {
     "ucb": ("bc15b0ad550c2cdc1a1d6cd6d5438e53bee403ea4bbff097c93fdca695fa2ad1",) * 3,
     "exp3": ("a67e966599c82cb686ff9f284c787797d2b4bc57078f72c6586fd6fa60c9c364",) * 3,
     "thompson": (
-        "ee55fc640114189b0a06d648a664504b4a43994087c4559b63db044c729957c9",
-        "c4cf7a65fa3fbb12cbb665cb48a288e94e346c2c243f4973ea0b83a0ef88a056",
-        "41b71b26a2de4e3863de396b5aa80583768368bdddfedf4c12f0144ce4df0f9e",
+        "58924e5d618376c1645295b7ec3fb7a600bf075f27cf2b769bd161024fe36a42",
+        "2b42cf0bfe5935484b799cbeeecb8a1f7a37a45eeb4c4b35b580c4dface0e466",
+        "d4fe6db206f0a9639d0156ac1023e8a60f60ceb35181320144eae808b6a3a60f",
     ),
     "linucb": (
         "1077a4f44f59bf3507257037e65d0c0cf39ffcf81ec2cf9f66306e07e91d8c7e",
@@ -758,6 +759,53 @@ class TestUserSchedule:
         schedule = user_schedule(evaluation, T, seed)
         np.testing.assert_array_equal(schedule, reference.user)
         assert (len(schedule) < T) == reference.exhausted
+
+    @pytest.mark.parametrize("m,n,T", [(30, 8, 100), (30, 8, 245), (12, 100, 1205)])
+    def test_each_block_is_as_long_as_the_fewest_arms_left(self, m, n, T, monkeypatch):
+        """One RNG call per block, of min(T − t, the fewest arms a pooled user
+        has left) draws, and the per-step reference's users; the last two
+        cases run to exhaustion, the 100-arm one through long blocks first."""
+        evaluation = dataset_from_dense(np.random.default_rng(40).uniform(size=(m, n)))
+        reference = reference_replay(RandomPolicy(n, seed=0), evaluation, T, seed=41).user
+        sizes, make_rng = [], np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def integers(self, high, size):
+                sizes.append(size)
+                return self.rng.integers(high, size=size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        schedule = user_schedule(evaluation, T, seed=41)
+        np.testing.assert_array_equal(schedule, reference)
+        arms_left, t = np.full(m, n), 0
+        for size in sizes:
+            assert size == min(T - t, arms_left[arms_left > 0].min()), t
+            np.subtract.at(arms_left, schedule[t:t + size], 1)
+            t += size
+        assert t == len(schedule) == min(T, m * n)
+
+    def test_block_length_rises_when_a_user_is_spent(self, monkeypatch):
+        """Scripted draws over 3 users × 200 arms: blocks of 200, 80, 40, 80
+        and 200 draws; when user 1 is spent the fewest arms left rises from
+        40 to 80, and when user 0 is, from 80 to 200."""
+        script = [[0] * 120 + [1] * 80, [1] * 80, [1] * 40, [0] * 80, [0] * 200]  # positions in the pool
+
+        class Scripted:
+            def __init__(self, seed):
+                pass
+
+            def integers(self, high, size):
+                draws = np.array(script.pop(0))
+                assert size == len(draws) and draws.max() < high
+                return draws
+
+        monkeypatch.setattr(np.random, "default_rng", Scripted)
+        schedule = user_schedule(dataset_from_dense(np.full((3, 200), 0.5)), 600, seed=0)
+        np.testing.assert_array_equal(schedule, [0] * 120 + [1] * 200 + [0] * 80 + [2] * 200)
+        assert script == []
 
     @pytest.mark.parametrize("T", [0, -1])
     def test_rejects_a_horizon_below_one(self, T):
