@@ -16,8 +16,8 @@ the dense O(k³) inversion on every re-score, which is exactly the cost the
 adapted variant removes; a closed-form flag exists for ablation only.
 Thompson sampling keeps a square-root factor of its posterior projected
 onto the arms, one n×k matrix and no k×k one, so its step is O(k·n): each
-select reads the factor once and applies the rank-one step the previous
-update deferred.
+select reads the factor once, and the updates' rank-one steps wait in two
+thin blocks until one matrix product folds a full block into the factor.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemm
 
 from .data import RatingDataset
 from .impute import BaseMatrix
@@ -396,6 +396,11 @@ class Exp3Policy(Policy):
             self._rebuild()
 
 
+# How many rank-one steps ThompsonPolicy collects before one dgemm folds
+# them into its factor; 8 and 16 were fastest at k = 100–800 (ROADMAP).
+_FOLD_BLOCK = 16
+
+
 class ThompsonPolicy(Policy):
     """Posterior sampling on a shared Bayesian linear reward model.
 
@@ -409,13 +414,17 @@ class ThompsonPolicy(Policy):
     the n×k matrix ``K`` = XᵀL and the k-vector ``h`` = Lᵀb; the scores
     K(h + v·z), z ~ N(0, I_k), have mean XᵀA⁻¹b and covariance v²XᵀA⁻¹X,
     exactly those of θ̃ᵀX.  An observation of arm a is Potter's square-root
-    update (Potter & Stern 1963; Bierman 1977): with p = Lᵀx_a, the row
-    ``K[a]``, L ← L(I − βppᵀ) where β = 1/(σ(1 + σ)) and σ = √(1 + pᵀp).
-    So a step costs O(k·n) and no k×k matrix exists.  The rank-one step
-    K ← K − β(Kp)pᵀ is deferred to the next select, which forms Kp and Ky
-    in one read of K, scores arms by K'y = Ky − β(pᵀy)Kp, and only then
-    updates K in place; an update with no select since the previous one
-    applies the pending step first.
+    update (Potter & Stern 1963; Bierman 1977): with p = Lᵀx_a, row a
+    of the factor, L ← L(I − βppᵀ) where β = 1/(σ(1 + σ)) and σ = √(1 + pᵀp).
+    So a step costs O(k·n) and no k×k matrix exists.  The rank-one steps
+    K ← K − β(Kp)pᵀ wait in blocks: the factor in force is K_eff = K − U Pᵀ
+    over the first ``m`` columns of ``U`` (n×B) and ``P`` (k×B), which hold
+    each step's β·K_eff p and p.  An update reads p = K_eff[a] in O(k·B).
+    The next select forms Kp and Ky in one read of K, corrects both by
+    U(Pᵀ[p, y]), scores arms by K_eff y − β(pᵀy)K_eff p and appends the
+    step to U and P; an update with no select since the last one appends
+    it first.  Every B = ``_FOLD_BLOCK`` steps one in-place dgemm folds
+    K ← K − U Pᵀ.
     """
 
     def __init__(self, X, v: float = DEFAULT_V, seed=None):
@@ -424,24 +433,38 @@ class ThompsonPolicy(Policy):
         self.n_arms = base.n_arms
         self.v = v
         self.rng = np.random.default_rng(seed)
-        self.K = np.array(base.X.T, order="F")  # L = I; Fortran order lets dger update it in place
+        self.K = np.array(base.X.T, order="C")  # L = I; C order makes each row K[a] one contiguous read
         self.h = np.zeros(base.k)
-        # column 0 holds the pending step's p, column 1 the vector select scores with
-        self._py = np.zeros((base.k, 2), order="F")
-        self._beta = 0.0  # the pending step's β; 0 once K is current
+        # K_eff = K − U[:, :m] P[:, :m]ᵀ; in Fortran order dgemm takes U and P as they are
+        self.U = np.zeros((self.n_arms, _FOLD_BLOCK), order="F")
+        self.P = np.zeros((base.k, _FOLD_BLOCK), order="F")
+        self.m = 0
+        # row 0 holds the pending step's p, row 1 the vector select scores with
+        self._py = np.zeros((2, base.k))
+        self._beta = 0.0  # the pending step's β; 0 once it is in U and P
 
     def _scores(self, y: np.ndarray) -> np.ndarray:
-        """K'y, where K' is K after the pending step, which this applies."""
-        py, beta = self._py, self._beta
-        py[:, 1] = y
-        Kp, Ky = (self.K @ py).T
-        Ky -= (beta * (py[:, 0] @ y)) * Kp
-        self.K = dger(-beta, Kp, py[:, 0], a=self.K, overwrite_a=True)
-        self._beta = 0.0
+        """K_eff'y, where K_eff' is K_eff after the pending step, which this
+        appends to U and P, folding them into K once they are full."""
+        py, m, beta = self._py, self.m, self._beta
+        py[1] = y
+        KpKy = py.dot(self.K.T)  # one read of K
+        if m:
+            KpKy -= py.dot(self.P[:, :m]).dot(self.U[:, :m].T)
+        Kp, Ky = KpKy
+        if beta:
+            Ky -= (beta * (py[0] @ y)) * Kp
+            np.multiply(Kp, beta, out=self.U[:, m])
+            self.P[:, m] = py[0]
+            self._beta = 0.0
+            self.m = m = m + 1
+            if m == _FOLD_BLOCK:  # Kᵀ ← Kᵀ − P Uᵀ in place
+                dgemm(-1.0, self.P, self.U, beta=1.0, c=self.K.T, trans_b=True, overwrite_c=True)
+                self.m = 0
         return Ky
 
     def sample_scores(self) -> np.ndarray:
-        """One draw of the arms' scores θ̃ᵀX = K(h + v·z), z ~ N(0, I_k)."""
+        """One draw of the arms' scores θ̃ᵀX = K_eff(h + v·z), z ~ N(0, I_k)."""
         return self._scores(self.h + self.v * self.rng.standard_normal(len(self.h)))
 
     def select(self, revealed, t):
@@ -451,8 +474,8 @@ class ThompsonPolicy(Policy):
         reward = _check_reward(reward)
         if self._beta:  # no select since the last update
             self._scores(np.zeros(len(self.h)))
-        p = self._py[:, 0]
-        p[:] = self.K[arm]  # Lᵀx_a
+        m, p = self.m, self._py[0]
+        np.subtract(self.K[arm], self.P[:, :m].dot(self.U[arm, :m]), out=p)  # K_eff[a] = Lᵀx_a
         sigma = math.sqrt(1.0 + p @ p)
         beta = 1.0 / (sigma * (1.0 + sigma))
         # h ← (I − βppᵀ)(h + r·p)

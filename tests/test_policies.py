@@ -19,12 +19,14 @@ from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, fill
 from coldrec.policies import (
     POLICIES,
     POLICY_IDS,
+    _FOLD_BLOCK,
     ALinUcbPolicy,
     AveragePolicy,
     EpsilonGreedyPolicy,
     Exp3Policy,
     LinUcbPolicy,
     OraclePolicy,
+    Policy,
     RandomPolicy,
     ThompsonPolicy,
     UcbPolicy,
@@ -369,6 +371,42 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def effective_factor(pol):
+    """ThompsonPolicy's factor with the steps since its last fold applied:
+    K − U Pᵀ over the first m columns of U and P."""
+    m = pol.m
+    return pol.K - pol.U[:, :m] @ pol.P[:, :m].T
+
+
+class PerStepThompson(Policy):
+    """Slow reference for ThompsonPolicy: the same square-root factor
+    K = XᵀL and h = Lᵀb, with each update's rank-one step
+    K ← K − β(Kp)pᵀ written into K at once, so no step waits for a select
+    and none is collected into a block.  Draws its noise from the same
+    stream, one standard normal k-vector per score draw."""
+
+    def __init__(self, X, v=0.1, seed=None):
+        self.n_arms = X.shape[1]
+        self.v = v
+        self.rng = np.random.default_rng(seed)
+        self.K = X.T.copy()
+        self.h = np.zeros(X.shape[0])
+
+    def sample_scores(self):
+        return self.K @ (self.h + self.v * self.rng.standard_normal(len(self.h)))
+
+    def select(self, revealed, t):
+        return argmax_lowest(self.sample_scores(), revealed)
+
+    def update(self, arm, reward):
+        p = self.K[arm].copy()
+        sigma = math.sqrt(1.0 + p @ p)
+        beta = 1.0 / (sigma * (1.0 + sigma))
+        self.h += reward * p
+        self.h -= beta * (p @ self.h) * p
+        self.K -= beta * np.outer(self.K @ p, p)
+
+
 class TestThompson:
     def test_v_zero_fresh_ties_to_lowest(self):
         pol = ThompsonPolicy(random_base(), v=0.0, seed=0)
@@ -398,20 +436,26 @@ class TestThompson:
         pol, counts, b = thompson_after_updates(base, 2500, seed=29)
         pol.sample_scores()  # applies the step the last update deferred
         mean, cov = dense_score_moments(base.X, counts, b)
-        assert rel_err(pol.K @ pol.K.T, cov) < 1e-8
-        assert rel_err(pol.K @ pol.h, mean) < 1e-8
+        K = effective_factor(pol)
+        assert rel_err(K @ K.T, cov) < 1e-8
+        assert rel_err(K @ pol.h, mean) < 1e-8
 
     def test_factor_is_updated_in_place(self):
+        """K, U and P stay the arrays the constructor made, in their
+        layouts, while the folds write into K."""
         pol = ThompsonPolicy(random_base(k=7, n=11, seed=34), seed=35)
-        K = pol.K
-        for t in range(1, 30):
+        K, U, P = pol.K, pol.U, pol.P
+        start = K.copy()
+        for t in range(1, 2 * _FOLD_BLOCK):  # 4B − 3 steps applied, so three folds
             pol.update(pol.select(NONE, t), 0.5)
             pol.update(t % 11, 0.25)  # an update with no select since the last one
-        assert pol.K is K and K.flags.f_contiguous
+        assert pol.m == (4 * _FOLD_BLOCK - 3) % _FOLD_BLOCK and not np.array_equal(K, start)
+        assert pol.K is K and pol.U is U and pol.P is P
+        assert K.flags.c_contiguous and U.flags.f_contiguous and P.flags.f_contiguous
 
     def test_deferred_step_matches_interleaved_selects(self):
-        """Updates with no select between them give the same K and h, bit
-        for bit, as the same updates with a select after each."""
+        """Updates with no select between them give the same K, U, P and h,
+        bit for bit, as the same updates with a select after each."""
         base = random_base(k=9, n=14, seed=36)
         plain, interleaved = ThompsonPolicy(base, seed=37), ThompsonPolicy(base, seed=38)
         rng = np.random.default_rng(39)
@@ -421,8 +465,43 @@ class TestThompson:
             interleaved.update(arm, reward)
             interleaved.select(NONE, t)
         plain.sample_scores()  # both with every step applied
+        assert plain.m == interleaved.m
+        m = plain.m
         assert np.array_equal(plain.K, interleaved.K)
+        assert np.array_equal(plain.U[:, :m], interleaved.U[:, :m])
+        assert np.array_equal(plain.P[:, :m], interleaved.P[:, :m])
         assert np.array_equal(plain.h, interleaved.h)
+
+    @pytest.mark.parametrize("n_updates", [_FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 3 * _FOLD_BLOCK + 2])
+    @pytest.mark.parametrize("with_selects", [False, True], ids=["updates", "select-update"])
+    def test_blocks_match_the_per_step_reference(self, n_updates, with_selects):
+        """Around each fold, the blocked factor scores as the per-step
+        reference does, to 1e-12 relative, with and without a select
+        before each update."""
+        base = random_base(k=20, n=30, seed=40)
+        fast, slow = ThompsonPolicy(base, seed=41), PerStepThompson(base.X, seed=41)
+        rng = np.random.default_rng([42, n_updates])
+        for t in range(1, n_updates + 1):
+            arm, reward = int(rng.integers(30)), float(rng.uniform())
+            if with_selects:
+                arm = fast.select(NONE, t)
+                assert arm == slow.select(NONE, t)
+            fast.update(arm, reward)
+            slow.update(arm, reward)
+        assert rel_err(fast.sample_scores(), slow.sample_scores()) < 1e-12
+        assert fast.m == n_updates % _FOLD_BLOCK  # every step applied, a fold per full block
+        assert rel_err(effective_factor(fast), slow.K) < 1e-12
+
+    def test_replay_picks_match_the_per_step_reference(self):
+        """A replay at k = n = 60 that crosses twelve folds picks the arms
+        the per-step reference picks, step for step."""
+        base = random_base(k=60, n=60, seed=43)
+        _, evaluation = linear_environment(5, 60, 30, seed=44)
+        T = 12 * _FOLD_BLOCK + 5
+        fast = run_replay(ThompsonPolicy(base, seed=45), evaluation, T, seed=46)
+        slow = run_replay(PerStepThompson(base.X, seed=45), evaluation, T, seed=46)
+        assert fast.steps == T
+        assert np.array_equal(fast.arm, slow.arm)
 
     def test_v_zero_matches_dense_solve_argmax(self):
         """200 select/update steps over random arm subsets pick the
