@@ -365,21 +365,16 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     grid = [(p, m) for p in cfg.policy for m in cfg.impute]
     tasks = [(cfg, p, m, s) for (p, m) in grid for s in cfg.seeds]
 
-    results: dict[tuple[str, str, int], CellResult] = {}
-    failures: list[str] = []
+    # each task's outcome: (CellResult, None), or (None, traceback text) when the cell failed
+    outcomes: dict[tuple, tuple[CellResult | None, str | None]] = {}
     workers = min(cfg.workers or _available_cpus(), len(tasks))  # a pool forks all its workers at once
 
     def record(task, outcome) -> None:
+        outcomes[task] = outcome
         _, policy_id, impute_id, seed = task
-        res, error = outcome
-        if res is None:
-            failures.append(f"policy={policy_id};impute={impute_id};seed={seed}:\n{error}")
-            return
-        results[(policy_id, impute_id, seed)] = res
-        logger.info(
-            "cell policy=%s params=%s seed=%d: final regret %.4f over %d steps, %.3fs",
-            policy_id, _params_digest(cfg, policy_id, impute_id), seed, res.final_regret, res.steps, res.wall_seconds,
-        )
+        if (res := outcome[0]) is not None:
+            logger.info("cell policy=%s params=%s seed=%d: final regret %.4f over %d steps, %.3fs", policy_id,
+                        _params_digest(cfg, policy_id, impute_id), seed, res.final_regret, res.steps, res.wall_seconds)
 
     if workers == 1:
         for task in tasks:
@@ -387,19 +382,17 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     else:
         with _pool(ds, workers) as pool:
             futures = {pool.submit(_cell_task, task): task for task in tasks}
-            broken = []
             for fut in concurrent.futures.as_completed(futures):
                 try:
                     outcome = fut.result()
                 except concurrent.futures.BrokenExecutor:  # BrokenProcessPool: a worker died, in this cell or another
-                    broken.append(futures[fut])
                     continue
                 except Exception:  # the pool itself failed, e.g. a result that cannot be pickled
                     outcome = None, traceback.format_exc()
                 record(futures[fut], outcome)
-        # Each cell a dead worker took down runs again alone, in a fresh process:
-        # only a cell that kills its own worker fails, and it cannot end this run.
-        for task in broken:
+        # Each cell a dead worker took down (it has no outcome) runs again alone, in a fresh
+        # process: only a cell that kills its own worker fails, and it cannot end this run.
+        for task in [task for task in tasks if task not in outcomes]:
             with _pool(ds, 1) as pool:
                 try:
                     outcome = pool.submit(_cell_task, task).result()
@@ -407,9 +400,11 @@ def run_matrix(cfg: ExperimentConfig) -> int:
                     outcome = None, traceback.format_exc()
             record(task, outcome)
 
+    failures = [f"policy={p};impute={m};seed={s}:\n{error}"
+                for _, p, m, s in tasks if (error := outcomes[cfg, p, m, s][1]) is not None]
     rows = []
     for policy_id, impute_id in grid:
-        cells = [results[(policy_id, impute_id, s)] for s in cfg.seeds if (policy_id, impute_id, s) in results]
+        cells = [res for s in cfg.seeds if (res := outcomes[cfg, policy_id, impute_id, s][0]) is not None]
         if not cells:
             continue
         regrets = np.array([c.final_regret for c in cells])

@@ -84,34 +84,29 @@ class _UserState:
         self.best = self.ratings[desc[c]] if c < len(desc) else 0.0
 
 
-class RevealLog:
-    """Reveal bookkeeping for one replay run, in O(ratings) memory.
+class RevealLog(dict):
+    """Reveal bookkeeping for one replay run, in O(ratings) memory: a map from user to state.
 
     The held-out ratings are grouped by user, and every user's best known
-    rating is taken in one pass, up front.  A user's state is built the
-    first time the user is drawn and holds views of the user's ratings;
-    they are sorted by value only once the best of them is revealed.
+    rating is taken in one pass, up front.  ``log[user]`` builds the user's
+    state on the first lookup, from views of the user's ratings; they are
+    sorted by value only once the best of them is revealed.
     """
 
     def __init__(self, evaluation: RatingDataset):
         rows = evaluation.user_rows
         best = np.zeros(evaluation.n_users)
-        rated = np.flatnonzero(np.diff(rows.starts))
-        if rated.size:  # reduceat over the non-empty rows only: an empty one would take its next element
-            best[rated] = np.maximum.reduceat(rows.ratings, rows.starts[rated])
+        rated = np.flatnonzero(np.diff(rows.starts))  # reduceat's rows: an empty one would take its next element
+        best[rated] = np.maximum.reduceat(rows.ratings, rows.starts[rated])
         # memoryviews index to Python scalars without numpy's per-call cost
         self._starts = memoryview(rows.starts)
         self._items = memoryview(rows.items)
         self._ratings = memoryview(rows.ratings)
         self._best = memoryview(best)
-        self._users: dict[int, _UserState] = {}
 
-    def user(self, user: int) -> _UserState:
-        """The user's state, built on the first call."""
-        state = self._users.get(user)
-        if state is None:
-            lo, hi = self._starts[user], self._starts[user + 1]
-            state = self._users[user] = _UserState(self._items[lo:hi], self._ratings[lo:hi], self._best[user])
+    def __missing__(self, user: int) -> _UserState:
+        lo, hi = self._starts[user], self._starts[user + 1]
+        state = self[user] = _UserState(self._items[lo:hi], self._ratings[lo:hi], self._best[user])
         return state
 
 
@@ -170,16 +165,16 @@ def user_schedule(evaluation: RatingDataset, T: int, seed=None) -> np.ndarray:
 def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> RegretTrace:
     """Run the replay protocol over the users of :func:`user_schedule`.
 
-    A step looks the user's state up once in the :class:`RevealLog`: the
-    best hidden rating is read, not searched for, and a reveal costs a
-    bisect in the user's revealed arms and one in their ratings; the user's
-    ratings are sorted only when their best is revealed.  ``select`` is
-    handed the user's own sorted list of revealed arms, not a copy: it may
-    read the list during the call and must not change it, and it returns an
-    integer arm.  The wall clock covers drawing the schedule and the
-    decision loop, including building the state of the users it meets;
-    grouping the ratings by user and taking every user's best rating happen
-    before it.
+    A step looks the user's state up with one subscript of the
+    :class:`RevealLog`: the best hidden rating is read, not searched for,
+    and a reveal costs a bisect in the user's revealed arms and one in their
+    ratings; the user's ratings are sorted only when their best is revealed.
+    ``select`` is handed the user's own sorted list of revealed arms, not a
+    copy: it may read the list during the call and must not change it, and
+    it returns an integer arm.  The wall clock covers drawing the schedule
+    and the decision loop, including building the state of the users it
+    meets; grouping the ratings by user and taking every user's best rating
+    happen before it.
     """
     n_arms = policy.n_arms
     if evaluation.n_items != n_arms:
@@ -193,7 +188,7 @@ def run_replay(policy: Policy, evaluation: RatingDataset, T: int, seed=None) -> 
     arms, rewards, bests = memoryview(arm), memoryview(revealed), memoryview(best)  # no numpy call per item
     for i, user in enumerate(memoryview(schedule)):
         policy.observe_user(user)
-        state = log.user(user)
+        state = log[user]
         bests[i] = state.best
         choice = policy.select(state.revealed, i + 1)
         try:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -430,7 +431,7 @@ class TestRunMatrix:
         manifest = Path(os.path.join(out, "failures.txt")).read_text()
         # each cell must fail on the split itself, not on some earlier fault
         entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
-        assert sorted(e.partition(":")[0] for e in entries) == [
+        assert [e.partition(":")[0] for e in entries] == [  # in grid order
             "policy=random;impute=zero;seed=0", "policy=random;impute=zero;seed=1",
         ]
         for entry in entries:
@@ -454,11 +455,43 @@ class TestRunMatrix:
         assert run_matrix(dataclasses.replace(cfg, base_k=75)) == 1
         manifest = Path(os.path.join(out, "failures.txt")).read_text()
         entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
-        assert sorted(e.partition(":")[0] for e in entries) == [
+        assert [e.partition(":")[0] for e in entries] == [  # in grid order
             "policy=random;impute=zero;seed=0", "policy=random;impute=zero;seed=1",
         ]
         for entry in entries:
             assert entry.count("ValueError: base size k must be in [1, n_users)") == 1, entry
+
+    def test_parallel_failure_manifest_is_in_grid_order(self, corpus, tmp_path, monkeypatch):
+        """The seed-1 cell fails first, yet its entry follows the seed-0 one."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_cell reaches pool workers only through fork")
+        out = str(tmp_path / "order")
+
+        def failing(ds, cfg, policy_id, impute_id, seed):
+            if seed == 0:
+                time.sleep(0.5)
+            raise RuntimeError(f"boom {seed}")
+
+        monkeypatch.setattr(cli, "run_cell", failing)
+        assert run_matrix(parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1",
+                                                               "--workers", "2"]))) == 1
+        manifest = Path(os.path.join(out, "failures.txt")).read_text()
+        entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
+        assert [e.partition(":")[0] for e in entries] == [
+            "policy=random;impute=zero;seed=0", "policy=random;impute=zero;seed=1",
+        ]
+        assert "RuntimeError: boom 0" in entries[0] and "RuntimeError: boom 1" in entries[1]
+
+    def test_failure_manifest_bytes_do_not_depend_on_workers(self, corpus, tmp_path):
+        manifests = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}")
+            cfg = parse_config(base_args(corpus, out, ["--policy", "random,ucb", "--seeds", "0,1",
+                                                       "--workers", workers]))
+            assert run_matrix(dataclasses.replace(cfg, base_k=75)) == 1
+            manifests.append(Path(os.path.join(out, "failures.txt")).read_bytes())
+        assert manifests[0].count(b"\npolicy=") == 3  # all four cells fail; an empty manifest must not pass
+        assert manifests[0] == manifests[1]
 
     def test_failing_rerun_leaves_no_stale_cell_files(self, corpus, tmp_path):
         out = str(tmp_path / "stale")

@@ -136,14 +136,14 @@ class TestBestSurrogate:
 
 
 class TestRevealLog:
-    """One user's state from ``RevealLog.user``: its reveal, best hidden
+    """One user's state from ``RevealLog[user]``: its reveal, best hidden
     rating and ascending list of revealed arms."""
 
     def make_user(self):
         evaluation = dataset_from_dense(
             np.array([[0.6, 0.0, 0.3]]), np.array([[True, False, True]])
         )
-        return RevealLog(evaluation).user(0)
+        return RevealLog(evaluation)[0]
 
     def test_present_rating(self):
         assert self.make_user().reveal(0, 3) == 0.6
@@ -183,14 +183,14 @@ class TestRevealLog:
             RevealLog(evaluation)
 
     def test_revealing_one_of_two_tied_bests_keeps_the_best(self):
-        state = RevealLog(dataset_from_dense(np.array([[0.75, 0.75, 0.25]]))).user(0)
+        state = RevealLog(dataset_from_dense(np.array([[0.75, 0.75, 0.25]])))[0]
         assert state.reveal(1, 3) == 0.75
         assert state.best == 0.75
         state.reveal(0, 3)
         assert state.best == 0.25
 
     def test_revealing_the_last_known_rating_leaves_zero(self):
-        state = RevealLog(dataset_from_dense(np.array([[0.0, 0.5, 0.0]]), np.array([[False, True, False]]))).user(0)
+        state = RevealLog(dataset_from_dense(np.array([[0.0, 0.5, 0.0]]), np.array([[False, True, False]])))[0]
         state.reveal(0, 3)
         assert state.best == 0.5
         assert state.reveal(1, 3) == 0.5
@@ -200,9 +200,18 @@ class TestRevealLog:
         # users 0 and 2 rated nothing; the rows around them keep their own bests
         evaluation = RatingDataset(np.array([1, 1, 3]), np.array([0, 1, 1]), np.array([0.25, 0.5, 1.0]), 5, 2, 1.0)
         log = RevealLog(evaluation)
-        assert [log.user(user).best for user in range(5)] == [0.0, 0.5, 0.0, 1.0, 0.0]
-        assert log.user(0).reveal(1, 2) == 0.0
-        assert log.user(0).best == 0.0
+        assert [log[user].best for user in range(5)] == [0.0, 0.5, 0.0, 1.0, 0.0]
+        assert log[0].reveal(1, 2) == 0.0
+        assert log[0].best == 0.0
+        # an evaluation with no rating at all: reduceat runs over no rows
+        nobody = RevealLog(RatingDataset(np.array([], np.int64), np.array([], np.int64), np.array([]), 3, 2, 1.0))
+        assert [nobody[user].best for user in range(3)] == [0.0, 0.0, 0.0]
+
+    def test_state_is_built_on_first_lookup_and_reused(self):
+        log = RevealLog(dataset_from_dense(np.array([[0.5, 0.0], [0.0, 0.25], [1.0, 0.75]])))
+        assert len(log) == 0
+        assert log[2] is log[2]
+        assert list(log) == [2]
 
     def test_revealed_is_ascending(self):
         state = self.make_user()
@@ -245,7 +254,7 @@ class TestRevealLogOracle:
         m, n = evaluation.n_users, evaluation.n_items
         fast, slow = RevealLog(evaluation), DenseRevealLog(evaluation)
         for user, arm in steps:
-            state = fast.user(user)
+            state = fast[user]
             assert state.best == slow.best_hidden_known(user)
             assert state.revealed == np.flatnonzero(slow.revealed[user]).tolist()
             try:
@@ -255,9 +264,9 @@ class TestRevealLogOracle:
                     state.reveal(arm, n)
             else:
                 assert state.reveal(arm, n) == expected
-            np.testing.assert_array_equal([n - len(fast.user(u).revealed) for u in range(m)], slow.arms_left)
+            np.testing.assert_array_equal([n - len(fast[u].revealed) for u in range(m)], slow.arms_left)
         for user in range(m):
-            assert fast.user(user).best == slow.best_hidden_known(user)
+            assert fast[user].best == slow.best_hidden_known(user)
 
 
 def tiny_env(seed=0):
