@@ -253,12 +253,21 @@ def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
     raw_users, items, ratings = triples
     if ratings.size == 0:
         raise ValueError(f"{path}: no ratings")
-    uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
+    if np.all(raw_users[1:] >= raw_users[:-1]):  # grouped by user, ascending: number the id changes
+        dense_users = np.zeros(raw_users.size, dtype=np.int64)
+        np.cumsum(raw_users[1:] != raw_users[:-1], out=dense_users[1:])
+        n_users = int(dense_users[-1]) + 1
+    else:
+        uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
+        n_users = len(uniq_users)
     try:
-        raw = RatingDataset(dense_users, items, ratings, len(uniq_users), int(items.max()) + 1, scale_max)
+        raw = RatingDataset(dense_users, items, ratings, n_users, int(items.max()) + 1, scale_max)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     keys = raw.users * raw.n_items + raw.items
+    if np.all(keys[1:] > keys[:-1]):  # canonical order, as save_csv_triples writes it: no repeat, nothing to sort
+        del keys  # before the copies: the line parser's columns are strided views of its rows, which they free
+        return replace(raw, items=np.ascontiguousarray(items), ratings=np.ascontiguousarray(ratings))
     order = np.argsort(keys, kind="stable")  # equal keys in file order
     keys = keys[order]
     keep = order[np.append(keys[1:] != keys[:-1], True)]  # the last of each key
@@ -340,21 +349,13 @@ def normalize(ds: RatingDataset) -> RatingDataset:
     return replace(ds, ratings=ds.ratings / ds.scale_max, scale_max=1.0)
 
 
-def _select_ids(old: np.ndarray, ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which entries of `old` (ids in [0, n)) are among `ids`, and those
-    entries renumbered by their position in `ids` (so sorted ids keep their
-    order): (keep mask, new ids of the kept entries)."""
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[ids] = np.arange(len(ids))
-    new = remap[old]
-    keep = new >= 0
-    return keep, new[keep]
-
-
 def _restrict_users(ds: RatingDataset, user_ids: np.ndarray) -> RatingDataset:
     """Dataset over the given (sorted) original user ids, re-indexed densely."""
-    keep, users = _select_ids(ds.users, user_ids, ds.n_users)
-    return replace(ds, users=users, items=ds.items[keep], ratings=ds.ratings[keep], n_users=len(user_ids))
+    remap = np.full(ds.n_users, -1, dtype=np.int64)
+    remap[user_ids] = np.arange(len(user_ids))
+    users = remap[ds.users]
+    keep = users >= 0
+    return replace(ds, users=users[keep], items=ds.items[keep], ratings=ds.ratings[keep], n_users=len(user_ids))
 
 
 def split_base_eval(ds: RatingDataset, k: int, seed=None) -> CorpusSplit:
@@ -406,15 +407,19 @@ def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> R
         pos = ds.user_rows.positions(np.sort(rng.choice(ds.n_users, size=max_users, replace=False)))
     items = ds.items[pos]
     if item_ids is not None:
-        keep, items = _select_ids(items, item_ids, ds.n_items)
-        pos = keep if isinstance(pos, slice) else pos[keep]
+        remap = np.full(ds.n_items, -1, dtype=np.int64)
+        remap[item_ids] = np.arange(max_items)
+        items = remap[items]
+        kept = np.flatnonzero(items >= 0)
+        items = items[kept]
+        pos = kept if isinstance(pos, slice) else pos[kept]
     users, ratings = ds.users[pos], ds.ratings[pos]
     if len(ratings) == 0:
         raise ValueError("subsample removed every rating")
-    rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
-    _, users = _select_ids(users, rated, ds.n_users)
+    renumber = np.cumsum(np.bincount(users, minlength=ds.n_users) > 0, dtype=np.int64) - 1  # rated users, densely
     n_items = ds.n_items if item_ids is None else max_items
-    return replace(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
+    return replace(ds, users=renumber[users], items=items, ratings=ratings, n_users=int(renumber[-1]) + 1,
+                   n_items=n_items)
 
 
 def filter_min_ratings(ds: RatingDataset, min_ratings: int = 1) -> RatingDataset:

@@ -532,6 +532,30 @@ class TestLoaderAgainstLineByLineReference:
         assert parsed == 0
         assert_same_dataset(got, reference_load(path, movielens, 5.0))
 
+    @pytest.mark.parametrize("order", ["sorted", "grouped", "repeat"])
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(triple, min_size=1, max_size=60), movielens=st.booleans(), at=st.integers(0, 59),
+           again=st.sampled_from(HALF_STARS))
+    def test_ordered_files_match_the_reference(self, tmp_path_factory, order, rows, movielens, at, again):
+        """Distinct pairs sorted by (user, item), grouped by user with items
+        in draw order, or sorted with one pair repeated (rated `again`):
+        the reference's arrays, all parsed in bulk, and a warning for the
+        repeat alone."""
+        last = {(u, i): (u, i, r, stamp) for u, i, r, stamp in rows}  # draw order, each pair's last draw
+        rows = sorted(last.values(), key=lambda row: row[:2] if order != "grouped" else row[0])
+        if order == "repeat":
+            at %= len(rows)
+            rows.insert(at + 1, rows[at][:2] + (again, rows[at][3] + 1))
+        path = tmp_path_factory.mktemp("ordered") / "ratings.txt"
+        path.write_bytes(render(rows, movielens, "\n", False, 0).encode())
+        with mock.patch.object(data.logger, "warning") as warn:
+            got, parsed = count_line_parses(load_movielens if movielens else load_csv_triples, path)
+        assert parsed == 0
+        assert_same_dataset(got, reference_load(path, movielens, 5.0))
+        messages = [call.args[0] % call.args[1:] for call in warn.call_args_list]
+        assert messages == ([f"{path}: 1 duplicate (user, item) pairs, kept the last occurrence"]
+                            if order == "repeat" else [])
+
     @settings(max_examples=150, deadline=None)
     @given(
         lines=st.lists(
@@ -785,6 +809,16 @@ def reference_subsample(ds, max_users, max_items, seed):
     return replace(ds, users=dense.astype(np.int64), items=items, ratings=ratings, n_users=len(uniq), n_items=n_items)
 
 
+def select_ids(old, ids, n):
+    """The keep mask of the entries of `old` (ids in [0, n)) among the
+    sorted `ids`, and those entries renumbered by their position in `ids`."""
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[ids] = np.arange(len(ids))
+    new = remap[old]
+    keep = new >= 0
+    return keep, new[keep]
+
+
 def gather_all_subsample(ds, max_users, max_items, seed):
     """subsample as it was before it gathered only the ratings it keeps:
     every sampled user's ratings, at positions sorted whatever the order of
@@ -800,10 +834,10 @@ def gather_all_subsample(ds, max_users, max_items, seed):
         pos = np.sort(pos if rows.order is None else rows.order[pos])
     users, items, ratings = ds.users[pos], ds.items[pos], ds.ratings[pos]
     if item_ids is not None:
-        keep, items = data._select_ids(items, item_ids, ds.n_items)
+        keep, items = select_ids(items, item_ids, ds.n_items)
         users, ratings = users[keep], ratings[keep]
     rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
-    _, users = data._select_ids(users, rated, ds.n_users)
+    _, users = select_ids(users, rated, ds.n_users)
     n_items = ds.n_items if item_ids is None else max_items
     return replace(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
 
@@ -820,6 +854,23 @@ class TestSubsampleAgainstGatherAll:
         assert (ds.user_rows.order is None) == canonical
         got = subsample(ds, max_users, max_items, seed=seed)
         assert_same_dataset(got, gather_all_subsample(ds, max_users, max_items, seed))
+
+
+def test_subsample_peak_is_below_one_full_column():
+    """Sampling a twentieth of the users and half the items allocates less
+    than one int64 column of the whole dataset: no full-width mask or
+    gather."""
+    ds = toy_dataset(2000, 220, seed=0)
+    assert ds.n_ratings >= 200_000
+    ds.user_rows  # built once per dataset, before the sampling measured here
+    tracemalloc.start()
+    try:
+        sub = subsample(ds, max_users=ds.n_users // 20, max_items=ds.n_items // 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.n_users > 0
+    assert peak < 8 * ds.n_ratings
 
 
 class TestSubsampleAgainstIsinReference:
