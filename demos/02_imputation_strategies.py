@@ -1,7 +1,12 @@
-"""The four ways of densifying a sparse base matrix, side by side.
+"""The four ways of turning a sparse base matrix into arm contexts, side by side.
 
 A small base split with one never-rated item shows how each strategy treats
-observed entries, missing entries, and empty columns differently.
+observed entries, missing entries, and empty columns.  The zero and average
+fills are the base itself, one row per base user, with its gaps filled.  The
+two factorizations hand the policies an r×q factor W instead, one row per
+latent direction: its Gram matrix WᵀW is that of their rank-r
+reconstruction, and the Gram matrix is all a contextual policy reads of its
+context (alinucb reads only its diagonal, the squared norms ‖x_j‖²).
 """
 
 import numpy as np
@@ -19,27 +24,31 @@ mask[np.arange(8), rng.integers(4, size=8)] = True
 mask[:, 4] = False
 base = dataset_from_dense(true_base, mask)
 
-
-def show(label, X):
-    print(f"\n{label}")
-    for i, row in enumerate(X):
-        cells = " ".join(f"{v:.2f}" + ("*" if mask[i, j] else " ") for j, v in enumerate(row))
-        print("  " + cells)
-
-
-print("(* marks an observed rating; everything else was filled in)")
-show("zero fill — missing means 'probably not liked'", fill(base, Zero()).X)
-show("item average — missing means 'typical for this item'", fill(base, ItemAverage()).X)
-show("truncated SVD of the mean-filled matrix (rank 2)", fill(base, ImputedSvd(rank=2)).X)
-show("masked ALS-WR reconstruction (rank 2)", fill(base, AlsWr(rank=2, lam=0.05, iters=15), seed=0).X)
-
-print("\nReconstruction error against the hidden truth (missing cells only):")
-for label, method in [
+METHODS = [
     ("zero", Zero()),
     ("average", ItemAverage()),
     ("svd", ImputedSvd(rank=2)),
     ("alswr", AlsWr(rank=2, lam=0.05, iters=15)),
-]:
-    X = fill(base, method, seed=0).X
-    err = np.sqrt(np.mean((X[~mask] - true_base[~mask]) ** 2))
-    print(f"  {label:<8} rmse {err:.4f}")
+]
+contexts = {label: fill(base, method, seed=0) for label, method in METHODS}
+
+
+def show(label, X, marked):
+    print(f"\n{label}: {X.shape[0]}×{X.shape[1]}")
+    for i, row in enumerate(X):
+        cells = " ".join(f"{v:5.2f}" + ("*" if marked and mask[i, j] else " ") for j, v in enumerate(row))
+        print("  " + cells)
+
+
+print("(* marks an observed rating; everything else was filled in)")
+show("zero fill — missing means 'probably not liked'", contexts["zero"].X, True)
+show("item average — missing means 'typical for this item'", contexts["average"].X, True)
+show("truncated SVD of the mean-filled matrix (rank 2), as diag(s)·Vᵀ", contexts["svd"].X, False)
+show("masked ALS-WR (rank 2), as R·Vᵀ with U = QR", contexts["alswr"].X, False)
+
+truth_gram = true_base.T @ true_base
+print("\nSquared norms ‖x_j‖² per item, and the Gram matrix's error against the hidden truth's:")
+print(f"  {'truth':<8} " + " ".join(f"{v:5.2f}" for v in np.diag(truth_gram)))
+for label, bm in contexts.items():
+    err = np.linalg.norm(bm.X.T @ bm.X - truth_gram) / np.linalg.norm(truth_gram)
+    print(f"  {label:<8} " + " ".join(f"{v:5.2f}" for v in bm.column_norms_sq) + f"   relative error {err:.4f}")

@@ -143,7 +143,7 @@ class ExperimentConfig:
     min_ratings: int = _option(1, int, "drop users below this rating count", _POSITIVE)
     workers: int = _option(0, int, "parallel cells (0 = one per available CPU, 1 = inline)", _NONNEGATIVE)
     out: str = _option("coldrec_runs", str, "output directory")
-    dump_base: bool = _option(False, _bool, "also dump each cell's filled base matrix as CSV")
+    dump_base: bool = _option(False, _bool, "also dump each cell's context matrix, the fill the policy reads, as CSV")
 
     def __post_init__(self) -> None:
         for f in fields(self):

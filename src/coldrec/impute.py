@@ -1,10 +1,11 @@
-"""Filling the sparse base split into the dense context matrix X.
+"""Filling the sparse base split into the context matrix the policies read.
 
-Four strategies: zeros, per-item observed averages, truncated-SVD
-reconstruction of the mean-filled matrix, and masked ALS-WR reconstruction.
-The two factorization methods replace *every* entry with the low-rank
-reconstruction (clipped to [0, 1]); the two direct fills keep observed
-entries bit-identical.
+Four strategies: zeros, per-item observed averages, a truncated SVD of the
+mean-filled matrix, and masked ALS-WR.  The two direct fills return the p×q
+matrix, observed entries bit-identical.  The two factorizations return an
+r×q matrix W with WᵀW = XᵀX for their rank-r reconstruction X, which is
+never formed: every contextual policy reads its context only through that
+Gram matrix.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def method_label(method: ImputationMethod) -> str:
 
 
 class BaseMatrix:
-    """The dense k×n context matrix whose columns are the arm contexts.
+    """The dense k×n context matrix whose columns are the arm contexts: any
+    matrix with the arms' Gram matrix XᵀX, which is all the contextual
+    policies read.  ``k`` is its row count, the rank r for a factorization.
 
     Immutable once built (the array is marked read-only), with the squared
     column norms cached — the contextual policies consume those constantly
@@ -158,12 +161,6 @@ def _column_means(base: RatingDataset) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
-def _rated_over(base: RatingDataset, dense: np.ndarray) -> np.ndarray:
-    """The p×q array `dense` with the base's ratings written over it."""
-    dense[base.users, base.items] = base.ratings
-    return dense
-
-
 def _mean_filled(base: RatingDataset, means: np.ndarray):
     """The mean-filled base as a LinearOperator, never built densely: the
     sparse residuals r_ij − means_j plus the rank-one 1 meansᵀ."""
@@ -182,23 +179,28 @@ def _mean_filled(base: RatingDataset, means: np.ndarray):
 
 
 def fill(base: RatingDataset, method: ImputationMethod, seed=None) -> BaseMatrix:
-    """The dense context matrix of the sparse base split, built on first read.
+    """The context matrix of the sparse base split, built on first read.
 
-    The base must already be normalized (ratings in [0, 1]); otherwise the
-    bounded-output and observed-entries-preserved guarantees cannot both
-    hold.  The base and the method are checked here; the returned handle
-    knows its k×n shape, and fills X the first time its ``X`` or
-    ``column_norms_sq`` is read (see :class:`BaseMatrix`), so a policy that
-    never reads the context costs no fill.  `seed` feeds the ALS-WR
-    initialization only, and is consumed at that build: a ``Generator``
-    passed as `seed` is drawn from then.  The factorization methods work on
-    the ratings alone; only their p×q reconstruction is dense.
+    The base must already be normalized (ratings in [0, 1]), so that the
+    direct fills stay in [0, 1].  The base and the method are checked here;
+    the returned handle knows its k×n shape, and fills X the first time its
+    ``X`` or ``column_norms_sq`` is read (see :class:`BaseMatrix`), so a
+    policy that never reads the context costs no fill.  `seed` feeds the
+    ALS-WR initialization only, and is consumed at that build: a
+    ``Generator`` passed as `seed` is drawn from then.  The factorizations
+    work on the ratings alone and return r×q, nothing p×q.
     """
     if base.n_ratings == 0:
         raise ValueError("base split is empty")
     base.check_normalized("base split")
     _check_method(method)
-    return BaseMatrix._deferred((base.n_users, base.n_items), partial(_build, base, method, seed))
+    p, q = base.n_users, base.n_items
+    # the rank of a factorization's r×q context; None for a p×q fill, svd too where ARPACK cannot run
+    # (rank ≥ min(p, q), or every rating 0), since its full SVD would only rebuild the average fill
+    r = min(method.rank, p, q) if isinstance(method, AlsWr) else None
+    if isinstance(method, ImputedSvd) and method.rank < min(p, q) and base.ratings.any():
+        r = method.rank
+    return BaseMatrix._deferred((r or p, q), partial(_build, base, method, r, seed))
 
 
 def _check_method(method: ImputationMethod) -> None:
@@ -212,27 +214,22 @@ def _check_method(method: ImputationMethod) -> None:
         linalg.check_als_wr_args(method.lam, method.iters)
 
 
-def _build(base: RatingDataset, method: ImputationMethod, seed) -> np.ndarray:
-    """The p×q fill of a base and a method that :func:`fill` has checked,
+def _build(base: RatingDataset, method: ImputationMethod, r: int | None, seed) -> np.ndarray:
+    """The context of a base and a method that :func:`fill` has checked,
     read-only: nothing else references it, so BaseMatrix takes it without a
     copy."""
     p, q = base.n_users, base.n_items
-    # a full SVD of the mean-filled base (every direction kept, or an all-zero base) rebuilds it
-    full_svd = isinstance(method, ImputedSvd) and (method.rank >= min(p, q) or not base.ratings.any())
-    if isinstance(method, Zero):
-        X = _rated_over(base, np.zeros((p, q)))
-    elif isinstance(method, ItemAverage) or full_svd:
-        X = _rated_over(base, np.broadcast_to(_column_means(base), (p, q)).copy())
-    else:  # a factorization's reconstruction, clipped to the rating range
-        if isinstance(method, ImputedSvd):
-            U, s, V = linalg.truncated_svd(_mean_filled(base, _column_means(base)), method.rank)
-            X = (U * s) @ V.T
-        else:
-            from scipy.sparse import coo_array  # see _mean_filled
+    if r is None:  # the ratings written over zeros or over the item means
+        X = np.zeros((p, q)) if isinstance(method, Zero) else np.broadcast_to(_column_means(base), (p, q)).copy()
+        X[base.users, base.items] = base.ratings
+    elif isinstance(method, ImputedSvd):  # U diag(s) Vᵀ with orthonormal U has the Gram of diag(s) Vᵀ
+        _, s, V = linalg.truncated_svd(_mean_filled(base, _column_means(base)), r)
+        X = s[:, None] * V.T
+    else:  # U Vᵀ = Q R Vᵀ with orthonormal Q has the Gram of R Vᵀ
+        from scipy.sparse import coo_array  # see _mean_filled
 
-            R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
-            U, V = linalg.als_wr_factorize(R, min(method.rank, p, q), method.lam, method.iters, rng=seed)
-            X = U @ V.T
-        np.clip(X, 0.0, 1.0, out=X)
+        R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
+        U, V = linalg.als_wr_factorize(R, r, method.lam, method.iters, rng=seed)
+        X = np.linalg.qr(U, mode="r") @ V.T
     X.flags.writeable = False
     return X

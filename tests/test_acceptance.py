@@ -238,8 +238,10 @@ def test_criterion_7_frozen_design_speedup():
 
 
 def test_criterion_8_imputation_suite():
-    """Hand-computed zero/average fills, exact-rank SVD reconstruction, and
-    nonincreasing ALS-WR objective."""
+    """Hand-computed zero/average fills, the exact-rank SVD fill, and
+    nonincreasing ALS-WR objective.  The SVD fill is an r × q factor W, not
+    the reconstruction, so it is held to M by its Gram matrix WᵀW = MᵀM,
+    which is all a contextual policy reads of it."""
     start = time.perf_counter()
     from test_impute import AVERAGE_EXPECTED, FIXTURE_MASK, FIXTURE_VALUES
     from test_linalg import objective_history, observed
@@ -251,7 +253,8 @@ def test_criterion_8_imputation_suite():
     rng = np.random.default_rng(1008)
     M = 0.5 * np.outer(rng.uniform(size=9), rng.uniform(size=7))
     M += 0.5 * np.outer(rng.uniform(size=9), rng.uniform(size=7))
-    svd_err = float(np.abs(fill(dataset_from_dense(M), ImputedSvd(rank=2)).X - M).max())
+    W = fill(dataset_from_dense(M), ImputedSvd(rank=2)).X
+    svd_err = float(np.abs(W.T @ W - M.T @ M).max())
 
     grid = np.clip(rng.uniform(size=(50, 5)) @ rng.uniform(size=(5, 40)) / 5, 0, 1)
     mask = rng.random((50, 40)) < 0.5
@@ -265,7 +268,7 @@ def test_criterion_8_imputation_suite():
     report(
         8,
         ok,
-        f"zero exact={zero_exact}, average exact={average_exact}, svd err {svd_err:.1e}, "
+        f"zero exact={zero_exact}, average exact={average_exact}, svd Gram err {svd_err:.1e}, "
         f"ALS objective monotone={monotone} in {elapsed:.1f}s (< 30s)",
     )
 

@@ -617,14 +617,17 @@ class TestRunMatrix:
         counted = {r["policy"]: int(r["cells"]) for r in read_summary(os.path.join(out, "summary.csv"))}
         assert counted == {"random": 2, "ucb": 1}
 
-    def test_dump_base_flag(self, corpus, tmp_path):
+    @pytest.mark.parametrize("policy,impute,rows", [("random", "zero", 15), ("alinucb", "svd", 3), ("alinucb", "alswr", 3)])
+    def test_dump_base_flag(self, corpus, tmp_path, policy, impute, rows):
+        """The dump is the context the policy reads: the 15 × 25 base for
+        the zero fill, the rank-3 factor for a factorization."""
         out = str(tmp_path / "m6")
-        cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0", "--dump-base"]))
-        run_matrix(cfg)
+        extra = ["--policy", policy, "--impute", impute, "--rank", "3", "--seeds", "0", "--dump-base"]
+        assert run_matrix(parse_config(base_args(corpus, out, extra))) == 0
         dumps = [f for f in os.listdir(out) if f.startswith("base__")]
-        assert len(dumps) == 1
+        assert dumps == [f"base__{policy}__{impute}__seed0.csv"]
         grid = np.loadtxt(os.path.join(out, dumps[0]), delimiter=",")
-        assert grid.shape == (15, 25)
+        assert grid.shape == (rows, 25)
 
     def test_new_item_problem_runs(self, corpus, tmp_path):
         out = str(tmp_path / "m7")

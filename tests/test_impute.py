@@ -1,6 +1,7 @@
 """Imputation strategies against hand-computed fills, exact-rank fixtures,
-and the dense mean-filled and dense-mask factorization fills kept here as
-references."""
+and the dense mean-filled and dense-mask factorizations kept here as
+references: a factorization's r×q context is held to its reference
+reconstruction's Gram matrix, which is all a contextual policy reads."""
 
 import gc
 import re
@@ -63,6 +64,14 @@ AVERAGE_EXPECTED = np.array(
 )
 
 
+def gram(X):
+    return X.T @ X
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 @pytest.fixture
 def fixture_base():
     return dataset_from_dense(FIXTURE_VALUES, FIXTURE_MASK)
@@ -110,8 +119,9 @@ class TestReconstructionFills:
         M = 0.5 * np.outer(rng.uniform(size=6), rng.uniform(size=5))
         M += 0.5 * np.outer(rng.uniform(size=6), rng.uniform(size=5))
         base = dataset_from_dense(M)  # fully observed, exactly rank 2
-        X = fill(base, ImputedSvd(rank=2)).X
-        assert np.abs(X - M).max() < 1e-8
+        W = fill(base, ImputedSvd(rank=2)).X
+        assert W.shape == (2, 5)
+        assert np.abs(gram(W) - gram(M)).max() < 1e-8
 
     def test_imputed_svd_constant_columns_partial(self):
         # mean-filling constant columns gives an exactly rank-1 matrix
@@ -122,8 +132,8 @@ class TestReconstructionFills:
         mask[np.arange(5), rng.integers(4, size=5)] = True
         mask[rng.integers(5, size=4), np.arange(4)] = True
         base = dataset_from_dense(M, mask)
-        X = fill(base, ImputedSvd(rank=1)).X
-        np.testing.assert_allclose(X, M, atol=1e-8)
+        W = fill(base, ImputedSvd(rank=1)).X
+        np.testing.assert_allclose(gram(W), gram(M), atol=1e-8)
 
     @pytest.mark.parametrize(
         "shape,rank,zero",
@@ -146,7 +156,7 @@ class TestReconstructionFills:
 
     def test_alswr_runs_with_empty_column(self, fixture_base):
         X = fill(fixture_base, AlsWr(rank=2, lam=0.05, iters=8), seed=0).X
-        assert X.shape == (5, 5)
+        assert X.shape == (2, 5)
         assert np.isfinite(X).all()
 
     def test_alswr_low_rank_recovery(self):
@@ -156,17 +166,19 @@ class TestReconstructionFills:
         mask[np.arange(20), rng.integers(15, size=20)] = True
         mask[rng.integers(20, size=15), np.arange(15)] = True
         base = dataset_from_dense(M, mask)
-        X = fill(base, AlsWr(rank=1, lam=1e-4, iters=25), seed=3).X
-        assert np.sqrt(np.mean((X - M) ** 2)) < 0.05
+        W = fill(base, AlsWr(rank=1, lam=1e-4, iters=25), seed=3).X
+        assert rel_err(gram(W), gram(M)) < 0.05
 
     def test_bounds_clipped_for_all_methods(self):
+        """The direct fills stay in the rating range; a factorization's
+        context is a factor, not ratings, and nothing clips it."""
         rng = np.random.default_rng(4)
         grid = rng.uniform(size=(12, 9))
         mask = rng.random((12, 9)) < 0.5
         mask[np.arange(12), rng.integers(9, size=12)] = True
         base = dataset_from_dense(grid, mask)
-        for method in (Zero(), ItemAverage(), ImputedSvd(rank=3), AlsWr(rank=3, lam=0.05, iters=6)):
-            X = fill(base, method, seed=1).X
+        for method in (Zero(), ItemAverage()):
+            X = fill(base, method).X
             assert X.min() >= 0.0
             assert X.max() <= 1.0
 
@@ -177,18 +189,19 @@ class TestReconstructionFills:
 
 def reference_svd_fill(base, rank):
     """LAPACK's full SVD of the mean-filled base built as a dense matrix,
-    truncated to rank."""
+    truncated to rank: the p×q reconstruction."""
     dense, mask = to_dense(base)
     counts = mask.sum(axis=0)
     means = np.divide(dense.sum(axis=0), counts, out=np.zeros(base.n_items), where=counts > 0)
     U, s, Vt = np.linalg.svd(np.where(mask, dense, means), full_matrices=False)
-    return np.clip((U[:, :rank] * s[:rank]) @ Vt[:rank], 0.0, 1.0)
+    return (U[:, :rank] * s[:rank]) @ Vt[:rank]
 
 
 def reference_alswr_fill(base, method, seed):
     """ALS-WR swept row by row on the dense base, pre-filled as a dense
     mask: never-rated items observed at 0 in every row, then rows still
-    without an observation observed at the item means."""
+    without an observation observed at the item means.  Returns the p×q
+    reconstruction."""
     dense, mask = to_dense(base)
     empty_cols = ~mask.any(axis=0)
     mask[:, empty_cols] = True
@@ -197,7 +210,7 @@ def reference_alswr_fill(base, method, seed):
     mask[empty_rows] = True
     rank = min(method.rank, *dense.shape)
     U, V, _ = als_reference(dense, mask, rank, method.lam, method.iters, rng=seed)
-    return np.clip(U @ V.T, 0.0, 1.0)
+    return U @ V.T
 
 
 def random_base(seed, p, q, density, empty_items=(), empty_users=()):
@@ -226,24 +239,25 @@ class TestFactorizationFillsAgainstDenseReferences:
     def test_svd_fill_matches_the_dense_mean_filled_matrix(self, name, seed):
         base = random_base(seed, **FACTORIZATION_BASES[name])
         for rank in (1, 4, 16):
-            X = fill(base, ImputedSvd(rank=rank)).X
-            X_ref = reference_svd_fill(base, rank)
-            np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
-            # the same pick in every row and column whose best entry leads
-            # by more than the tolerance (all-zero columns are ties)
-            for axis in (0, 1):
-                top = np.sort(X_ref, axis=axis).take([-1, -2], axis=axis)
-                clear = np.abs(np.diff(top, axis=axis)).squeeze(axis) > 2e-10
-                assert clear.mean() > 0.5
-                np.testing.assert_array_equal(X.argmax(axis=axis)[clear], X_ref.argmax(axis=axis)[clear])
+            W = fill(base, ImputedSvd(rank=rank)).X
+            assert W.shape == (rank, base.n_items)
+            G, G_ref = gram(W), gram(reference_svd_fill(base, rank))
+            np.testing.assert_allclose(G, G_ref, rtol=0, atol=1e-10)
+            # the same pick in every Gram column whose best entry leads by
+            # more than the tolerance (all-zero columns are ties)
+            top = np.sort(G_ref, axis=0)[[-1, -2]]
+            clear = np.abs(top[0] - top[1]) > 2e-10
+            assert clear.mean() > 0.5
+            np.testing.assert_array_equal(G.argmax(axis=0)[clear], G_ref.argmax(axis=0)[clear])
 
     @pytest.mark.parametrize("name", sorted(FACTORIZATION_BASES))
     @pytest.mark.parametrize("seed", range(3))
     def test_alswr_fill_matches_the_dense_mask(self, name, seed):
         base = random_base(seed, **FACTORIZATION_BASES[name])
         method = AlsWr(rank=5, lam=0.05, iters=6)
-        X = fill(base, method, seed=seed).X
-        np.testing.assert_allclose(X, reference_alswr_fill(base, method, seed), rtol=0, atol=1e-12)
+        W = fill(base, method, seed=seed).X
+        assert W.shape == (method.rank, base.n_items)
+        np.testing.assert_allclose(gram(W), gram(reference_alswr_fill(base, method, seed)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("all_zero,rank", [(False, 16), (True, 2)])
     def test_short_wide_svd_fill_stays_at_its_size(self, all_zero, rank):
@@ -262,15 +276,18 @@ class TestFactorizationFillsAgainstDenseReferences:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
+        assert X.shape == (p, q)  # the average fill, so its entries, not only its Gram
         np.testing.assert_allclose(X, reference_svd_fill(base, rank), rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("method", [Zero(), ItemAverage(), ImputedSvd(), AlsWr()])
-    def test_no_dense_base_is_allocated(self, method):
-        """2000 × 2000 at 2% density: every fill builds one p×q array and
-        BaseMatrix takes it without a copy, so the peak is X's 8·p·q bytes
-        plus ≈0.15× of sparse data and factors; a copy, a dense base or its
-        mask on top would pass 1.5×.  X is read inside the window, since
-        the fill builds it only then."""
+    @pytest.mark.parametrize("method,bound", [(Zero(), 1.5), (ItemAverage(), 1.5), (ImputedSvd(), 0.5), (AlsWr(), 0.5)],
+                             ids=["zero", "average", "svd", "alswr"])
+    def test_no_dense_base_is_allocated(self, method, bound):
+        """2000 × 2000 at 2% density: a direct fill builds one p×q array and
+        BaseMatrix takes it without a copy, so its peak is X's 8·p·q bytes
+        plus a little; a copy, a dense base or its mask on top would pass
+        1.5×.  A factorization builds nothing p×q: its peak is sparse data
+        and factors, where a p×q reconstruction alone would reach 1×.  X is
+        read inside the window, since the fill builds it only then."""
         p = q = 2000
         base = random_base(0, p, q, 0.02)
         tracemalloc.start()
@@ -279,7 +296,7 @@ class TestFactorizationFillsAgainstDenseReferences:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * p * q, f"fill peaked at {peak / 2**20:.1f} MB"
+        assert peak < bound * 8 * p * q, f"fill peaked at {peak / (8 * p * q):.3f}x of 8·p·q"
 
 
 def _with_nan_rating(base):
@@ -326,26 +343,23 @@ class TestFillValidation:
 
 
 def eager_fill(base, method, seed=None):
-    """The fill as an eager function, to hold the deferred one to: the same
-    steps, run at the call, into a BaseMatrix built from the array."""
-    from coldrec.impute import _column_means, _mean_filled, _rated_over
+    """The fill as an eager function, to hold the deferred one to: the p×q
+    matrix, built at the call from the same kernels, into a BaseMatrix; a
+    factorization's is its unclipped reconstruction."""
+    from coldrec.impute import _column_means, _mean_filled
 
     p, q = base.n_users, base.n_items
-    if isinstance(method, Zero):
-        return BaseMatrix(_rated_over(base, np.zeros((p, q))))
     means = _column_means(base)
-    if isinstance(method, ItemAverage) or (
-        isinstance(method, ImputedSvd) and (method.rank >= min(p, q) or not base.ratings.any())
-    ):
-        return BaseMatrix(_rated_over(base, np.broadcast_to(means, (p, q)).copy()))
-    if isinstance(method, ImputedSvd):
+    if isinstance(method, ImputedSvd) and method.rank < min(p, q) and base.ratings.any():
         U, s, V = truncated_svd(_mean_filled(base, means), method.rank)
-        X = (U * s) @ V.T
-    else:
+        return BaseMatrix((U * s) @ V.T)
+    if isinstance(method, AlsWr):
         R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
         U, V = als_wr_factorize(R, min(method.rank, p, q), method.lam, method.iters, rng=seed)
-        X = U @ V.T
-    return BaseMatrix(np.clip(X, 0.0, 1.0))
+        return BaseMatrix(U @ V.T)
+    X = np.zeros((p, q)) if isinstance(method, Zero) else np.broadcast_to(means, (p, q)).copy()
+    X[base.users, base.items] = base.ratings
+    return BaseMatrix(X)
 
 
 class TestDeferredBuild:
@@ -354,11 +368,21 @@ class TestDeferredBuild:
                              ids=method_label)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_the_eager_fill(self, method, seed):
+        """The handle knows its shape before the build: r × q for a
+        factorization below full rank, whose Gram is the reconstruction's to
+        1e-12 relative; p × q for the rest, bit for bit the eager matrix."""
         base = random_base(seed, **FACTORIZATION_BASES["both"])
         bm, ref = fill(base, method, seed=seed), eager_fill(base, method, seed=seed)
-        assert (bm.k, bm.n_arms) == (ref.k, ref.n_arms) == (base.n_users, base.n_items)
-        assert np.array_equal(bm.column_norms_sq, ref.column_norms_sq)
-        assert np.array_equal(bm.X, ref.X)
+        factor = method in (ImputedSvd(rank=4), AlsWr(rank=4, iters=6))
+        shape = (bm.k, bm.n_arms)  # before the build
+        assert shape == bm.X.shape == (4 if factor else base.n_users, base.n_items)
+        assert not bm.X.flags.writeable
+        if factor:
+            assert rel_err(gram(bm.X), gram(ref.X)) < 1e-12
+            np.testing.assert_allclose(bm.column_norms_sq, ref.column_norms_sq, rtol=1e-12)
+        else:
+            assert np.array_equal(bm.column_norms_sq, ref.column_norms_sq)
+            assert np.array_equal(bm.X, ref.X)
 
     def test_builds_once_then_lets_the_base_go(self):
         base = dataset_from_dense(FIXTURE_VALUES, FIXTURE_MASK)
@@ -373,7 +397,7 @@ class TestDeferredBuild:
 
     def test_non_finite_build_raises_at_each_read(self, fixture_base, monkeypatch):
         # a build that fails leaves the handle unbuilt, not half built
-        monkeypatch.setattr(linalg, "truncated_svd", lambda M, rank: (np.ones((5, 1)), [np.nan], np.ones((5, 1))))
+        monkeypatch.setattr(linalg, "truncated_svd", lambda M, rank: (np.ones((5, 1)), np.array([np.nan]), np.ones((5, 1))))
         bm = fill(fixture_base, ImputedSvd(rank=1))
         for _ in range(2):
             with pytest.raises(ValueError, match="non-finite entries"):

@@ -537,6 +537,64 @@ class TestThompson:
         assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4 * cov_se)
 
 
+def factor_contexts(form, p, q, r, seed):
+    """A random rank-r reconstruction X (p×q) and the r×q W with WᵀW = XᵀX
+    that the factorization fills hand out: X = U diag(s) Vᵀ with orthonormal
+    U and W = diag(s) Vᵀ (svd), or X = U Vᵀ and W = R Vᵀ with U = QR
+    (alswr)."""
+    rng = np.random.default_rng([seed, p, q, r])
+    U, V = rng.standard_normal((p, r)), rng.uniform(-1.0, 1.0, (q, r))
+    if form == "svd":
+        U = np.linalg.qr(U)[0]
+        V *= rng.uniform(0.5, 3.0, r)  # V diag(s)
+        return BaseMatrix(U @ V.T), BaseMatrix(V.T.copy())
+    return BaseMatrix(U @ V.T), BaseMatrix(np.linalg.qr(U, mode="r") @ V.T)
+
+
+def random_updates(n_arms, count, seed):
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(n_arms)), float(rng.uniform())) for _ in range(count)]
+
+
+FACTOR_SHAPES = [(40, 25, 3), (12, 30, 5), (60, 60, 16)]
+
+
+@pytest.mark.parametrize("p,q,r", FACTOR_SHAPES, ids=["tall", "wide", "rank16"])
+@pytest.mark.parametrize("form", ["svd", "alswr"])
+class TestFactorContexts:
+    """Every contextual policy reads its context only through the arms'
+    Gram matrix, so on the r×q factor W it scores as on the p×q
+    reconstruction X = U Vᵀ with WᵀW = XᵀX."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [ALinUcbPolicy, LinUcbPolicy, lambda X, alpha: LinUcbPolicy(X, alpha, dense_inversion=False)],
+        ids=["alinucb", "linucb-dense", "linucb-closed-form"],
+    )
+    def test_ucb_scores_match_on_the_factor(self, form, p, q, r, make):
+        X, W = factor_contexts(form, p, q, r, seed=50)
+        assert W.k == r and rel_err(W.X.T @ W.X, X.X.T @ X.X) < 1e-14
+        on_x, on_w = make(X, alpha=0.3), make(W, alpha=0.3)
+        for arm, reward in random_updates(q, 200, seed=51):
+            on_x.update(arm, reward)
+            on_w.update(arm, reward)
+        assert rel_err(on_w._scores, on_x._scores) < 1e-12
+
+    def test_thompson_moments_match_on_the_factor(self, form, p, q, r):
+        """After the same updates, the scores' mean K_eff h and covariance
+        K_eff K_effᵀ (per v²) on W are those on X."""
+        X, W = factor_contexts(form, p, q, r, seed=52)
+        moments = []
+        for base in (X, W):
+            pol, _, _ = thompson_after_updates(base, 3 * _FOLD_BLOCK + 5, seed=53)
+            pol.sample_scores()  # applies the step the last update deferred
+            K = effective_factor(pol)
+            moments.append((K @ pol.h, K @ K.T))
+        (mean_x, cov_x), (mean_w, cov_w) = moments
+        assert rel_err(mean_w, mean_x) < 1e-10
+        assert rel_err(cov_w, cov_x) < 1e-10
+
+
 class TestSelectProtocol:
     def make_all(self, base, seed=0):
         return [

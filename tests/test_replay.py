@@ -615,8 +615,11 @@ def pinned_base(impute):
 # fills (alswr on its pinned_base), T = 50, policy seed 7, user seed 11,
 # fills at rank 3 with seed 1.  Recorded with the dense evaluator and the
 # available-array select protocol, the alswr column with the dense-mask
-# ALS-WR fill, and the thompson row with its square-root factor; the traces
-# must not change.
+# ALS-WR fill, and the thompson row with its square-root factor.  The svd
+# and alswr fills hand the policies their r × q factor, not the clipped
+# p × q reconstruction: thompson, which draws one normal per context row,
+# was re-pinned there; linucb and alinucb pick the same arms as before.
+# The traces must not change.
 PINNED_TRACE_SHA256 = {
     "random": ("1945232fe06a22d6a7233f644ae929f44572eb31647f6c616535a9cde74a9adf",) * 3,
     "aver": ("f2b491be8cd94e206cf6d711bebcb39c9db45c090e84265a121fae80e15c1f07",) * 3,
@@ -625,8 +628,8 @@ PINNED_TRACE_SHA256 = {
     "exp3": ("a67e966599c82cb686ff9f284c787797d2b4bc57078f72c6586fd6fa60c9c364",) * 3,
     "thompson": (
         "58924e5d618376c1645295b7ec3fb7a600bf075f27cf2b769bd161024fe36a42",
-        "2b42cf0bfe5935484b799cbeeecb8a1f7a37a45eeb4c4b35b580c4dface0e466",
-        "d4fe6db206f0a9639d0156ac1023e8a60f60ceb35181320144eae808b6a3a60f",
+        "6bc273e74e74c39777c6e8ea06c9997e6db078c8a5f690acc45715e46257a830",
+        "875b527e9e62da10bb08456a842f4c83ebb70d0c033bd309d2aa2150a1013bfa",
     ),
     "linucb": (
         "1077a4f44f59bf3507257037e65d0c0cf39ffcf81ec2cf9f66306e07e91d8c7e",
