@@ -135,6 +135,45 @@ def egreedy_epsilon(c: float, d: float, n: int, t: int) -> float:
     return min(1.0, (c * n) / (d * d * span))
 
 
+class _DrawStream:
+    """A policy's own PCG64 stream, read in blocks of raw words and spent bit for bit as ``Generator.random()``
+    and ``.integers(n)`` spend it, without numpy's per-call cost.  random() is a word w as (w >> 11)·2⁻⁵³.
+    integers(n), n ≤ 2³², is Lemire's multiply-and-reject (ACM TOMACS 2019) on 32-bit halves: a word's low
+    half first, its high half held for the next one, as the bit generator holds it.  n = 1 reads nothing."""
+
+    __slots__ = ("_word", "_half")
+    BLOCK = 256  # raw words read per refill
+
+    def __init__(self, rng: np.random.Generator):
+        raw = rng.bit_generator.random_raw
+        words = itertools.chain.from_iterable(iter(lambda: raw(_DrawStream.BLOCK).tolist(), None))  # endless
+        self._word, self._half = words.__next__, None  # _word() reads on, one block of words at a time
+
+    def _uint32(self) -> int:
+        half, self._half = self._half, None
+        if half is None:
+            word = self._word()
+            half, self._half = word & 0xFFFFFFFF, word >> 32
+        return half
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        m = self._uint32() * n if n > 1 else 0
+        while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (1 << 32) % n:  # the threshold 2³² mod n is below n
+            m = self._uint32() * n
+        return m >> 32
+
+
+def _draw_stream(seed, n_arms: int):
+    """``default_rng(seed)`` read through a :class:`_DrawStream`, or as it is when the caller may share it (a
+    Generator or BitGenerator seed, which reading ahead would move) or over 2³² arms take 64-bit draws."""
+    rng = np.random.default_rng(seed)
+    shared = isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    return rng if shared or n_arms > 2**32 else _DrawStream(rng)
+
+
 def _check_reward(reward: float) -> float:
     reward = float(reward)
     if not 0.0 <= reward <= 1.0:
@@ -185,7 +224,7 @@ class RandomPolicy(Policy):
 
     def __init__(self, n_arms: int, seed=None):
         self.n_arms = n_arms
-        self.rng = np.random.default_rng(seed)
+        self.rng = _draw_stream(seed, n_arms)
 
     def select(self, revealed, t):
         return nth_open_arm(revealed, int(self.rng.integers(_check_open(self.n_arms, revealed))))
@@ -193,8 +232,8 @@ class RandomPolicy(Policy):
 
 class _CountsPolicy(Policy):
     """Per-arm play counts, reward sums and their averages (0 for arms never
-    played), plus which arms were played, shared by the policies that score
-    arms by average reward.
+    played), which arms were played and the lowest arm never played, shared
+    by the policies that score arms by average reward.
 
     The counts are float64, exact below 2⁵³, so ucb divides by them as they
     are.  Update reads and writes the arrays through memoryviews, which index
@@ -211,6 +250,7 @@ class _CountsPolicy(Policy):
         self._sums, self._counts, self._means, self._played = map(
             memoryview, (self.sums, self.counts, self.means, self.played)
         )
+        self._unplayed = 0  # the lowest arm never played, n_arms once all are
 
     def update(self, arm, reward):
         reward = _check_reward(reward)
@@ -220,26 +260,38 @@ class _CountsPolicy(Policy):
         self._counts[arm] = count
         self._means[arm] = total / count
         self._played[arm] = True
+        if arm == self._unplayed:
+            self._unplayed = next((j for j in range(arm + 1, self.n_arms) if not self._played[j]), self.n_arms)
 
 
 class AveragePolicy(_CountsPolicy):
     """Greedy on the observed per-arm average reward.
 
     Arms never played score the running global average, so an unplayed arm
-    neither attracts nor repels relative to the field.
+    neither attracts nor repels relative to the field.  Select scores no
+    array: the best open played arm (by means kept at −inf for arms never
+    played) meets the lowest open arm never played, the lower on a tie.
     """
 
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
         self.total_sum = 0.0
         self.total_count = 0
+        self._played_means = np.full(n_arms, -np.inf)
+        self._pm = memoryview(self._played_means)
 
     def select(self, revealed, t):
+        best = argmax_lowest(self._played_means, revealed)
+        fresh = self._unplayed
+        while fresh < self.n_arms and (self._played[fresh] or _is_revealed(revealed, fresh)):
+            fresh += 1
         global_mean = self.total_sum / self.total_count if self.total_count else 0.0
-        return argmax_lowest(np.where(self.played, self.means, global_mean), revealed)
+        score = self._pm[best]  # −inf if no open arm was played; fresh is n_arms if every open arm was
+        return best if fresh == self.n_arms or score > global_mean or (score == global_mean and best < fresh) else fresh
 
     def update(self, arm, reward):
         super().update(arm, reward)
+        self._pm[arm] = self._means[arm]
         self.total_sum += float(reward)
         self.total_count += 1
 
@@ -255,7 +307,7 @@ class EpsilonGreedyPolicy(_CountsPolicy):
         super().__init__(n_arms)
         self.c = _check_hyper("c", c)
         self.d = _check_hyper("d", d)
-        self.rng = np.random.default_rng(seed)
+        self.rng = _draw_stream(seed, n_arms)
 
     def select(self, revealed, t):
         if self.rng.random() < egreedy_epsilon(self.c, self.d, self.n_arms, t):
@@ -275,7 +327,6 @@ class UcbPolicy(_CountsPolicy):
     def __init__(self, n_arms: int):
         super().__init__(n_arms)
         self._scores = np.full(n_arms, np.inf)
-        self._unplayed = 0  # the lowest arm never played, n_arms once all are
 
     def select(self, revealed, t):
         if t < 1:
@@ -290,14 +341,6 @@ class UcbPolicy(_CountsPolicy):
         np.sqrt(scores, out=scores)
         scores += self.means
         return argmax_lowest(scores, revealed)
-
-    def update(self, arm, reward):
-        super().update(arm, reward)
-        if arm == self._unplayed:
-            played, nxt = self._played, arm + 1
-            while nxt < self.n_arms and played[nxt]:
-                nxt += 1
-            self._unplayed = nxt
 
 
 class Exp3Policy(Policy):
@@ -320,7 +363,7 @@ class Exp3Policy(Policy):
     def __init__(self, n_arms: int, gamma: float = DEFAULT_GAMMA, seed=None):
         self.n_arms = n_arms
         self.gamma = _check_hyper("gamma", gamma)
-        self.rng = np.random.default_rng(seed)
+        self.rng = _draw_stream(seed, n_arms)
         self._pending = None  # (arm, probability) from the last select
         self._w = [1.0] * n_arms
         self._rebuild()

@@ -60,9 +60,11 @@ class _UserState:
     def reveal(self, arm: int, n_arms: int) -> float:
         """Reveal an arm in [0, n_arms) that is not yet revealed: its rating,
         0 if the user never rated it.  Any other arm is rejected."""
-        if not 0 <= arm < n_arms or _is_revealed(self.revealed, arm):
+        revealed = self.revealed
+        pos = bisect.bisect_left(revealed, arm)
+        if not 0 <= arm < n_arms or (pos < len(revealed) and revealed[pos] == arm):
             raise RuntimeError(f"arm {arm} is not available")
-        bisect.insort(self.revealed, arm)
+        revealed.insert(pos, arm)
         items = self.items
         i = bisect.bisect_left(items, arm)
         if i == len(items) or items[i] != arm:

@@ -1,10 +1,13 @@
 """Slow references for the index policies ``alinucb``, ``egreedy``, ``aver``
-and ``ucb``.
+and ``ucb``, and for ``random``.
 
-Each one scores every arm on every select and takes one argmax over the
-open arms, and updates its numpy arrays element by element: the policies'
-select and update before their scalar updates and ``ucb``'s never-played-arm
-shortcut.  The fast policies must pick the same arm at every step.
+Each index policy scores every arm on every select and takes one argmax
+over the open arms, and updates its numpy arrays element by element: the
+policies' select and update before their scalar updates and ``ucb``'s
+never-played-arm shortcut.  The seeded ones draw from a plain
+``np.random.default_rng(seed)``, one numpy call per draw, and index the
+available array with the draw.  The fast policies must pick the same arm at
+every step.
 """
 
 import math
@@ -29,6 +32,16 @@ def argmax_open(scores, revealed):
     """The open arm with the highest score, lowest index on ties."""
     available = open_arms(len(scores), revealed)
     return int(available[np.argmax(scores[available])])
+
+
+class AvailableRandom(Policy):
+    def __init__(self, n_arms, seed=None):
+        self.n_arms = n_arms
+        self.rng = np.random.default_rng(seed)
+
+    def select(self, revealed, t):
+        available = open_arms(self.n_arms, revealed)
+        return int(available[self.rng.integers(len(available))])
 
 
 class ArgmaxCounts(Policy):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
+from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb, AvailableRandom
 from helpers import to_dense
 
 from coldrec import linalg
@@ -20,6 +20,7 @@ from coldrec.policies import (
     POLICIES,
     POLICY_IDS,
     _FOLD_BLOCK,
+    _DrawStream,
     ALinUcbPolicy,
     AveragePolicy,
     EpsilonGreedyPolicy,
@@ -35,7 +36,7 @@ from coldrec.policies import (
     make_policy,
     nth_open_arm,
 )
-from coldrec.replay import run_replay
+from coldrec.replay import TRACE_COLUMNS, run_replay
 from coldrec.synthetic import linear_environment
 
 
@@ -839,6 +840,103 @@ class TestArgmaxReferences:
             reference.update(arm, reward)
         for revealed in ([1], [1, 2], [0, 1, 2], [1, 3], [1, 3, 4], [0, 1, 3, 4], [1, 2, 3, 4]):
             assert pol.select(revealed, 4) == reference.select(revealed, 4), revealed
+
+
+# integers(n) at both ends of the 32-bit path, and where its rejection is likeliest (2³¹ + 1: about half)
+DRAW_NS = (1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+def with_plain_generator(pol, seed):
+    """The policy, drawing from a plain ``np.random.default_rng(seed)``."""
+    pol.rng = np.random.default_rng(seed)
+    return pol
+
+
+class TestDrawStream:
+    """The seeded policies' block-drawn stream against numpy's Generator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 2**32),
+           st.lists(st.integers(0, len(DRAW_NS) + 1), min_size=1, max_size=30))
+    def test_draws_equal_a_fresh_generator(self, seed, drawn_n, pattern):
+        """Interleaved random() and integers(n) calls, repeated past two
+        blocks of words, so that refills come with a held half: every value
+        is the one a fresh default_rng(seed) returns, of the same type."""
+        stream, reference = _DrawStream(np.random.default_rng(seed)), np.random.default_rng(seed)
+        ns = (*DRAW_NS, drawn_n)
+        for op in pattern * (3 * _DrawStream.BLOCK // len(pattern) + 1):
+            if op == 0:
+                value, expected = stream.random(), reference.random()
+                assert type(value) is float
+            else:
+                value, expected = stream.integers(ns[op - 1]), int(reference.integers(ns[op - 1]))
+                assert type(value) is int
+            assert value == expected, (op, ns[op - 1] if op else None)
+
+    def test_policies_own_the_stream_of_a_plain_seed(self):
+        for seed in (None, 3, [3, 4], np.random.SeedSequence(3)):
+            for pol in (RandomPolicy(5, seed=seed), EpsilonGreedyPolicy(5, seed=seed), Exp3Policy(5, seed=seed)):
+                assert isinstance(pol.rng, _DrawStream)
+
+    @pytest.mark.parametrize("make_seed", [np.random.default_rng, np.random.PCG64, np.random.MT19937])
+    def test_a_shared_generator_is_left_where_call_by_call_draws_leave_it(self, make_seed):
+        """A Generator or BitGenerator seed may be shared with the caller:
+        the policy draws from it call by call, reading nothing ahead, so it
+        ends where a plain Generator making the same calls ends."""
+        n, rng = 30, np.random.default_rng(50)
+        revealed_sets = [np.sort(rng.choice(n, size=rng.integers(0, n), replace=False)) for _ in range(200)]
+        for cls in (RandomPolicy, EpsilonGreedyPolicy, Exp3Policy):
+            shared = make_seed(8)
+            pol = cls(n, seed=shared)
+            reference = with_plain_generator(cls(n, seed=0), make_seed(8))
+            for t, revealed in enumerate(revealed_sets, start=1):
+                arm = pol.select(revealed, t)
+                assert arm == reference.select(revealed, t), (cls.__name__, t)
+                pol.update(arm, (arm % 5) / 4)
+                reference.update(arm, (arm % 5) / 4)
+            bits = shared if isinstance(shared, np.random.BitGenerator) else shared.bit_generator
+            np.testing.assert_equal(bits.state, reference.rng.bit_generator.state, err_msg=cls.__name__)
+
+    def test_more_than_2_to_the_32_arms_draw_from_the_generator(self):
+        """Past 2³² arms numpy's integers(n) draws 64-bit words: the policy
+        keeps its Generator and picks what the Generator picks."""
+        n = 2**32 + 5
+        pol, reference = RandomPolicy(n, seed=4), np.random.default_rng(4)
+        assert isinstance(pol.rng, np.random.Generator)
+        assert [pol.select([0], t) for t in range(1, 4)] == [nth_open_arm([0], int(reference.integers(n - 1)))
+                                                              for _ in range(3)]
+
+
+def sparse_evaluation(n_users, n_arms, density, seed):
+    """Quarter-step ratings on a random sparse mask, at least one per user."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_users, n_arms)) < density
+    mask[np.arange(n_users), rng.integers(n_arms, size=n_users)] = True
+    return dataset_from_dense(rng.integers(1, 5, size=(n_users, n_arms)) / 4, mask)
+
+
+class TestReplayScaleReferences:
+    """Whole replays of 6,000 steps over 320 arms, where the stream refills
+    its block many times: random, egreedy and exp3 against copies drawing
+    from a plain Generator, aver against its argmax reference, every trace
+    column equal."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_traces_equal_the_references(self, seed):
+        n, T = 320, 6000
+        evaluation = sparse_evaluation(300, n, 0.05, seed)
+        pairs = [
+            (RandomPolicy(n, seed=seed), AvailableRandom(n, seed=seed)),
+            (EpsilonGreedyPolicy(n, seed=seed), ArgmaxEgreedy(n, seed=seed)),
+            # the policy itself, so that its float sums are the same ones
+            (Exp3Policy(n, gamma=0.1, seed=seed), with_plain_generator(Exp3Policy(n, gamma=0.1), seed)),
+            (AveragePolicy(n), ArgmaxAverage(n)),
+        ]
+        for fast, slow in pairs:
+            ours, theirs = run_replay(fast, evaluation, T, seed=9), run_replay(slow, evaluation, T, seed=9)
+            assert ours.steps == T
+            for name in TRACE_COLUMNS:
+                np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name), err_msg=name)
 
 
 class TestExp3Protocol:
