@@ -17,7 +17,7 @@ T = 2000
 
 finals = {}
 curves = {}
-for name in ("random", "aver", "egreedy", "ucb", "exp3", "thompson", "linucb", "alinucb", "oracle"):
+for name in ("random", "aver", "egreedy", "ucb", "exp3", "thompson", "linucb", "linucb-cf", "alinucb", "oracle"):
     finals[name] = []
     for seed in SEEDS:
         streams = np.random.SeedSequence([17, seed]).spawn(3)

@@ -13,7 +13,7 @@ The adapted-LinUCB policy freezes each arm's design matrix at I + x xᵀ,
 which collapses scoring to two cached scalars per arm — no matrix is ever
 inverted on its fast path.  The standard LinUCB baseline deliberately pays
 the dense O(k³) inversion on every re-score, which is exactly the cost the
-adapted variant removes; a closed-form flag exists for ablation only.
+adapted variant removes; ``linucb-cf`` scores the same designs in closed form.
 Thompson sampling keeps a square-root factor of its posterior projected
 onto the arms, one n×k matrix and no k×k one, so its step is O(k·n): each
 select reads the factor once, and the updates' rank-one steps wait in two
@@ -43,6 +43,7 @@ __all__ = [
     "Exp3Policy",
     "ThompsonPolicy",
     "LinUcbPolicy",
+    "ClosedFormLinUcbPolicy",
     "ALinUcbPolicy",
     "OraclePolicy",
     "make_policy",
@@ -534,19 +535,16 @@ class LinUcbPolicy(Policy):
     Each arm's design matrix after t_j updates is I + t_j·x_jx_jᵀ (every
     observation of an arm repeats the same context row), so only the scalar
     pair (t_j, reward sum) is stored and the matrix is rebuilt on demand.
-    With ``dense_inversion`` (the default, and what timing comparisons must
-    use) every re-score explicitly inverts that k×k matrix; the closed-form
-    alternative applies the rank-one inverse identity instead and exists for
-    ablation.
+    Every re-score explicitly inverts that k×k matrix: this is the dense
+    O(k³) baseline that timing comparisons must use.
     """
 
-    def __init__(self, X, alpha: float = DEFAULT_ALPHA, dense_inversion: bool = True):
+    def __init__(self, X, alpha: float = DEFAULT_ALPHA):
         _check_hyper("alpha", alpha)
         base = _context_matrix(X)
         self.X = base.X
         self.n_arms = base.n_arms
         self.alpha = alpha
-        self.dense_inversion = dense_inversion
         self.norms_sq = base.column_norms_sq
         self.counts = np.zeros(self.n_arms, dtype=np.int64)
         self.reward_sums = np.zeros(self.n_arms)
@@ -558,14 +556,10 @@ class LinUcbPolicy(Policy):
         return np.eye(len(x)) + self.counts[j] * np.outer(x, x)
 
     def score(self, j: int) -> float:
-        if self.dense_inversion:
-            x = self.X[:, j]
-            A_inv = np.linalg.inv(self.design_matrix(j))
-            theta = A_inv @ (self.reward_sums[j] * x)
-            return float(theta @ x + self.alpha * np.sqrt(x @ A_inv @ x))
-        s = self.norms_sq[j]
-        q = s / (1.0 + self.counts[j] * s)
-        return self.reward_sums[j] * q + self.alpha * math.sqrt(q)
+        x = self.X[:, j]
+        A_inv = np.linalg.inv(self.design_matrix(j))
+        theta = A_inv @ (self.reward_sums[j] * x)
+        return float(theta @ x + self.alpha * np.sqrt(x @ A_inv @ x))
 
     def select(self, revealed, t):
         return argmax_lowest(self._scores, revealed)
@@ -575,6 +569,17 @@ class LinUcbPolicy(Policy):
         self.counts[arm] += 1
         self.reward_sums[arm] += reward
         self._scores[arm] = self.score(arm)
+
+
+class ClosedFormLinUcbPolicy(LinUcbPolicy):
+    """LinUCB on the same growing designs, each re-score O(1) by the rank-one inverse identity
+    (Sherman–Morrison; Li, Chu, Langford & Schapire, WWW 2010): with s_j = ‖x_j‖², the width
+    term x_jᵀA_j⁻¹x_j is q = s_j/(1 + t_j·s_j), and score_j = S_j·q + α·√q."""
+
+    def score(self, j: int) -> float:
+        s = self.norms_sq[j]
+        q = s / (1.0 + self.counts[j] * s)
+        return self.reward_sums[j] * q + self.alpha * math.sqrt(q)
 
 
 class ALinUcbPolicy(Policy):
@@ -657,6 +662,7 @@ POLICIES: dict[str, type[Policy]] = {
     "exp3": Exp3Policy,
     "thompson": ThompsonPolicy,
     "linucb": LinUcbPolicy,
+    "linucb-cf": ClosedFormLinUcbPolicy,
     "alinucb": ALinUcbPolicy,
 }
 

@@ -21,6 +21,7 @@ from coldrec.data import RatingDataset, dataset_from_dense, save_csv_triples, sp
 from coldrec.impute import AlsWr, ImputedSvd, ItemAverage, Zero, fill
 from coldrec.policies import (
     ALinUcbPolicy,
+    ClosedFormLinUcbPolicy,
     EpsilonGreedyPolicy,
     LinUcbPolicy,
     OraclePolicy,
@@ -207,7 +208,8 @@ def test_supplementary_ordering_on_synthetic_standin():
 @pytest.mark.slow
 def test_criterion_7_frozen_design_speedup():
     """k=n=500, T=5000: the frozen-design policy's decision loop runs in at
-    most 1/3 the wall time of dense-inversion LinUCB."""
+    most 1/3 the wall time of dense-inversion LinUCB.  The closed-form
+    LinUCB's time on the same cell is printed beside them, not gated."""
     start = time.perf_counter()
     path = ml1m_location()
     if path is not None:
@@ -226,14 +228,17 @@ def test_criterion_7_frozen_design_speedup():
         workload = "synthetic 500x500"
 
     fast = run_replay(ALinUcbPolicy(X, alpha=0.001), evaluation, T=5000, seed=streams[2])
-    slow = run_replay(LinUcbPolicy(X, alpha=0.001, dense_inversion=True), evaluation, T=5000, seed=streams[2])
+    slow = run_replay(LinUcbPolicy(X, alpha=0.001), evaluation, T=5000, seed=streams[2])
     elapsed = time.perf_counter() - start
+    # printed only, and run after `elapsed`: the gate and the bound time alinucb against the dense baseline
+    closed = run_replay(ClosedFormLinUcbPolicy(X, alpha=0.001), evaluation, T=5000, seed=streams[2])
     ok = fast.wall_time_seconds <= slow.wall_time_seconds / 3.0 and elapsed < 300.0
     report(
         7,
         ok,
         f"{workload}: alinucb {fast.wall_time_seconds:.2f}s vs linucb {slow.wall_time_seconds:.2f}s "
-        f"({slow.wall_time_seconds / max(fast.wall_time_seconds, 1e-9):.0f}x) in {elapsed:.0f}s (< 300s)",
+        f"({slow.wall_time_seconds / max(fast.wall_time_seconds, 1e-9):.0f}x) in {elapsed:.0f}s (< 300s); "
+        f"linucb-cf {closed.wall_time_seconds:.2f}s",
     )
 
 

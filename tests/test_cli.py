@@ -350,8 +350,7 @@ class TestPolicyConvention:
     def test_constructor_takes_only_what_make_policy_passes(self, policy_id):
         first, *rest = inspect.signature(POLICIES[policy_id]).parameters
         assert first in ("X", "n_arms")
-        extra = {"dense_inversion"} if policy_id == "linucb" else set()  # an ablation switch, left at its default
-        assert set(rest) <= {"seed", *HYPER_RULES, *extra}, rest
+        assert set(rest) <= {"seed", *HYPER_RULES}, rest
 
     @pytest.mark.parametrize("name", HYPER_RULES)
     def test_each_hyper_parameter_is_a_config_key_with_the_library_rule(self, name):
@@ -396,6 +395,25 @@ class TestRunMatrix:
         summary_a = Path(os.path.join(out_a, "summary.csv")).read_text()
         summary_b = Path(os.path.join(out_b, "summary.csv")).read_text()
         assert mask_seconds(summary_a) == mask_seconds(summary_b)
+
+    def test_linucb_closed_form_runs_in_the_grid(self, corpus, tmp_path):
+        """linucb-cf runs from the CLI beside dense linucb and alinucb: one
+        summary row per (policy, fill) in grid order, and a rerun writes the
+        same trace bytes."""
+        args = ["--policy", "linucb,linucb-cf,alinucb", "--impute", "zero,svd", "--rank", "4", "--seeds", "0,1"]
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run_matrix(parse_config(base_args(corpus, out_a, args))) == 0
+        assert run_matrix(parse_config(base_args(corpus, out_b, args))) == 0
+        rows = read_summary(os.path.join(out_a, "summary.csv"))
+        assert [(r["policy"], r["params"]) for r in rows] == [
+            (policy, f"alpha=0.001;impute={fill}")
+            for policy in ("linucb", "linucb-cf", "alinucb")
+            for fill in ("zero", "svd4")
+        ]
+        traces = sorted(f for f in os.listdir(out_a) if f.startswith("trace__"))
+        assert len(traces) == 12  # 3 policies x 2 fills x 2 seeds
+        for name in traces:
+            assert Path(out_a, name).read_bytes() == Path(out_b, name).read_bytes(), name
 
     def test_summary_recomputable_from_traces(self, corpus, tmp_path):
         out = str(tmp_path / "m3")

@@ -15,7 +15,7 @@ from helpers import to_dense
 
 from coldrec import linalg
 from coldrec.data import dataset_from_dense
-from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, fill
+from coldrec.impute import AlsWr, BaseMatrix, ImputedSvd, Zero, fill
 from coldrec.policies import (
     POLICIES,
     POLICY_IDS,
@@ -23,6 +23,7 @@ from coldrec.policies import (
     _DrawStream,
     ALinUcbPolicy,
     AveragePolicy,
+    ClosedFormLinUcbPolicy,
     EpsilonGreedyPolicy,
     Exp3Policy,
     LinUcbPolicy,
@@ -35,6 +36,7 @@ from coldrec.policies import (
     egreedy_epsilon,
     make_policy,
     nth_open_arm,
+    policy_params,
 )
 from coldrec.replay import TRACE_COLUMNS, run_replay
 from coldrec.synthetic import linear_environment
@@ -251,7 +253,7 @@ class TestALinUcbScoring:
         with pytest.raises(ValueError):
             pol.update(0, -0.1)
 
-    def test_scalar_path_equals_dense_inversion_oracle(self):
+    def test_scalar_path_equals_dense_inverse_oracle(self):
         """Fast scalar scores == explicit A⁻¹ path after random histories."""
         rng = np.random.default_rng(5)
         base = random_base(k=12, n=7, seed=6)
@@ -327,8 +329,8 @@ class TestLinUcbScoring:
 
     def test_dense_and_closed_form_agree(self):
         base = random_base(k=6, n=4, seed=16)
-        dense = LinUcbPolicy(base, alpha=0.2, dense_inversion=True)
-        closed = LinUcbPolicy(base, alpha=0.2, dense_inversion=False)
+        dense = LinUcbPolicy(base, alpha=0.2)
+        closed = ClosedFormLinUcbPolicy(base, alpha=0.2)
         rng = np.random.default_rng(17)
         for _ in range(50):
             j = int(rng.integers(4))
@@ -337,6 +339,26 @@ class TestLinUcbScoring:
             closed.update(j, r)
         for j in range(4):
             assert abs(dense.score(j) - closed.score(j)) < 1e-10
+
+    def test_closed_form_inverts_no_matrix(self, monkeypatch):
+        pol = make_policy("linucb-cf", random_base(k=6, n=4, seed=18))
+        assert type(pol) is ClosedFormLinUcbPolicy and policy_params("linucb-cf") == ("alpha",)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("linucb-cf inverted a matrix"))
+        for arm, reward in random_updates(4, 20, seed=19):
+            pol.update(arm, reward)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("method", [Zero(), ImputedSvd(rank=8)], ids=["zero", "svd"])
+    def test_closed_form_replays_the_dense_picks(self, method, seed):
+        """linucb-cf, registered as dense linucb's closed form, picks the arm
+        dense linucb picks at every one of 1,500 replay steps (k = 60 under
+        zero, 8 under svd)."""
+        base, evaluation = linear_environment(60, 80, 100, seed=seed)
+        X = fill(base, method, seed=seed)
+        dense, closed = (run_replay(make_policy(policy_id, X), evaluation, 1500, seed=seed)
+                         for policy_id in ("linucb", "linucb-cf"))
+        np.testing.assert_array_equal(closed.arm, dense.arm)
+        np.testing.assert_array_equal(closed.cumulative, dense.cumulative)
 
 
 def dense_thompson_posterior(X, counts, b):
@@ -569,7 +591,7 @@ class TestFactorContexts:
 
     @pytest.mark.parametrize(
         "make",
-        [ALinUcbPolicy, LinUcbPolicy, lambda X, alpha: LinUcbPolicy(X, alpha, dense_inversion=False)],
+        [ALinUcbPolicy, LinUcbPolicy, ClosedFormLinUcbPolicy],
         ids=["alinucb", "linucb-dense", "linucb-closed-form"],
     )
     def test_ucb_scores_match_on_the_factor(self, form, p, q, r, make):
@@ -606,6 +628,7 @@ class TestSelectProtocol:
             Exp3Policy(base.n_arms, seed=seed),
             ThompsonPolicy(base, seed=seed),
             LinUcbPolicy(base),
+            ClosedFormLinUcbPolicy(base),
             ALinUcbPolicy(base),
         ]
 
@@ -1187,7 +1210,7 @@ class TestMakePolicy:
     @pytest.mark.parametrize(
         "policy_id,builds",
         [("random", 0), ("aver", 0), ("egreedy", 0), ("ucb", 0), ("exp3", 0),
-         ("alinucb", 1), ("thompson", 1), ("linucb", 1)],
+         ("alinucb", 1), ("thompson", 1), ("linucb", 1), ("linucb-cf", 1)],
     )
     @pytest.mark.parametrize("method", [ImputedSvd(rank=3), AlsWr(rank=3, iters=2)], ids=["svd", "alswr"])
     def test_only_contextual_policies_build_the_fill(self, policy_id, builds, method, monkeypatch):

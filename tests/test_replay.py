@@ -619,6 +619,7 @@ def pinned_base(impute):
 # and alswr fills hand the policies their r × q factor, not the clipped
 # p × q reconstruction: thompson, which draws one normal per context row,
 # was re-pinned there; linucb and alinucb pick the same arms as before.
+# linucb-cf, the closed form of linucb, writes linucb's bytes under all three fills.
 # The traces must not change.
 PINNED_TRACE_SHA256 = {
     "random": ("1945232fe06a22d6a7233f644ae929f44572eb31647f6c616535a9cde74a9adf",) * 3,
@@ -632,6 +633,11 @@ PINNED_TRACE_SHA256 = {
         "875b527e9e62da10bb08456a842f4c83ebb70d0c033bd309d2aa2150a1013bfa",
     ),
     "linucb": (
+        "1077a4f44f59bf3507257037e65d0c0cf39ffcf81ec2cf9f66306e07e91d8c7e",
+        "c0b07b9922377077ae9cc668eebddb3a02ad4670a8d0679ca7ec99e33c988398",
+        "1a1e0c0ac468872b8834879a50906841609ee270286f9abc3923800c7f60574c",
+    ),
+    "linucb-cf": (
         "1077a4f44f59bf3507257037e65d0c0cf39ffcf81ec2cf9f66306e07e91d8c7e",
         "c0b07b9922377077ae9cc668eebddb3a02ad4670a8d0679ca7ec99e33c988398",
         "1a1e0c0ac468872b8834879a50906841609ee270286f9abc3923800c7f60574c",
