@@ -276,7 +276,7 @@ def run_cell(ds: RatingDataset, cfg: ExperimentConfig, policy_id: str, impute_id
         work = subsample(work, cfg.max_users, cfg.max_items, seed=sub_ss)
     if cfg.min_ratings > 1:
         work = filter_min_ratings(work, cfg.min_ratings)
-    work = orient(work, ProblemKind(cfg.problem))
+    work = orient(work, cfg.problem)
 
     k = cfg.base_k if cfg.base_k is not None else min(work.n_items, work.n_users - 1)
     split = split_base_eval(work, k, seed=split_ss)

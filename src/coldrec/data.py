@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "ProblemKind",
     "RatingDataset",
-    "UserRows",
     "CorpusSplit",
     "load_movielens",
     "load_csv_triples",
@@ -54,9 +53,10 @@ class RatingDataset:
     """Sparse ratings as parallel arrays, plus the grid dimensions.
 
     Invariants: users/items/ratings are 1-d and of equal length, the (user,
-    item) keys fit int64, and the ids lie in [0, n_users) × [0, n_items) (all
-    checked here); (user, item) pairs are unique, and every user id in range
-    occurs at least once (loader-enforced; `orient` is the one exception).
+    item) keys fit int64, the ids lie in [0, n_users) × [0, n_items), and the
+    triples are in (user, item) order, each pair once (all checked here);
+    every user id in range occurs at least once (loader-enforced; `orient`
+    is the one exception).
     """
 
     users: np.ndarray
@@ -67,21 +67,32 @@ class RatingDataset:
     scale_max: float
 
     def __post_init__(self):
-        if not (len(self.users) == len(self.items) == len(self.ratings)):
+        users, items = self.users, self.items
+        if not (len(users) == len(items) == len(self.ratings)):
             raise ValueError("users/items/ratings arrays must have equal length")
-        for name, arr in (("users", self.users), ("items", self.items), ("ratings", self.ratings)):
+        for name, arr in (("users", users), ("items", items), ("ratings", self.ratings)):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d array, got {arr.ndim} dimensions")
         for name, n in (("n_users", self.n_users), ("n_items", self.n_items)):
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-        if self.n_users and self.n_items > np.iinfo(np.int64).max // self.n_users:
-            raise ValueError(f"{self.n_users} users x {self.n_items} items overflow the (user, item) keys")
-        for name, ids, n in (("user", self.users, self.n_users), ("item", self.items, self.n_items)):
+        _check_key_range(self.n_users, self.n_items)
+        for name, ids in (("user", users), ("item", items)):
             if not np.issubdtype(ids.dtype, np.integer):
                 raise ValueError(f"{name} ids must be integers, got {ids.dtype}")
-            if len(ids) and not (ids.min() >= 0 and ids.max() < n):
-                raise ValueError(f"{name} ids must lie in [0, {n}), got [{ids.min()}, {ids.max()}]")
+        # each pair after the first: a later user, or the same user and a later item
+        ordered = users[1:] > users[:-1]
+        same_user = users[1:] == users[:-1]
+        same_user &= items[1:] > items[:-1]
+        ordered |= same_user
+        if not ordered.all():
+            at = int(ordered.argmin()) + 1
+            raise ValueError(f"ratings must be in (user, item) order, each pair once: rating {at} is "
+                             f"({users[at]}, {items[at]}) after ({users[at - 1]}, {items[at - 1]})")
+        if len(users) and not (users[0] >= 0 and users[-1] < self.n_users):
+            raise ValueError(f"user ids must lie in [0, {self.n_users}), got [{users[0]}, {users[-1]}]")
+        if len(items) and not (items.min() >= 0 and items.max() < self.n_items):
+            raise ValueError(f"item ids must lie in [0, {self.n_items}), got [{items.min()}, {items.max()}]")
         if not 0 < self.scale_max < np.inf:  # a NaN fails too
             raise ValueError(f"scale_max must be positive and finite, got {self.scale_max}")
 
@@ -95,44 +106,17 @@ class RatingDataset:
             raise ValueError(f"{what} ratings must be finite and normalized to [0, 1]")
 
     @cached_property
-    def user_rows(self) -> UserRows:
-        """The ratings grouped by user, built once per dataset."""
-        return UserRows(self)
+    def starts(self) -> np.ndarray:
+        """User u's ratings are ``[starts[u], starts[u + 1])`` of the arrays; built once."""
+        starts = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.n_users), out=starts[1:])
+        return starts
 
 
-class UserRows:
-    """A dataset's ratings grouped by user, items ascending within each
-    user, in O(ratings) memory.
-
-    Triples already in canonical (user, item) order, as the loaders and
-    splits leave them, are used as they are; others are sorted once.  A
-    repeated (user, item) pair is rejected: it would have two ratings.
-    """
-
-    def __init__(self, dataset: RatingDataset):
-        keys = dataset.users * dataset.n_items + dataset.items
-        self.order = None  # the grouped order's positions in the dataset; None: the same
-        if np.all(keys[1:] > keys[:-1]):
-            self.items, self.ratings = dataset.items, dataset.ratings
-        else:
-            self.order = np.argsort(keys, kind="stable")
-            if np.any(np.diff(keys[self.order]) == 0):
-                raise ValueError("dataset repeats a (user, item) pair")
-            self.items, self.ratings = dataset.items[self.order], dataset.ratings[self.order]
-        self.starts = np.zeros(dataset.n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dataset.users, minlength=dataset.n_users), out=self.starts[1:])
-
-    def row(self, user: int) -> tuple[np.ndarray, np.ndarray]:
-        """One user's items, ascending, and their ratings (views)."""
-        lo, hi = self.starts.item(user), self.starts.item(user + 1)
-        return self.items[lo:hi], self.ratings[lo:hi]
-
-    def positions(self, users: np.ndarray) -> np.ndarray:
-        """Where the given ascending, distinct users' ratings sit in the
-        dataset's own arrays, ascending: O(their ratings), not O(all ratings)."""
-        lo, counts = self.starts[users], np.diff(self.starts)[users]
-        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        return pos if self.order is None else np.sort(self.order[pos])
+def _check_key_range(n_users: int, n_items: int) -> None:
+    """Raise unless the grid's keys ``user * n_items + item``, which the loaders sort by, fit int64."""
+    if n_users and n_items > np.iinfo(np.int64).max // n_users:
+        raise ValueError(f"{n_users} users x {n_items} items overflow the (user, item) keys")
 
 
 @dataclass(frozen=True)
@@ -251,30 +235,36 @@ def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
                                 for lineno, line in _stripped_lines(fh) if lineno > skip), dtype=_TRIPLE)
         triples = rows["user"], rows["item"], rows["rating"]
     raw_users, items, ratings = triples
+    del triples
     if ratings.size == 0:
         raise ValueError(f"{path}: no ratings")
     if np.all(raw_users[1:] >= raw_users[:-1]):  # grouped by user, ascending: number the id changes
-        dense_users = np.zeros(raw_users.size, dtype=np.int64)
-        np.cumsum(raw_users[1:] != raw_users[:-1], out=dense_users[1:])
-        n_users = int(dense_users[-1]) + 1
+        users = np.zeros(raw_users.size, dtype=np.int64)
+        np.cumsum(raw_users[1:] != raw_users[:-1], out=users[1:])
+        n_users = int(users[-1]) + 1
     else:
-        uniq_users, dense_users = np.unique(raw_users, return_inverse=True)
+        uniq_users, users = np.unique(raw_users, return_inverse=True)
         n_users = len(uniq_users)
+    del raw_users
+    n_items = int(items.max()) + 1
     try:
-        raw = RatingDataset(dense_users, items, ratings, n_users, int(items.max()) + 1, scale_max)
+        _check_key_range(n_users, n_items)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    keys = raw.users * raw.n_items + raw.items
+    keys = users * n_items + items
     if np.all(keys[1:] > keys[:-1]):  # canonical order, as save_csv_triples writes it: no repeat, nothing to sort
         del keys  # before the copies: the line parser's columns are strided views of its rows, which they free
-        return replace(raw, items=np.ascontiguousarray(items), ratings=np.ascontiguousarray(ratings))
-    order = np.argsort(keys, kind="stable")  # equal keys in file order
-    keys = keys[order]
-    keep = order[np.append(keys[1:] != keys[:-1], True)]  # the last of each key
-    del keys, order
-    if keep.size < raw.n_ratings:
-        logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", path, raw.n_ratings - keep.size)
-    return replace(raw, users=dense_users[keep], items=items[keep], ratings=ratings[keep])
+        items, ratings = np.ascontiguousarray(items), np.ascontiguousarray(ratings)
+    else:
+        order = np.argsort(keys, kind="stable")  # equal keys in file order
+        keys = keys[order]
+        keep = order[np.append(keys[1:] != keys[:-1], True)]  # the last of each key
+        del keys, order
+        if keep.size < ratings.size:
+            logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", path,
+                           ratings.size - keep.size)
+        users, items, ratings = users[keep], items[keep], ratings[keep]
+    return RatingDataset(users, items, ratings, n_users, n_items, scale_max)
 
 
 def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
@@ -339,9 +329,7 @@ def write_csv(path, header, columns) -> None:
 def save_csv_triples(ds: RatingDataset, path) -> None:
     """Write the canonical save format: ``user,item,rating``, 0-based ids,
     one triple per line in (user, item) order, through :func:`write_csv`."""
-    rows = ds.user_rows
-    users = np.repeat(np.arange(ds.n_users), np.diff(rows.starts))
-    write_csv(path, None, [users, rows.items, rows.ratings.astype(np.float64)])
+    write_csv(path, None, [ds.users, ds.items, ds.ratings.astype(np.float64)])
 
 
 def normalize(ds: RatingDataset) -> RatingDataset:
@@ -377,17 +365,21 @@ def split_base_eval(ds: RatingDataset, k: int, seed=None) -> CorpusSplit:
     )
 
 
-def orient(ds: RatingDataset, kind: ProblemKind) -> RatingDataset:
+def orient(ds: RatingDataset, kind: ProblemKind | str) -> RatingDataset:
     """Identity for the new-user problem; swap user/item roles for new-item.
+    `kind` is a :class:`ProblemKind` or its value string; anything else
+    raises ValueError.
 
-    The swap is a pure transpose (applying it twice returns the original
-    dataset exactly), so a transposed dataset may contain "users" without
-    ratings — the original unrated catalog items.  Run
-    :func:`filter_min_ratings` afterwards if those rows should be dropped.
+    The swap is a pure transpose in (user, item) order (applying it twice
+    returns the original dataset exactly), so a transposed dataset may
+    contain "users" without ratings — the original unrated catalog items.
+    Run :func:`filter_min_ratings` afterwards if those rows should be dropped.
     """
-    if kind is ProblemKind.NEW_USER:
+    if ProblemKind(kind) is ProblemKind.NEW_USER:
         return ds
-    return replace(ds, users=ds.items, items=ds.users, n_users=ds.n_items, n_items=ds.n_users)
+    order = np.argsort(ds.items, kind="stable")  # each item's users stay ascending
+    return replace(ds, users=ds.items[order], items=ds.users[order], ratings=ds.ratings[order], n_users=ds.n_items,
+                   n_items=ds.n_users)
 
 
 def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> RatingDataset:
@@ -396,15 +388,17 @@ def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> R
     Sampled items keep their slot even if no rating survives (the catalog
     shrinks to exactly max_items); sampled users that end up rating-less are
     dropped, matching the loader's elimination rule.  Kept ratings keep
-    their order.  Only the sampled users' rows are read, through
-    :attr:`RatingDataset.user_rows`.
+    their (user, item) order.  Only the sampled users' runs of ratings are
+    read, through :attr:`RatingDataset.starts`.
     """
     rng = np.random.default_rng(seed)
     item_ids, pos = None, slice(None)
     if max_items is not None and max_items < ds.n_items:
         item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
     if max_users is not None and max_users < ds.n_users:
-        pos = ds.user_rows.positions(np.sort(rng.choice(ds.n_users, size=max_users, replace=False)))
+        user_ids = np.sort(rng.choice(ds.n_users, size=max_users, replace=False))
+        lo, counts = ds.starts[user_ids], np.diff(ds.starts)[user_ids]
+        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())  # their runs, in order
     items = ds.items[pos]
     if item_ids is not None:
         remap = np.full(ds.n_items, -1, dtype=np.int64)
@@ -441,9 +435,9 @@ def dataset_from_dense(matrix, mask=None, scale_max: float = 1.0) -> RatingDatas
     observed rating, as the loaders' elimination rule requires.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(matrix.shape, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.ones(matrix.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if matrix.ndim != 2 or mask.shape != matrix.shape:
+        raise ValueError(f"need a 2-d matrix and a mask of its shape, got shapes {matrix.shape} and {mask.shape}")
     users, items = np.nonzero(mask)
     if len(users) == 0:
         raise ValueError("no observed entries")

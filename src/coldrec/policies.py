@@ -627,14 +627,14 @@ class OraclePolicy(Policy):
     hence exactly zero cumulative regret.  Never a real policy — it reads
     the answer key — but it pins down the evaluator's regret accounting.
 
-    It reads each user's ratings from per-user rating lists, O(ratings)
+    It reads each user's run of ratings in the evaluation set, O(ratings)
     memory in all.
     """
 
     def __init__(self, evaluation: RatingDataset):
         evaluation.check_normalized("evaluation")
         self.n_arms = evaluation.n_items
-        self._rows = evaluation.user_rows
+        self._evaluation = evaluation
         self._user = None
 
     def observe_user(self, user):
@@ -644,7 +644,9 @@ class OraclePolicy(Policy):
         if self._user is None:
             raise RuntimeError("oracle needs observe_user before select")
         _check_open(self.n_arms, revealed)
-        items, ratings = self._rows.row(self._user)
+        ds = self._evaluation
+        lo, hi = ds.starts.item(self._user), ds.starts.item(self._user + 1)
+        items, ratings = ds.items[lo:hi], ds.ratings[lo:hi]
         # revealed ratings drop below every open arm's; items ascend, so
         # argmax keeps the lowest of tied arms
         hidden = np.where(np.isin(items, revealed), -1.0, ratings)

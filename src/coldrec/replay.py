@@ -96,14 +96,14 @@ class RevealLog(dict):
     """
 
     def __init__(self, evaluation: RatingDataset):
-        rows = evaluation.user_rows
+        starts = evaluation.starts
         best = np.zeros(evaluation.n_users)
-        rated = np.flatnonzero(np.diff(rows.starts))  # reduceat's rows: an empty one would take its next element
-        best[rated] = np.maximum.reduceat(rows.ratings, rows.starts[rated])
+        rated = np.flatnonzero(np.diff(starts))  # reduceat's rows: an empty one would take its next element
+        best[rated] = np.maximum.reduceat(evaluation.ratings, starts[rated])
         # memoryviews index to Python scalars without numpy's per-call cost
-        self._starts = memoryview(rows.starts)
-        self._items = memoryview(rows.items)
-        self._ratings = memoryview(rows.ratings)
+        self._starts = memoryview(starts)
+        self._items = memoryview(evaluation.items)
+        self._ratings = memoryview(evaluation.ratings)
         self._best = memoryview(best)
 
     def __missing__(self, user: int) -> _UserState:

@@ -4,6 +4,7 @@ import codecs
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import inspect
 import math
 import multiprocessing
@@ -357,6 +358,23 @@ class TestPolicyConvention:
         assert cli._FIELDS[name].metadata["check"] is HYPER_RULES[name]
 
 
+# sha256 of each trace of the new-item grid in TestRunMatrix.test_new_item_problem_runs
+PINNED_NEW_ITEM_SHA256 = {
+    "trace__alinucb__alswr__seed0.csv": "d6aee426b4a0e845ef931a1194b5db19362623b5cd18cb5bdc60081463e049a4",
+    "trace__alinucb__average__seed0.csv": "22cb38a1634293834f6978494aab44b30fd30e1ed5e5364ef159468026cb9044",
+    "trace__alinucb__svd__seed0.csv": "ecdfc75f46323b441c8a893457b01ea58505f69f016e22511040a11be2a3a1fa",
+    "trace__alinucb__zero__seed0.csv": "4e90a75a3a991c3623b3ef95b88b5c037cf23c18ab763b4fcbc1d5d399b8ccbe",
+    "trace__random__alswr__seed0.csv": "4287fc8f64294caca88c181600c9c65a6a59b175ef53c911c3a0b53423f979a6",
+    "trace__random__average__seed0.csv": "73158e72d3b79a0d9aa5a3bec22e223be8acfae53b3537a0cf1ef9834ac422b5",
+    "trace__random__svd__seed0.csv": "73e88bb8715a117cd4c568f364401e3cddfd58a8fbf91d5fee3e7c67360b1649",
+    "trace__random__zero__seed0.csv": "6d42d432253b3b31676dc1458c21ad2a1300ff5f69c583941d081d20ec40a917",
+    "trace__thompson__alswr__seed0.csv": "a8a08a6d0fd24baf0c6004732874addfa6a1167a0b6b20d405fdf9df7c4c4e5f",
+    "trace__thompson__average__seed0.csv": "d0d73a744a5c9bbec149df61a028ce9fb7ed6163d543c0e43a53aa4bb437a253",
+    "trace__thompson__svd__seed0.csv": "58c5cefab8d75ed349d4ad4513d565be5845085ff1bfe0e7aab6017bd40eb1aa",
+    "trace__thompson__zero__seed0.csv": "b479b06a9202ad8975aa6aa49ffdc04f0244a05ad0527e6a7d08b8f96f2f3dc4",
+}
+
+
 class TestRunMatrix:
     def test_cell_counting(self, corpus, tmp_path):
         out = str(tmp_path / "m1")
@@ -648,13 +666,19 @@ class TestRunMatrix:
         assert grid.shape == (rows, 25)
 
     def test_new_item_problem_runs(self, corpus, tmp_path):
+        """The transposed corpus replays to the pinned trace bytes under every
+        fill: the transpose's (user, item) order and the evaluator's grouping
+        are the ones each digest was recorded with."""
         out = str(tmp_path / "m7")
         cfg = parse_config(
             ["--dataset", corpus, "--format", "csv", "--scale-max", "1",
-             "--problem", "new-item", "--policy", "alinucb", "--seeds", "0",
-             "--base-k", "10", "--t", "60", "--out", out]
+             "--problem", "new-item", "--policy", "random,alinucb,thompson", "--impute", "zero,average,svd,alswr",
+             "--rank", "4", "--seeds", "0", "--base-k", "10", "--t", "60", "--out", out]
         )
         assert run_matrix(cfg) == 0
+        digests = {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+                   for name in os.listdir(out) if name.startswith("trace__")}
+        assert digests == PINNED_NEW_ITEM_SHA256
 
 
 class TestAvailableCpus:

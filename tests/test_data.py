@@ -32,6 +32,9 @@ from coldrec.data import (
 from coldrec.synthetic import linear_environment
 
 
+ORDER_MESSAGE = r"^ratings must be in \(user, item\) order, each pair once: rating \d+ is "
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -187,7 +190,7 @@ class TestLoadCsvTriples:
         assert [p.name for p in tmp_path.iterdir()] == ["ratings.csv"]
 
     def test_integer_ratings_are_saved_as_floats(self, tmp_path):
-        ds = RatingDataset(np.array([0, 0, 1]), np.array([1, 0, 2]), np.array([3, 5, 1]), 2, 3, 5.0)
+        ds = RatingDataset(np.array([0, 0, 1]), np.array([0, 1, 2]), np.array([5, 3, 1]), 2, 3, 5.0)
         path = tmp_path / "ints.csv"
         save_csv_triples(ds, path)
         assert path.read_text() == "0,0,5.0\n0,1,3.0\n1,2,1.0\n"
@@ -314,6 +317,17 @@ class TestOrient:
         np.testing.assert_array_equal(twice.ratings, ds.ratings)
         assert (twice.n_users, twice.n_items) == (ds.n_users, ds.n_items)
 
+    def test_value_string_names_the_kind(self):
+        ds = dataset_from_dense(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]))
+        assert orient(ds, "new-user") is ds
+        assert_same_dataset(orient(ds, "new-item"), orient(ds, ProblemKind.NEW_ITEM))
+
+    @pytest.mark.parametrize("kind", ["bogus", None, "NEW_ITEM"])
+    def test_anything_else_is_rejected(self, kind):
+        ds = dataset_from_dense(np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]))
+        with pytest.raises(ValueError, match="is not a valid ProblemKind"):
+            orient(ds, kind)
+
 
 class TestSubsampleAndFilter:
     def test_caps(self):
@@ -380,13 +394,25 @@ BAD_CONSTRUCTIONS = {
                 "^users must be a 1-d array, got 2 dimensions$"),
     "2-d-ratings": (lambda: RatingDataset(np.array([0, 1]), np.array([0, 1]), np.array([[0.5], [0.5]]), 2, 2, 1.0),
                     "^ratings must be a 1-d array, got 2 dimensions$"),
-    # At 3 × 2**62 the keys of user 2 wrap to negative, so user_rows would
-    # hand user 0 user 2's item 0 and user 2 the items [3, 1], out of order.
+    # The loaders sort by int64 (user, item) keys, so no dataset's grid may
+    # overflow them: at 3 × 2**62 the keys of user 2 wrap to negative and
+    # would sort before user 0's, and the saved dataset would not load back.
     "keys-past-int64": (lambda: RatingDataset(np.array([0, 1, 2, 2]), np.array([3, 1, 0, 1]),
                                               np.array([0.5, 0.6, 0.9, 0.4]), 3, 2**62, 1.0),
                         r"^3 users x 4611686018427387904 items overflow the \(user, item\) keys$"),
     "row-without-rating": (lambda: dataset_from_dense(np.ones((2, 2)), np.array([[True, False], [False, False]])),
                            "^every user row needs at least one observed rating$"),
+    "mask-of-another-shape": (lambda: dataset_from_dense(np.ones((2, 2)), np.ones((2, 3), dtype=bool)),
+                              r"^need a 2-d matrix and a mask of its shape, got shapes \(2, 2\) and \(2, 3\)$"),
+    "1-d-matrix": (lambda: dataset_from_dense(np.ones(3)),
+                   r"^need a 2-d matrix and a mask of its shape, got shapes \(3,\) and \(3,\)$"),
+    # the loaders, dataset_from_dense, subsample, split_base_eval and orient produce this order
+    "users-out-of-order": (lambda: RatingDataset(np.array([0, 1, 0]), np.array([0, 1, 2]), np.ones(3), 2, 3, 1.0),
+                           ORDER_MESSAGE + r"\(0, 2\) after \(1, 1\)$"),
+    "items-out-of-order": (lambda: RatingDataset(np.array([0, 1, 1]), np.array([0, 2, 1]), np.ones(3), 2, 3, 1.0),
+                           ORDER_MESSAGE + r"\(1, 1\) after \(1, 2\)$"),
+    "repeated-pair": (lambda: RatingDataset(np.array([0, 1, 1]), np.array([0, 2, 2]), np.ones(3), 2, 3, 1.0),
+                      ORDER_MESSAGE + r"\(1, 2\) after \(1, 2\)$"),
     "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),
     **{f"noise-{noise}": (lambda noise=noise: linear_environment(3, 4, 5, noise=noise),
                           f"^noise must be finite and nonnegative, got {noise}$") for noise in (-0.05, np.nan, np.inf)},
@@ -821,17 +847,15 @@ def select_ids(old, ids, n):
 
 def gather_all_subsample(ds, max_users, max_items, seed):
     """subsample as it was before it gathered only the ratings it keeps:
-    every sampled user's ratings, at positions sorted whatever the order of
-    the triples, then the item filter over all three arrays."""
+    every sampled user's ratings, found by membership, then the item filter
+    over all three arrays."""
     rng = np.random.default_rng(seed)
     item_ids, pos = None, slice(None)
     if max_items is not None and max_items < ds.n_items:
         item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
     if max_users is not None and max_users < ds.n_users:
-        rows, user_ids = ds.user_rows, np.sort(rng.choice(ds.n_users, size=max_users, replace=False))
-        lo, counts = rows.starts[user_ids], np.diff(rows.starts)[user_ids]
-        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        pos = np.sort(pos if rows.order is None else rows.order[pos])
+        user_ids = np.sort(rng.choice(ds.n_users, size=max_users, replace=False))
+        pos = np.flatnonzero(np.isin(ds.users, user_ids))
     users, items, ratings = ds.users[pos], ds.items[pos], ds.ratings[pos]
     if item_ids is not None:
         keep, items = select_ids(items, item_ids, ds.n_items)
@@ -848,10 +872,11 @@ class TestSubsampleAgainstGatherAll:
     @pytest.mark.parametrize("seed", range(3))
     def test_same_arrays(self, canonical, max_users, max_items, seed):
         ds = toy_dataset(300, 120, seed=seed)
-        if not canonical:
+        if not canonical:  # no dataset holds shuffled triples, so none reaches subsample
             shuffle = np.random.default_rng(seed).permutation(ds.n_ratings)
-            ds = replace(ds, users=ds.users[shuffle], items=ds.items[shuffle], ratings=ds.ratings[shuffle])
-        assert (ds.user_rows.order is None) == canonical
+            with pytest.raises(ValueError, match=ORDER_MESSAGE):
+                replace(ds, users=ds.users[shuffle], items=ds.items[shuffle], ratings=ds.ratings[shuffle])
+            return
         got = subsample(ds, max_users, max_items, seed=seed)
         assert_same_dataset(got, gather_all_subsample(ds, max_users, max_items, seed))
 
@@ -862,7 +887,7 @@ def test_subsample_peak_is_below_one_full_column():
     gather."""
     ds = toy_dataset(2000, 220, seed=0)
     assert ds.n_ratings >= 200_000
-    ds.user_rows  # built once per dataset, before the sampling measured here
+    ds.starts  # built once per dataset, before the sampling measured here
     tracemalloc.start()
     try:
         sub = subsample(ds, max_users=ds.n_users // 20, max_items=ds.n_items // 2, seed=0)
@@ -885,13 +910,17 @@ class TestSubsampleAgainstIsinReference:
         shuffled=st.booleans(),
     )
     def test_same_arrays(self, n_users, n_items, density, max_users, max_items, seed, shuffled):
-        """Canonical triples, and shuffled ones, which user_rows groups by sorting."""
+        """Canonical triples; shuffled ones are rejected before subsample."""
         ds = toy_dataset(n_users, n_items, seed=seed)
         rng = np.random.default_rng(seed)
         keep = rng.random(ds.n_ratings) < density
         keep[0] = True
         if shuffled:
             keep = rng.permutation(np.flatnonzero(keep))
+            if np.any(keep[1:] < keep[:-1]):
+                with pytest.raises(ValueError, match=ORDER_MESSAGE):
+                    replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
+                return
         ds = replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
         try:
             want = reference_subsample(ds, max_users, max_items, seed)

