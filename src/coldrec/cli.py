@@ -1,12 +1,12 @@
 """Experiment-matrix runner: config parsing, seeded cell execution, and
 CSV emission (per-cell traces plus a cross-policy summary table).
 
-A run is a grid of (policy × imputation) rows crossed with a list of seeds;
-each (row, seed) cell re-derives its subsample/split/imputation from its own
-seed streams, runs the replay protocol, and writes one trace CSV.  The
-summary aggregates final regrets over seeds per row.  Everything a cell
-consumes is derived from the resolved config, so a rerun reproduces the
-trace files byte-for-byte (wall-clock columns excepted, by nature).
+A run is a grid of (policy × imputation) rows crossed with a list of seeds.
+Each (seed, imputation) group subsamples, splits and fills once, from the
+seed and from (seed, imputation); every policy then replays on that base,
+seeded by (seed, policy), and meets the users the seed draws; one trace CSV
+per cell.  The summary aggregates final regrets over seeds per row.  A rerun
+of the resolved config reproduces the trace files byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import sys
-import time
 import traceback
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -41,7 +40,7 @@ from .impute import DEFAULT_ALS_ITERS, DEFAULT_ALS_LAM, DEFAULT_RANK, METHODS
 from .impute import fill, method_from_name, method_label
 from .policies import DEFAULT_ALPHA, DEFAULT_C, DEFAULT_D, DEFAULT_GAMMA, DEFAULT_V, HYPER_RULES, POLICY_IDS
 from .policies import make_policy, policy_params
-from .replay import run_replay, write_trace_csv
+from .replay import RegretTrace, run_replay, write_trace_csv
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_matrix", "main", "SUMMARY_HEADER"]
 
@@ -141,7 +140,7 @@ class ExperimentConfig:
     max_users: int | None = _option(None, int, "subsample cap on users", _POSITIVE)
     max_items: int | None = _option(None, int, "subsample cap on items", _POSITIVE)
     min_ratings: int = _option(1, int, "drop users below this rating count", _POSITIVE)
-    workers: int = _option(0, int, "parallel cells (0 = one per available CPU, 1 = inline)", _NONNEGATIVE)
+    workers: int = _option(0, int, "parallel (seed, impute) groups: 0 = one per usable CPU, 1 = inline", _NONNEGATIVE)
     out: str = _option("coldrec_runs", str, "output directory")
     dump_base: bool = _option(False, _bool, "also dump each cell's context matrix, the fill the policy reads, as CSV")
 
@@ -242,10 +241,15 @@ def _stable_digest(text: str) -> int:
 
 
 def cell_seed_sequence(seed: int, policy_id: str, impute_id: str) -> np.random.SeedSequence:
-    """Independent, reproducible entropy for one (policy, imputation, seed)
-    cell; subsample/split/imputation/user-draw/policy streams are spawned
-    from it."""
+    """The benchmark's per-cell recipe, kept until ROADMAP 1b: perfbench
+    spawns each cell's subsample, split, fill, user and policy streams from
+    this one entropy per (seed, policy, imputation)."""
     return np.random.SeedSequence([seed, _stable_digest(policy_id), _stable_digest(impute_id)])
+
+
+def _role_seed(seed: int, role: str) -> np.random.SeedSequence:
+    """`seed`'s stream for one role ("split", "fill:<id>", "policy:<id>", …), each with its own entropy."""
+    return np.random.SeedSequence([seed, _stable_digest(role)])
 
 
 def _imputation(cfg: ExperimentConfig, impute_id: str):
@@ -258,44 +262,36 @@ def _params_digest(cfg: ExperimentConfig, policy_id: str, impute_id: str) -> str
     return ";".join(parts)
 
 
-@dataclass
-class CellResult:
-    final_regret: float
-    steps: int
-    wall_seconds: float
-
-
-def run_cell(ds: RatingDataset, cfg: ExperimentConfig, policy_id: str, impute_id: str, seed: int) -> CellResult:
-    """Execute one fully-seeded cell: subsample → orient → split → fill →
-    replay; write its trace (and base-matrix dump) into cfg.out."""
-    sub_ss, split_ss, fill_ss, user_ss, policy_ss = cell_seed_sequence(seed, policy_id, impute_id).spawn(5)
-
-    prep_start = time.perf_counter()
+def prepare_base(ds: RatingDataset, cfg: ExperimentConfig, seed: int, impute_id: str):
+    """The (X, evaluation set) every policy of a (seed, imputation) group
+    shares: subsample → filter → orient → split, seeded by `seed` alone, and
+    X the deferred fill handle, seeded by (seed, imputation)."""
     work = ds
     if cfg.max_users is not None or cfg.max_items is not None:
-        work = subsample(work, cfg.max_users, cfg.max_items, seed=sub_ss)
+        work = subsample(work, cfg.max_users, cfg.max_items, seed=_role_seed(seed, "subsample"))
     if cfg.min_ratings > 1:
         work = filter_min_ratings(work, cfg.min_ratings)
     work = orient(work, cfg.problem)
-
     k = cfg.base_k if cfg.base_k is not None else min(work.n_items, work.n_users - 1)
-    split = split_base_eval(work, k, seed=split_ss)
+    split = split_base_eval(work, k, seed=_role_seed(seed, "split"))
+    return fill(split.base, _imputation(cfg, impute_id), seed=_role_seed(seed, f"fill:{impute_id}")), split.evaluation
 
-    X = fill(split.base, _imputation(cfg, impute_id), seed=fill_ss)
+
+def run_policy(prepared, cfg: ExperimentConfig, policy_id: str, impute_id: str, seed: int) -> RegretTrace:
+    """One cell: the policy, seeded by (seed, policy), replays on its group's
+    prepare_base output and meets the users `seed` draws; its trace (and
+    base-matrix dump) goes into cfg.out."""
+    X, evaluation = prepared
     hyper = {name: getattr(cfg, name) for name in policy_params(policy_id)}
-    policy = make_policy(policy_id, X=X, seed=policy_ss, **hyper)  # a contextual policy builds X here
-    logger.info(
-        "cell policy=%s impute=%s seed=%d: prepared %dx%d base in %.3fs (excluded from run timing)",
-        policy_id, impute_id, seed, X.k, X.n_arms, time.perf_counter() - prep_start,
-    )
-
-    horizon = cfg.t if cfg.t is not None else max(1, split.evaluation.n_ratings // 10)
-    trace = run_replay(policy, split.evaluation, horizon, seed=user_ss)
-
-    write_trace_csv(trace, os.path.join(cfg.out, f"trace__{policy_id}__{impute_id}__seed{seed}.csv"))
+    # the group's first contextual policy builds X here; the others reuse it
+    policy = make_policy(policy_id, X=X, seed=_role_seed(seed, f"policy:{policy_id}"), **hyper)
+    horizon = cfg.t or max(1, evaluation.n_ratings // 10)
+    trace = run_replay(policy, evaluation, horizon, seed=_role_seed(seed, "users"))
+    cell = f"{policy_id}__{impute_id}__seed{seed}.csv"
+    write_trace_csv(trace, os.path.join(cfg.out, f"trace__{cell}"))
     if cfg.dump_base:
-        write_csv(os.path.join(cfg.out, f"base__{policy_id}__{impute_id}__seed{seed}.csv"), None, X.X.T)
-    return CellResult(trace.final_regret, trace.steps, trace.wall_time_seconds)
+        write_csv(os.path.join(cfg.out, f"base__{cell}"), None, X.X.T)
+    return trace
 
 
 _WORKER_DATASET: RatingDataset | None = None
@@ -310,14 +306,21 @@ def _pool(ds: RatingDataset, workers: int) -> concurrent.futures.ProcessPoolExec
     return concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ds,))
 
 
-def _cell_task(task, ds: RatingDataset | None = None):
-    """Run one cell on `ds` (in a pool worker, the dataset _init_worker
-    stored); returns (result, None), or (None, traceback text) when it
-    fails, so a pool worker's error reaches the manifest exactly once."""
+def _attempt(fn, *args):
+    """(fn(*args), None), or (None, traceback text) when it raises."""
     try:
-        return run_cell(ds if ds is not None else _WORKER_DATASET, *task), None
+        return fn(*args), None
     except Exception:
         return None, traceback.format_exc()
+
+
+def _group_task(task, ds: RatingDataset | None = None) -> list:
+    """Each cell's outcome in one (cfg, impute_id, seed, policy_ids) group,
+    run on `ds` (in a pool worker, the dataset _init_worker stored): one
+    preparation, whose error is each cell's, then each policy on it."""
+    cfg, impute_id, seed, policy_ids = task
+    prepared, error = _attempt(prepare_base, ds if ds is not None else _WORKER_DATASET, cfg, seed, impute_id)
+    return [(None, error) if error else _attempt(run_policy, prepared, cfg, p, impute_id, seed) for p in policy_ids]
 
 
 def _available_cpus() -> int:
@@ -330,7 +333,7 @@ def _available_cpus() -> int:
 
 
 def _remove_stale_outputs(out_dir: str) -> None:
-    """Delete the per-cell files (see run_cell) and the failure manifest that
+    """Delete the per-cell files (see run_policy) and the failure manifest that
     an earlier run into the same directory left; they describe that run."""
     for pattern in ("trace__*.csv", "base__*.csv", "failures.txt"):
         for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
@@ -363,61 +366,58 @@ def run_matrix(cfg: ExperimentConfig) -> int:
     atomic_write(os.path.join(cfg.out, "resolved_config.txt"), ["\n".join(_config_lines(cfg)) + "\n"])
 
     grid = [(p, m) for p in cfg.policy for m in cfg.impute]
-    tasks = [(cfg, p, m, s) for (p, m) in grid for s in cfg.seeds]
+    cells = [(p, m, s) for (p, m) in grid for s in cfg.seeds]
+    groups = [(cfg, m, s, cfg.policy) for m in cfg.impute for s in cfg.seeds]
 
-    # each task's outcome: (CellResult, None), or (None, traceback text) when the cell failed
-    outcomes: dict[tuple, tuple[CellResult | None, str | None]] = {}
-    workers = min(cfg.workers or _available_cpus(), len(tasks))  # a pool forks all its workers at once
+    # each cell's outcome: (RegretTrace, None), or (None, traceback text) when the cell failed
+    outcomes: dict[tuple[str, str, int], tuple[RegretTrace | None, str | None]] = {}
+    workers = min(cfg.workers or _available_cpus(), len(groups))  # a pool forks all its workers at once
 
-    def record(task, outcome) -> None:
-        outcomes[task] = outcome
-        _, policy_id, impute_id, seed = task
-        if (res := outcome[0]) is not None:
-            logger.info("cell policy=%s params=%s seed=%d: final regret %.4f over %d steps, %.3fs", policy_id,
-                        _params_digest(cfg, policy_id, impute_id), seed, res.final_regret, res.steps, res.wall_seconds)
+    def record(group, group_outcomes) -> None:
+        _, impute_id, seed, policy_ids = group
+        for policy_id, outcome in zip(policy_ids, group_outcomes):
+            outcomes[policy_id, impute_id, seed] = outcome
+            if (res := outcome[0]) is not None:
+                logger.info("cell policy=%s params=%s seed=%d: final regret %.4f over %d steps, %.3fs", policy_id,
+                            _params_digest(cfg, policy_id, impute_id), seed, res.final_regret, res.steps,
+                            res.wall_time_seconds)
 
     if workers == 1:
-        for task in tasks:
-            record(task, _cell_task(task, ds))
+        for group in groups:
+            record(group, _group_task(group, ds))
     else:
         with _pool(ds, workers) as pool:
-            futures = {pool.submit(_cell_task, task): task for task in tasks}
+            futures = {pool.submit(_group_task, group): group for group in groups}
             for fut in concurrent.futures.as_completed(futures):
-                try:
-                    outcome = fut.result()
-                except concurrent.futures.BrokenExecutor:  # BrokenProcessPool: a worker died, in this cell or another
-                    continue
-                except Exception:  # the pool itself failed, e.g. a result that cannot be pickled
-                    outcome = None, traceback.format_exc()
-                record(futures[fut], outcome)
-        # Each cell a dead worker took down (it has no outcome) runs again alone, in a fresh
-        # process: only a cell that kills its own worker fails, and it cannot end this run.
-        for task in [task for task in tasks if task not in outcomes]:
+                if fut.exception() is None:  # else a worker died (BrokenProcessPool), or a result could not be pickled
+                    record(futures[fut], fut.result())
+        # Each cell of a group that returned no outcomes runs again alone, in a fresh process: only a cell
+        # that kills its own worker, or whose result cannot come back, fails, and it cannot end this run.
+        for policy_id, impute_id, seed in [cell for cell in cells if cell not in outcomes]:
+            group = (cfg, impute_id, seed, (policy_id,))
             with _pool(ds, 1) as pool:
-                try:
-                    outcome = pool.submit(_cell_task, task).result()
-                except concurrent.futures.BrokenExecutor:  # this cell kills its worker
-                    outcome = None, traceback.format_exc()
-            record(task, outcome)
+                group_outcomes, error = _attempt(pool.submit(_group_task, group).result)
+            record(group, group_outcomes or [(None, error)])
 
     failures = [f"policy={p};impute={m};seed={s}:\n{error}"
-                for _, p, m, s in tasks if (error := outcomes[cfg, p, m, s][1]) is not None]
+                for p, m, s in cells if (error := outcomes[p, m, s][1]) is not None]
     rows = []
     for policy_id, impute_id in grid:
-        cells = [res for s in cfg.seeds if (res := outcomes[cfg, policy_id, impute_id, s][0]) is not None]
-        if not cells:
+        results = [res for s in cfg.seeds if (res := outcomes[policy_id, impute_id, s][0]) is not None]
+        if not results:
             continue
-        regrets = np.array([c.final_regret for c in cells])
-        seconds = np.array([c.wall_seconds for c in cells])
+        regrets = np.array([c.final_regret for c in results])
+        seconds = np.array([c.wall_time_seconds for c in results])
         params = _params_digest(cfg, policy_id, impute_id)
-        rows.append((policy_id, params, float(regrets.mean()), float(regrets.std()), float(seconds.mean()), len(cells)))
+        rows.append((policy_id, params, float(regrets.mean()), float(regrets.std()), float(seconds.mean()),
+                     len(results)))
 
     summary_path = os.path.join(cfg.out, "summary.csv")
     write_csv(summary_path, SUMMARY_HEADER, list(zip(*rows)))
 
     if failures:
         atomic_write(os.path.join(cfg.out, "failures.txt"), ["\n".join(failures) + "\n"])
-        logger.error("%d of %d cells failed; see failures.txt", len(failures), len(tasks))
+        logger.error("%d of %d cells failed; see failures.txt", len(failures), len(cells))
 
     for policy_id, params, mean_r, std_r, mean_s, n_cells in rows:
         print(f"{policy_id:<10} {params:<40} regret {mean_r:12.4f} ± {std_r:10.4f}  {mean_s:9.3f}s  cells={n_cells}")

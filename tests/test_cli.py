@@ -1,6 +1,7 @@
 """Config resolution, matrix orchestration, output determinism, exit codes."""
 
 import codecs
+import collections
 import concurrent.futures
 import csv
 import dataclasses
@@ -19,11 +20,12 @@ import numpy as np
 import pytest
 
 import coldrec
-from coldrec import cli
+from coldrec import cli, impute
 from coldrec.cli import ConfigError, ExperimentConfig, main, parse_config, run_matrix
 from coldrec.data import RatingDataset, dataset_from_dense, save_csv_triples
 from coldrec.impute import AlsWr, ImputedSvd, fill
 from coldrec.policies import HYPER_RULES, POLICIES, policy_params
+from coldrec.replay import read_trace_csv
 from coldrec.synthetic import linear_environment
 
 
@@ -360,18 +362,18 @@ class TestPolicyConvention:
 
 # sha256 of each trace of the new-item grid in TestRunMatrix.test_new_item_problem_runs
 PINNED_NEW_ITEM_SHA256 = {
-    "trace__alinucb__alswr__seed0.csv": "d6aee426b4a0e845ef931a1194b5db19362623b5cd18cb5bdc60081463e049a4",
-    "trace__alinucb__average__seed0.csv": "22cb38a1634293834f6978494aab44b30fd30e1ed5e5364ef159468026cb9044",
-    "trace__alinucb__svd__seed0.csv": "ecdfc75f46323b441c8a893457b01ea58505f69f016e22511040a11be2a3a1fa",
-    "trace__alinucb__zero__seed0.csv": "4e90a75a3a991c3623b3ef95b88b5c037cf23c18ab763b4fcbc1d5d399b8ccbe",
-    "trace__random__alswr__seed0.csv": "4287fc8f64294caca88c181600c9c65a6a59b175ef53c911c3a0b53423f979a6",
-    "trace__random__average__seed0.csv": "73158e72d3b79a0d9aa5a3bec22e223be8acfae53b3537a0cf1ef9834ac422b5",
-    "trace__random__svd__seed0.csv": "73e88bb8715a117cd4c568f364401e3cddfd58a8fbf91d5fee3e7c67360b1649",
-    "trace__random__zero__seed0.csv": "6d42d432253b3b31676dc1458c21ad2a1300ff5f69c583941d081d20ec40a917",
-    "trace__thompson__alswr__seed0.csv": "a8a08a6d0fd24baf0c6004732874addfa6a1167a0b6b20d405fdf9df7c4c4e5f",
-    "trace__thompson__average__seed0.csv": "d0d73a744a5c9bbec149df61a028ce9fb7ed6163d543c0e43a53aa4bb437a253",
-    "trace__thompson__svd__seed0.csv": "58c5cefab8d75ed349d4ad4513d565be5845085ff1bfe0e7aab6017bd40eb1aa",
-    "trace__thompson__zero__seed0.csv": "b479b06a9202ad8975aa6aa49ffdc04f0244a05ad0527e6a7d08b8f96f2f3dc4",
+    "trace__alinucb__alswr__seed0.csv": "5b80923e0d1b63bd07d59b71067caddcd224726d3ba61851fb3f88afc6ef9e2a",
+    "trace__alinucb__average__seed0.csv": "10a4816d53198e0aed1670ecb06148cbc10034a0d21376834a28666632a6e17d",
+    "trace__alinucb__svd__seed0.csv": "b0b311918d4bc6e4c8adab6ae34c014b8b07c7cd078cef3d5744e9d5f63fbc60",
+    "trace__alinucb__zero__seed0.csv": "10a4816d53198e0aed1670ecb06148cbc10034a0d21376834a28666632a6e17d",
+    "trace__random__alswr__seed0.csv": "9610f68b7ffc460b2c1a11367575990a8a775aa5532294c3b7db846601f3cec0",
+    "trace__random__average__seed0.csv": "9610f68b7ffc460b2c1a11367575990a8a775aa5532294c3b7db846601f3cec0",
+    "trace__random__svd__seed0.csv": "9610f68b7ffc460b2c1a11367575990a8a775aa5532294c3b7db846601f3cec0",
+    "trace__random__zero__seed0.csv": "9610f68b7ffc460b2c1a11367575990a8a775aa5532294c3b7db846601f3cec0",
+    "trace__thompson__alswr__seed0.csv": "27f9b8fe54ecf52b2f885bb9dfcfc70295cd8bd967f6f087d808f19d4d5b199e",
+    "trace__thompson__average__seed0.csv": "d7bafd93e35b3c8d49bcbd7078c39d6da9d9f5944aeb6493b65a0eac1c630265",
+    "trace__thompson__svd__seed0.csv": "2749a18fb10da33b7b2ef6dede6529369ca63a1c10b93c25d0b4239c06d27f80",
+    "trace__thompson__zero__seed0.csv": "d7bafd93e35b3c8d49bcbd7078c39d6da9d9f5944aeb6493b65a0eac1c630265",
 }
 
 
@@ -432,6 +434,44 @@ class TestRunMatrix:
         assert len(traces) == 12  # 3 policies x 2 fills x 2 seeds
         for name in traces:
             assert Path(out_a, name).read_bytes() == Path(out_b, name).read_bytes(), name
+
+    def test_every_policy_of_a_seed_meets_the_same_users(self, corpus, tmp_path):
+        """linucb and its closed form pick the same arms on the same draws, so
+        in one matrix they write the same trace; random never reads the fill,
+        so it writes the same trace under both; and all traces of one seed
+        share one user column."""
+        policies, fills = ("linucb", "linucb-cf", "random", "alinucb"), ("zero", "svd")
+        args = ["--policy", ",".join(policies), "--impute", ",".join(fills), "--rank", "4", "--seeds", "0,1"]
+        out = tmp_path / "paired"
+        assert run_matrix(parse_config(base_args(corpus, str(out), args))) == 0
+        for seed in (0, 1):
+            traces = {(p, m): out / f"trace__{p}__{m}__seed{seed}.csv" for p in policies for m in fills}
+            for m in fills:
+                assert traces["linucb", m].read_bytes() == traces["linucb-cf", m].read_bytes(), (m, seed)
+            assert traces["random", "zero"].read_bytes() == traces["random", "svd"].read_bytes(), seed
+            users = {read_trace_csv(path).user.tobytes() for path in traces.values()}
+            assert len(users) == 1, seed
+
+    def test_preparation_runs_once_per_group(self, corpus, tmp_path, monkeypatch):
+        """Each (seed, fill) group splits and fills once for all its policies,
+        its first contextual policy builds the fill, and a group whose
+        policies never read the context never builds it."""
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((cli, "split_base_eval"), (cli, "fill"), (impute, "_build")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for policies, builds in (("random,ucb,alinucb", 4), ("random,ucb,egreedy", 0)):
+            calls.clear()
+            args = ["--policy", policies, "--impute", "zero,svd", "--rank", "4", "--seeds", "0,1", "--workers", "1"]
+            assert run_matrix(parse_config(base_args(corpus, str(tmp_path / policies), args))) == 0
+            assert len(list((tmp_path / policies).glob("trace__*.csv"))) == 12
+            assert calls == collections.Counter(split_base_eval=4, fill=4, _build=builds), policies
 
     def test_summary_recomputable_from_traces(self, corpus, tmp_path):
         out = str(tmp_path / "m3")
@@ -500,15 +540,15 @@ class TestRunMatrix:
     def test_parallel_failure_manifest_is_in_grid_order(self, corpus, tmp_path, monkeypatch):
         """The seed-1 cell fails first, yet its entry follows the seed-0 one."""
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched run_cell reaches pool workers only through fork")
+            pytest.skip("the patched run_policy reaches pool workers only through fork")
         out = str(tmp_path / "order")
 
-        def failing(ds, cfg, policy_id, impute_id, seed):
+        def failing(prepared, cfg, policy_id, impute_id, seed):
             if seed == 0:
                 time.sleep(0.5)
             raise RuntimeError(f"boom {seed}")
 
-        monkeypatch.setattr(cli, "run_cell", failing)
+        monkeypatch.setattr(cli, "run_policy", failing)
         assert run_matrix(parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1",
                                                                "--workers", "2"]))) == 1
         manifest = Path(os.path.join(out, "failures.txt")).read_text()
@@ -546,14 +586,14 @@ class TestRunMatrix:
 
     def test_partial_failure_keeps_results(self, corpus, tmp_path, monkeypatch):
         out = str(tmp_path / "m5")
-        real_run_cell = cli.run_cell
+        real_run_policy = cli.run_policy
 
-        def flaky(ds, cfg, policy_id, impute_id, seed):
+        def flaky(prepared, cfg, policy_id, impute_id, seed):
             if policy_id == "thompson":
                 raise RuntimeError("boom")
-            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+            return real_run_policy(prepared, cfg, policy_id, impute_id, seed)
 
-        monkeypatch.setattr(cli, "run_cell", flaky)
+        monkeypatch.setattr(cli, "run_policy", flaky)
         cfg = parse_config(base_args(corpus, out, ["--policy", "random,thompson", "--seeds", "0"]))
         assert run_matrix(cfg) == 1
         rows = read_summary(os.path.join(out, "summary.csv"))
@@ -569,7 +609,7 @@ class TestRunMatrix:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "run_cell", boom)
+        monkeypatch.setattr(cli, "run_policy", boom)
         assert run_matrix(cfg) == 1
         assert cli._WORKER_DATASET is None
 
@@ -589,16 +629,16 @@ class TestRunMatrix:
 
     def test_dying_worker_fails_its_cells_once(self, corpus, tmp_path, monkeypatch):
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched run_cell reaches pool workers only through fork")
+            pytest.skip("the patched run_policy reaches pool workers only through fork")
         out = str(tmp_path / "died")
-        real_run_cell = cli.run_cell
+        real_run_policy = cli.run_policy
 
-        def dying(ds, cfg, policy_id, impute_id, seed):
+        def dying(prepared, cfg, policy_id, impute_id, seed):
             if policy_id == "ucb":
                 os._exit(3)
-            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+            return real_run_policy(prepared, cfg, policy_id, impute_id, seed)
 
-        monkeypatch.setattr(cli, "run_cell", dying)
+        monkeypatch.setattr(cli, "run_policy", dying)
         cfg = parse_config(base_args(corpus, out, ["--policy", "random,ucb", "--seeds", "0,1", "--workers", "2"]))
         assert run_matrix(cfg) == 1
         manifest = Path(os.path.join(out, "failures.txt")).read_text()
@@ -611,16 +651,16 @@ class TestRunMatrix:
 
     def test_dying_worker_fails_only_its_own_cell(self, corpus, tmp_path, monkeypatch):
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched run_cell reaches pool workers only through fork")
+            pytest.skip("the patched run_policy reaches pool workers only through fork")
         out = str(tmp_path / "died-once")
-        real_run_cell = cli.run_cell
+        real_run_policy = cli.run_policy
 
-        def dying(ds, cfg, policy_id, impute_id, seed):
+        def dying(prepared, cfg, policy_id, impute_id, seed):
             if (policy_id, seed) == ("ucb", 0):
                 os._exit(3)
-            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+            return real_run_policy(prepared, cfg, policy_id, impute_id, seed)
 
-        monkeypatch.setattr(cli, "run_cell", dying)
+        monkeypatch.setattr(cli, "run_policy", dying)
         extra = ["--policy", "random,ucb,egreedy,aver", "--seeds", "0,1,2", "--workers", "2", "--t", "200"]
         assert run_matrix(parse_config(base_args(corpus, out, extra))) == 1
         manifest = Path(os.path.join(out, "failures.txt")).read_text()
@@ -631,19 +671,20 @@ class TestRunMatrix:
         assert counted == {"random": 3, "ucb": 2, "egreedy": 3, "aver": 3}
 
     def test_unpicklable_result_fails_only_its_own_cell(self, corpus, tmp_path, monkeypatch):
-        """A cell whose result cannot be sent back fails through the pool's
-        other-error branch; the pool goes on with the other cells."""
+        """A cell whose result cannot be sent back leaves its group with no
+        outcomes; each cell of that group runs again alone, and only the one
+        whose result still cannot come back fails."""
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched run_cell reaches pool workers only through fork")
+            pytest.skip("the patched run_policy reaches pool workers only through fork")
         out = str(tmp_path / "unpicklable")
-        real_run_cell = cli.run_cell
+        real_run_policy = cli.run_policy
 
-        def unpicklable(ds, cfg, policy_id, impute_id, seed):
+        def unpicklable(prepared, cfg, policy_id, impute_id, seed):
             if (policy_id, seed) == ("ucb", 0):
                 return lambda: None
-            return real_run_cell(ds, cfg, policy_id, impute_id, seed)
+            return real_run_policy(prepared, cfg, policy_id, impute_id, seed)
 
-        monkeypatch.setattr(cli, "run_cell", unpicklable)
+        monkeypatch.setattr(cli, "run_policy", unpicklable)
         extra = ["--policy", "random,ucb", "--seeds", "0,1", "--workers", "2"]
         assert run_matrix(parse_config(base_args(corpus, out, extra))) == 1
         manifest = Path(os.path.join(out, "failures.txt")).read_text()
@@ -668,7 +709,8 @@ class TestRunMatrix:
     def test_new_item_problem_runs(self, corpus, tmp_path):
         """The transposed corpus replays to the pinned trace bytes under every
         fill: the transpose's (user, item) order and the evaluator's grouping
-        are the ones each digest was recorded with."""
+        are the ones each digest was recorded with.  random never reads the
+        fill, so its four traces are the same bytes."""
         out = str(tmp_path / "m7")
         cfg = parse_config(
             ["--dataset", corpus, "--format", "csv", "--scale-max", "1",
@@ -679,6 +721,7 @@ class TestRunMatrix:
         digests = {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
                    for name in os.listdir(out) if name.startswith("trace__")}
         assert digests == PINNED_NEW_ITEM_SHA256
+        assert len({digests[f"trace__random__{m}__seed0.csv"] for m in ("zero", "average", "svd", "alswr")}) == 1
 
 
 class TestAvailableCpus:
@@ -723,13 +766,13 @@ class TestWorkerCount:
         assert run_matrix(parse_config(base_args(corpus, str(tmp_path / "out"), extra))) == 0
         return requested
 
-    def test_pool_has_no_more_workers_than_cells(self, corpus, tmp_path, monkeypatch):
-        extra = ["--policy", "random", "--seeds", "0,1", "--workers", "8"]
+    def test_pool_has_no_more_workers_than_groups(self, corpus, tmp_path, monkeypatch):
+        extra = ["--policy", "random,ucb", "--seeds", "0,1", "--workers", "8"]  # 4 cells in 2 (seed, fill) groups
         assert self.run(corpus, tmp_path, monkeypatch, extra) == [2]
 
-    def test_one_cell_runs_inline_whatever_the_cpus(self, corpus, tmp_path, monkeypatch):
+    def test_one_group_runs_inline_whatever_the_cpus(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_available_cpus", lambda: 8)
-        extra = ["--policy", "random", "--seeds", "0", "--workers", "0"]
+        extra = ["--policy", "random,ucb", "--seeds", "0", "--workers", "0"]  # 2 cells in 1 group
         assert self.run(corpus, tmp_path, monkeypatch, extra) == []
 
 
