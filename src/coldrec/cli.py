@@ -263,9 +263,10 @@ def _params_digest(cfg: ExperimentConfig, policy_id: str, impute_id: str) -> str
 
 
 def prepare_base(ds: RatingDataset, cfg: ExperimentConfig, seed: int, impute_id: str):
-    """The (X, evaluation set) every policy of a (seed, imputation) group
-    shares: subsample → filter → orient → split, seeded by `seed` alone, and
-    X the deferred fill handle, seeded by (seed, imputation)."""
+    """The (X, evaluation set, dumps) every policy of a (seed, imputation)
+    group shares: subsample → filter → orient → split, seeded by `seed`
+    alone, X the deferred fill handle, seeded by (seed, imputation), and an
+    empty list for the paths of the group's base dumps."""
     work = ds
     if cfg.max_users is not None or cfg.max_items is not None:
         work = subsample(work, cfg.max_users, cfg.max_items, seed=_role_seed(seed, "subsample"))
@@ -274,14 +275,15 @@ def prepare_base(ds: RatingDataset, cfg: ExperimentConfig, seed: int, impute_id:
     work = orient(work, cfg.problem)
     k = cfg.base_k if cfg.base_k is not None else min(work.n_items, work.n_users - 1)
     split = split_base_eval(work, k, seed=_role_seed(seed, "split"))
-    return fill(split.base, _imputation(cfg, impute_id), seed=_role_seed(seed, f"fill:{impute_id}")), split.evaluation
+    X = fill(split.base, _imputation(cfg, impute_id), seed=_role_seed(seed, f"fill:{impute_id}"))
+    return X, split.evaluation, []
 
 
 def run_policy(prepared, cfg: ExperimentConfig, policy_id: str, impute_id: str, seed: int) -> RegretTrace:
     """One cell: the policy, seeded by (seed, policy), replays on its group's
     prepare_base output and meets the users `seed` draws; its trace (and
     base-matrix dump) goes into cfg.out."""
-    X, evaluation = prepared
+    X, evaluation, dumps = prepared
     hyper = {name: getattr(cfg, name) for name in policy_params(policy_id)}
     # the group's first contextual policy builds X here; the others reuse it
     policy = make_policy(policy_id, X=X, seed=_role_seed(seed, f"policy:{policy_id}"), **hyper)
@@ -289,8 +291,14 @@ def run_policy(prepared, cfg: ExperimentConfig, policy_id: str, impute_id: str, 
     trace = run_replay(policy, evaluation, horizon, seed=_role_seed(seed, "users"))
     cell = f"{policy_id}__{impute_id}__seed{seed}.csv"
     write_trace_csv(trace, os.path.join(cfg.out, f"trace__{cell}"))
-    if cfg.dump_base:
-        write_csv(os.path.join(cfg.out, f"base__{cell}"), None, X.X.T)
+    if cfg.dump_base:  # formatted once per group: its later cells copy the first dump written
+        path = os.path.join(cfg.out, f"base__{cell}")
+        if dumps:
+            with open(dumps[0], encoding="utf-8") as fh:
+                atomic_write(path, fh)
+        else:
+            write_csv(path, None, X.X.T)
+        dumps.append(path)
     return trace
 
 

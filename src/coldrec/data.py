@@ -1,10 +1,10 @@
 """Rating-dataset ingestion, normalization, base/eval splitting, and
 the user↔item role swap for the new-item problem.
 
-A dataset is a flat bag of (user, item, rating) triples with dense user ids:
-loaders drop users that contribute no ratings and re-index the survivors,
-while the item axis keeps its catalog width (unrated items stay as empty
-columns — a recommender knows its catalog, not which items got ratings).
+A dataset holds each user's run of (item, rating) pairs, the users densely
+numbered: loaders drop users that contribute no ratings and re-index the
+survivors, while the item axis keeps its catalog width (unrated items stay as
+empty columns — a recommender knows its catalog, not which items got ratings).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import itertools
 import logging
 import os
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,69 +48,102 @@ class ProblemKind(enum.Enum):
     NEW_ITEM = "new-item"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RatingDataset:
-    """Sparse ratings as parallel arrays, plus the grid dimensions.
+    """Sparse ratings in compressed-row form, plus the catalog width.
 
-    Invariants: users/items/ratings are 1-d and of equal length, the (user,
-    item) keys fit int64, the ids lie in [0, n_users) × [0, n_items), and the
-    triples are in (user, item) order, each pair once (all checked here);
-    every user id in range occurs at least once (loader-enforced; `orient`
-    is the one exception).
+    User u rated ``items[starts[u]:starts[u + 1]]``, with those `ratings`:
+    16 bytes per rating and 8 per user; :attr:`users` is derived, not held.
+    Invariants, checked by both constructors: `starts` runs from 0 to
+    n_ratings without decreasing, items strictly ascend inside each run (so
+    the ratings are in (user, item) order, each pair once), item ids lie in
+    [0, n_items), and the (user, item) keys fit int64.  Every user has a
+    rating (loader-enforced; `orient` is the one exception).
     """
 
-    users: np.ndarray
+    starts: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
-    n_users: int
     n_items: int
     scale_max: float
 
-    def __post_init__(self):
-        users, items = self.users, self.items
-        if not (len(users) == len(items) == len(self.ratings)):
+    def __init__(self, users, items, ratings, n_users, n_items, scale_max):
+        """The dataset of the triples (users[i], items[i], ratings[i]), which must be in (user, item) order."""
+        if not len(users) == len(items) == len(ratings):
             raise ValueError("users/items/ratings arrays must have equal length")
-        for name, arr in (("users", users), ("items", items), ("ratings", self.ratings)):
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-d array, got {arr.ndim} dimensions")
-        for name, n in (("n_users", self.n_users), ("n_items", self.n_items)):
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-        _check_key_range(self.n_users, self.n_items)
-        for name, ids in (("user", users), ("item", items)):
-            if not np.issubdtype(ids.dtype, np.integer):
-                raise ValueError(f"{name} ids must be integers, got {ids.dtype}")
-        # each pair after the first: a later user, or the same user and a later item
-        ordered = users[1:] > users[:-1]
-        same_user = users[1:] == users[:-1]
-        same_user &= items[1:] > items[:-1]
-        ordered |= same_user
+        _check_column("user", users, ids=True)
+        _check_count("n_users", n_users)
+        if not (users[1:] >= users[:-1]).all():  # name the first pair out of (user, item) order, be it an item repeat
+            ordered = (users[1:] > users[:-1]) | (users[1:] == users[:-1]) & (items[1:] > items[:-1])
+            raise ValueError(_order_error(int(ordered.argmin()) + 1, users, items))
+        if len(users) and not (users[0] >= 0 and users[-1] < n_users):
+            raise ValueError(f"user ids must lie in [0, {n_users}), got [{users[0]}, {users[-1]}]")
+        self._hold(np.searchsorted(users, np.arange(n_users + 1)), items, ratings, n_items, scale_max)
+
+    @classmethod
+    def from_runs(cls, starts, items, ratings, n_items, scale_max) -> RatingDataset:
+        """The dataset whose user u rated ``items[starts[u]:starts[u + 1]]``, with those `ratings`."""
+        return cls.__new__(cls)._hold(starts, items, ratings, n_items, scale_max)
+
+    def _hold(self, starts, items, ratings, n_items, scale_max) -> RatingDataset:
+        """Hold the arrays as they are, uncopied, and check the invariants."""
+        n = len(items)
+        if not (starts.ndim == 1 and np.issubdtype(starts.dtype, np.integer) and len(starts) and starts[0] == 0
+                and starts[-1] == n and (starts[1:] >= starts[:-1]).all()):
+            raise ValueError(f"starts must run from 0 to the {n} ratings without decreasing")
+        if n != len(ratings):
+            raise ValueError("users/items/ratings arrays must have equal length")
+        _check_column("item", items, ids=True)
+        _check_column("rating", ratings, ids=False)
+        _check_count("n_items", n_items)
+        self.__dict__.update(starts=starts, items=items, ratings=ratings, n_items=n_items, scale_max=scale_max)
+        _check_key_range(self.n_users, n_items)
+        ordered = np.ones(n + 1, dtype=bool)  # ordered[i]: rating i starts a run or follows its run's rating i - 1
+        np.greater(items[1:], items[:-1], out=ordered[1:-1])
+        ordered[starts] = True
         if not ordered.all():
-            at = int(ordered.argmin()) + 1
-            raise ValueError(f"ratings must be in (user, item) order, each pair once: rating {at} is "
-                             f"({users[at]}, {items[at]}) after ({users[at - 1]}, {items[at - 1]})")
-        if len(users) and not (users[0] >= 0 and users[-1] < self.n_users):
-            raise ValueError(f"user ids must lie in [0, {self.n_users}), got [{users[0]}, {users[-1]}]")
-        if len(items) and not (items.min() >= 0 and items.max() < self.n_items):
-            raise ValueError(f"item ids must lie in [0, {self.n_items}), got [{items.min()}, {items.max()}]")
-        if not 0 < self.scale_max < np.inf:  # a NaN fails too
-            raise ValueError(f"scale_max must be positive and finite, got {self.scale_max}")
+            raise ValueError(_order_error(int(ordered.argmin()), self.users, items))
+        if n and not (items.min() >= 0 and items.max() < n_items):
+            raise ValueError(f"item ids must lie in [0, {n_items}), got [{items.min()}, {items.max()}]")
+        if not 0 < scale_max < np.inf:  # a NaN fails too
+            raise ValueError(f"scale_max must be positive and finite, got {scale_max}")
+        return self
+
+    @property
+    def n_users(self) -> int:
+        return len(self.starts) - 1
 
     @property
     def n_ratings(self) -> int:
         return len(self.ratings)
+
+    @property
+    def users(self) -> np.ndarray:
+        """Each rating's user, built from `starts` on every read."""
+        return np.repeat(np.arange(self.n_users), np.diff(self.starts))
 
     def check_normalized(self, what: str) -> None:
         """Raise unless every rating lies in [0, 1]; a NaN fails too."""
         if self.n_ratings and not (self.ratings.min() >= 0.0 and self.ratings.max() <= 1.0):
             raise ValueError(f"{what} ratings must be finite and normalized to [0, 1]")
 
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """User u's ratings are ``[starts[u], starts[u + 1])`` of the arrays; built once."""
-        starts = np.zeros(self.n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.users, minlength=self.n_users), out=starts[1:])
-        return starts
+
+def _check_column(name: str, arr: np.ndarray, ids: bool) -> None:
+    """Raise unless the column is 1-d, and of integers if it holds ids."""
+    if arr.ndim != 1:
+        raise ValueError(f"{name}s must be a 1-d array, got {arr.ndim} dimensions")
+    if ids and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} ids must be integers, got {arr.dtype}")
+
+
+def _check_count(name: str, n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+
+
+def _order_error(at: int, users, items) -> str:
+    return (f"ratings must be in (user, item) order, each pair once: rating {at} is ({users[at]}, {items[at]}) "
+            f"after ({users[at - 1]}, {items[at - 1]})")
 
 
 def _check_key_range(n_users: int, n_items: int) -> None:
@@ -239,11 +272,11 @@ def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
     if ratings.size == 0:
         raise ValueError(f"{path}: no ratings")
     if np.all(raw_users[1:] >= raw_users[:-1]):  # grouped by user, ascending: number the id changes
-        users = np.zeros(raw_users.size, dtype=np.int64)
-        np.cumsum(raw_users[1:] != raw_users[:-1], out=users[1:])
-        n_users = int(users[-1]) + 1
+        keys = np.zeros(raw_users.size, dtype=np.int64)
+        np.cumsum(raw_users[1:] != raw_users[:-1], out=keys[1:])
+        n_users = int(keys[-1]) + 1
     else:
-        uniq_users, users = np.unique(raw_users, return_inverse=True)
+        uniq_users, keys = np.unique(raw_users, return_inverse=True)
         n_users = len(uniq_users)
     del raw_users
     n_items = int(items.max()) + 1
@@ -251,20 +284,21 @@ def _load(path, grammar: _Grammar, scale_max: float) -> RatingDataset:
         _check_key_range(n_users, n_items)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    keys = users * n_items + items
+    keys = keys * n_items + items  # each rating's (user, item) key, from its dense user id
     if np.all(keys[1:] > keys[:-1]):  # canonical order, as save_csv_triples writes it: no repeat, nothing to sort
-        del keys  # before the copies: the line parser's columns are strided views of its rows, which they free
         items, ratings = np.ascontiguousarray(items), np.ascontiguousarray(ratings)
     else:
         order = np.argsort(keys, kind="stable")  # equal keys in file order
         keys = keys[order]
-        keep = order[np.append(keys[1:] != keys[:-1], True)]  # the last of each key
-        del keys, order
+        last = np.append(keys[1:] != keys[:-1], True)  # the last of each key
+        keys, keep = keys[last], order[last]
+        del order, last
         if keep.size < ratings.size:
             logger.warning("%s: %d duplicate (user, item) pairs, kept the last occurrence", path,
                            ratings.size - keep.size)
-        users, items, ratings = users[keep], items[keep], ratings[keep]
-    return RatingDataset(users, items, ratings, n_users, n_items, scale_max)
+        items, ratings = items[keep], ratings[keep]
+    starts = np.searchsorted(keys, np.arange(n_users + 1) * n_items)  # where each user's keys begin
+    return RatingDataset.from_runs(starts, items, ratings, n_items, scale_max)
 
 
 def load_movielens(path, scale_max: float = 5.0) -> RatingDataset:
@@ -334,16 +368,21 @@ def save_csv_triples(ds: RatingDataset, path) -> None:
 
 def normalize(ds: RatingDataset) -> RatingDataset:
     """Divide every rating by the scale ceiling, mapping onto [0, 1]."""
-    return replace(ds, ratings=ds.ratings / ds.scale_max, scale_max=1.0)
+    return RatingDataset.from_runs(ds.starts, ds.items, ds.ratings / ds.scale_max, ds.n_items, 1.0)
+
+
+def _gather_runs(starts: np.ndarray, user_ids: np.ndarray):
+    """The given (sorted) users' runs laid end to end: their new starts, and
+    the positions of their ratings in the runs that `starts` bounds."""
+    counts = np.diff(starts)[user_ids]
+    gathered = np.concatenate(([0], np.cumsum(counts)))
+    return gathered, np.repeat(starts[user_ids] - gathered[:-1], counts) + np.arange(gathered[-1])
 
 
 def _restrict_users(ds: RatingDataset, user_ids: np.ndarray) -> RatingDataset:
     """Dataset over the given (sorted) original user ids, re-indexed densely."""
-    remap = np.full(ds.n_users, -1, dtype=np.int64)
-    remap[user_ids] = np.arange(len(user_ids))
-    users = remap[ds.users]
-    keep = users >= 0
-    return replace(ds, users=users[keep], items=ds.items[keep], ratings=ds.ratings[keep], n_users=len(user_ids))
+    starts, pos = _gather_runs(ds.starts, user_ids)
+    return RatingDataset.from_runs(starts, ds.items[pos], ds.ratings[pos], ds.n_items, ds.scale_max)
 
 
 def split_base_eval(ds: RatingDataset, k: int, seed=None) -> CorpusSplit:
@@ -378,8 +417,8 @@ def orient(ds: RatingDataset, kind: ProblemKind | str) -> RatingDataset:
     if ProblemKind(kind) is ProblemKind.NEW_USER:
         return ds
     order = np.argsort(ds.items, kind="stable")  # each item's users stay ascending
-    return replace(ds, users=ds.items[order], items=ds.users[order], ratings=ds.ratings[order], n_users=ds.n_items,
-                   n_items=ds.n_users)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ds.items, minlength=ds.n_items))))
+    return RatingDataset.from_runs(starts, ds.users[order], ds.ratings[order], ds.n_users, ds.scale_max)
 
 
 def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> RatingDataset:
@@ -392,34 +431,30 @@ def subsample(ds: RatingDataset, max_users=None, max_items=None, seed=None) -> R
     read, through :attr:`RatingDataset.starts`.
     """
     rng = np.random.default_rng(seed)
-    item_ids, pos = None, slice(None)
+    item_ids, starts, pos = None, ds.starts, slice(None)
     if max_items is not None and max_items < ds.n_items:
         item_ids = np.sort(rng.choice(ds.n_items, size=max_items, replace=False))
     if max_users is not None and max_users < ds.n_users:
-        user_ids = np.sort(rng.choice(ds.n_users, size=max_users, replace=False))
-        lo, counts = ds.starts[user_ids], np.diff(ds.starts)[user_ids]
-        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())  # their runs, in order
+        starts, pos = _gather_runs(ds.starts, np.sort(rng.choice(ds.n_users, size=max_users, replace=False)))
     items = ds.items[pos]
     if item_ids is not None:
         remap = np.full(ds.n_items, -1, dtype=np.int64)
         remap[item_ids] = np.arange(max_items)
         items = remap[items]
         kept = np.flatnonzero(items >= 0)
-        items = items[kept]
-        pos = kept if isinstance(pos, slice) else pos[kept]
-    users, ratings = ds.users[pos], ds.ratings[pos]
+        starts = np.searchsorted(kept, starts)  # each run's start among the kept ratings
+        items, pos = items[kept], kept if isinstance(pos, slice) else pos[kept]
+    ratings = ds.ratings[pos]
     if len(ratings) == 0:
         raise ValueError("subsample removed every rating")
-    renumber = np.cumsum(np.bincount(users, minlength=ds.n_users) > 0, dtype=np.int64) - 1  # rated users, densely
+    # an emptied user's run starts where the next one does: the distinct starts keep the rated users
     n_items = ds.n_items if item_ids is None else max_items
-    return replace(ds, users=renumber[users], items=items, ratings=ratings, n_users=int(renumber[-1]) + 1,
-                   n_items=n_items)
+    return RatingDataset.from_runs(np.unique(starts), items, ratings, n_items, ds.scale_max)
 
 
 def filter_min_ratings(ds: RatingDataset, min_ratings: int = 1) -> RatingDataset:
     """Drop users with fewer than min_ratings ratings and compact ids."""
-    counts = np.bincount(ds.users, minlength=ds.n_users)
-    keep_ids = np.flatnonzero(counts >= min_ratings)
+    keep_ids = np.flatnonzero(np.diff(ds.starts) >= min_ratings)
     if len(keep_ids) == ds.n_users:
         return ds
     if len(keep_ids) == 0:
@@ -438,16 +473,12 @@ def dataset_from_dense(matrix, mask=None, scale_max: float = 1.0) -> RatingDatas
     mask = np.ones(matrix.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if matrix.ndim != 2 or mask.shape != matrix.shape:
         raise ValueError(f"need a 2-d matrix and a mask of its shape, got shapes {matrix.shape} and {mask.shape}")
-    users, items = np.nonzero(mask)
-    if len(users) == 0:
+    counts = np.count_nonzero(mask, axis=1)
+    if not counts.any():
         raise ValueError("no observed entries")
-    if not mask.any(axis=1).all():
+    if not counts.all():
         raise ValueError("every user row needs at least one observed rating")
-    return RatingDataset(
-        users=users.astype(np.int64),
-        items=items.astype(np.int64),
-        ratings=matrix[mask].astype(np.float64),
-        n_users=matrix.shape[0],
-        n_items=matrix.shape[1],
-        scale_max=scale_max,
-    )
+    items = np.flatnonzero(mask)  # row-major positions, which become the item ids in place
+    ratings = matrix.reshape(-1)[items]
+    items %= matrix.shape[1]
+    return RatingDataset.from_runs(np.concatenate(([0], np.cumsum(counts))), items, ratings, matrix.shape[1], scale_max)

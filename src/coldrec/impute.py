@@ -167,7 +167,7 @@ def _mean_filled(base: RatingDataset, means: np.ndarray):
     from scipy.sparse import csr_array  # here, not at the top: a 4 MB import only factorizations need
     from scipy.sparse.linalg import LinearOperator
 
-    S = csr_array((base.ratings - means[base.items], (base.users, base.items)), shape=(base.n_users, base.n_items))
+    S = csr_array((base.ratings - means[base.items], base.items, base.starts), shape=(base.n_users, base.n_items))
 
     def matmat(X):  # X of shape (q,), (q, 1) or (q, k), as Y in rmatmat
         return S @ X + means @ X
@@ -219,16 +219,16 @@ def _build(base: RatingDataset, method: ImputationMethod, r: int | None, seed) -
     read-only: nothing else references it, so BaseMatrix takes it without a
     copy."""
     p, q = base.n_users, base.n_items
-    if r is None:  # the ratings written over zeros or over the item means
+    if r is None:  # the ratings written over zeros or over the item means, each user's run into its row
         X = np.zeros((p, q)) if isinstance(method, Zero) else np.broadcast_to(_column_means(base), (p, q)).copy()
-        X[base.users, base.items] = base.ratings
+        X.reshape(-1)[np.repeat(np.arange(0, p * q, q), np.diff(base.starts)) + base.items] = base.ratings
     elif isinstance(method, ImputedSvd):  # U diag(s) Vᵀ with orthonormal U has the Gram of diag(s) Vᵀ
         _, s, V = linalg.truncated_svd(_mean_filled(base, _column_means(base)), r)
         X = s[:, None] * V.T
     else:  # U Vᵀ = Q R Vᵀ with orthonormal Q has the Gram of R Vᵀ
-        from scipy.sparse import coo_array  # see _mean_filled
+        from scipy.sparse import csr_array  # see _mean_filled
 
-        R = coo_array((base.ratings, (base.users, base.items)), shape=(p, q))
+        R = csr_array((base.ratings, base.items, base.starts), shape=(p, q))
         U, V = linalg.als_wr_factorize(R, r, method.lam, method.iters, rng=seed)
         X = np.linalg.qr(U, mode="r") @ V.T
     X.flags.writeable = False

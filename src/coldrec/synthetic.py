@@ -36,7 +36,8 @@ def linear_environment(
     X = rng.uniform(size=(n_base_users, n_arms))
     tastes = rng.dirichlet(np.ones(n_base_users), size=n_eval_users)
     Y = tastes @ X
-    if noise > 0:
-        Y = Y + noise * rng.standard_normal(Y.shape)
-    Y = np.clip(Y, 0.0, 1.0)
+    if noise > 0:  # Y + noise * z in place: the same bits, without its two temporaries
+        z = rng.standard_normal(Y.shape)
+        Y += np.multiply(z, noise, out=z)
+    np.clip(Y, 0.0, 1.0, out=Y)
     return dataset_from_dense(X), dataset_from_dense(Y)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import remade
 
 import coldrec
 from coldrec import cli, impute
@@ -315,7 +316,7 @@ LIBRARY_RULES = [
     ("rank", "alswr", lambda rank: fill(_FILL_BASE, AlsWr(rank=rank))),
     ("als_lambda", "alswr", lambda lam: fill(_FILL_BASE, AlsWr(lam=lam))),
     ("als_iters", "alswr", lambda iters: fill(_FILL_BASE, AlsWr(iters=iters))),
-    ("scale_max", "RatingDataset", lambda scale: dataclasses.replace(_FILL_BASE, scale_max=scale)),
+    ("scale_max", "RatingDataset", lambda scale: remade(_FILL_BASE, scale_max=scale)),
 ]
 
 
@@ -705,6 +706,27 @@ class TestRunMatrix:
         assert dumps == [f"base__{policy}__{impute}__seed0.csv"]
         grid = np.loadtxt(os.path.join(out, dumps[0]), delimiter=",")
         assert grid.shape == (rows, 25)
+
+    def test_dump_base_is_formatted_once_per_group(self, corpus, tmp_path, monkeypatch):
+        """Every policy of a (seed, fill) group dumps the same bytes, the ones
+        a lone policy dumps, and the group formats its context once."""
+        calls = collections.Counter()
+        real_write_csv = cli.write_csv
+
+        def counted(path, header, columns):
+            calls[os.path.basename(path).split("__")[0]] += 1
+            return real_write_csv(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", counted)
+        extra = ["--impute", "zero,svd", "--rank", "3", "--seeds", "0,1", "--workers", "1", "--dump-base"]
+        out, alone = tmp_path / "three", tmp_path / "alone"
+        assert run_matrix(parse_config(base_args(corpus, str(out), ["--policy", "random,alinucb,thompson", *extra]))) == 0
+        assert calls["base"] == 4  # one per (seed, fill) group
+        assert run_matrix(parse_config(base_args(corpus, str(alone), ["--policy", "thompson", *extra]))) == 0
+        for group in ("zero__seed0", "zero__seed1", "svd__seed0", "svd__seed1"):
+            want = (alone / f"base__thompson__{group}.csv").read_bytes()
+            for policy in ("random", "alinucb", "thompson"):
+                assert (out / f"base__{policy}__{group}.csv").read_bytes() == want, (policy, group)
 
     def test_new_item_problem_runs(self, corpus, tmp_path):
         """The transposed corpus replays to the pinned trace bytes under every

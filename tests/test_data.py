@@ -5,14 +5,13 @@ import errno
 import logging
 import tracemalloc
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import to_dense
+from helpers import remade, to_dense
 
 from coldrec import data
 from coldrec.data import (
@@ -413,6 +412,20 @@ BAD_CONSTRUCTIONS = {
                            ORDER_MESSAGE + r"\(1, 1\) after \(1, 2\)$"),
     "repeated-pair": (lambda: RatingDataset(np.array([0, 1, 1]), np.array([0, 2, 2]), np.ones(3), 2, 3, 1.0),
                       ORDER_MESSAGE + r"\(1, 2\) after \(1, 2\)$"),
+    # the first pair out of order is named, whether its items or its users are
+    "repeat-before-users-out-of-order": (
+        lambda: RatingDataset(np.array([0, 0, 1, 0]), np.array([1, 1, 0, 2]), np.ones(4), 2, 3, 1.0),
+        r"^ratings must be in \(user, item\) order, each pair once: rating 1 is \(0, 1\) after \(0, 1\)$"),
+    "user-past-the-grid": (lambda: RatingDataset(np.array([0, 2]), np.array([0, 1]), np.array([0.2, 1.0]), 2, 2, 1.0),
+                           r"^user ids must lie in \[0, 2\), got \[0, 2\]$"),
+    "negative-item": (lambda: RatingDataset(np.array([0, 1]), np.array([-1, 0]), np.array([0.2, 1.0]), 2, 2, 1.0),
+                      r"^item ids must lie in \[0, 2\), got \[-1, 0\]$"),
+    "float-item-ids": (lambda: RatingDataset(np.array([0]), np.array([0.0]), np.array([0.5]), 1, 1, 1.0),
+                       "^item ids must be integers, got float64$"),
+    "2-d-items": (lambda: RatingDataset(np.array([0, 1]), np.array([[0], [1]]), np.array([0.5, 0.5]), 2, 2, 1.0),
+                  "^items must be a 1-d array, got 2 dimensions$"),
+    "negative-item-count": (lambda: RatingDataset(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), 2, -1, 1.0),
+                            "^n_items must be a nonnegative integer, got -1$"),
     "zero-dimension": (lambda: linear_environment(3, 0, 4), "^environment dimensions must be positive$"),
     **{f"noise-{noise}": (lambda noise=noise: linear_environment(3, 4, 5, noise=noise),
                           f"^noise must be finite and nonnegative, got {noise}$") for noise in (-0.05, np.nan, np.inf)},
@@ -806,7 +819,7 @@ def test_keys_that_would_overflow_are_rejected(tmp_path):
 
 def reference_restrict_users(ds, user_ids):
     keep = np.isin(ds.users, user_ids)
-    return replace(
+    return remade(
         ds,
         users=np.searchsorted(user_ids, ds.users[keep]).astype(np.int64),
         items=ds.items[keep],
@@ -832,7 +845,7 @@ def reference_subsample(ds, max_users, max_items, seed):
     if len(ratings) == 0:
         raise ValueError("subsample removed every rating")
     uniq, dense = np.unique(users, return_inverse=True)
-    return replace(ds, users=dense.astype(np.int64), items=items, ratings=ratings, n_users=len(uniq), n_items=n_items)
+    return remade(ds, users=dense.astype(np.int64), items=items, ratings=ratings, n_users=len(uniq), n_items=n_items)
 
 
 def select_ids(old, ids, n):
@@ -863,7 +876,7 @@ def gather_all_subsample(ds, max_users, max_items, seed):
     rated = np.flatnonzero(np.bincount(users, minlength=ds.n_users))
     _, users = select_ids(users, rated, ds.n_users)
     n_items = ds.n_items if item_ids is None else max_items
-    return replace(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
+    return remade(ds, users=users, items=items, ratings=ratings, n_users=len(rated), n_items=n_items)
 
 
 class TestSubsampleAgainstGatherAll:
@@ -875,7 +888,7 @@ class TestSubsampleAgainstGatherAll:
         if not canonical:  # no dataset holds shuffled triples, so none reaches subsample
             shuffle = np.random.default_rng(seed).permutation(ds.n_ratings)
             with pytest.raises(ValueError, match=ORDER_MESSAGE):
-                replace(ds, users=ds.users[shuffle], items=ds.items[shuffle], ratings=ds.ratings[shuffle])
+                remade(ds, users=ds.users[shuffle], items=ds.items[shuffle], ratings=ds.ratings[shuffle])
             return
         got = subsample(ds, max_users, max_items, seed=seed)
         assert_same_dataset(got, gather_all_subsample(ds, max_users, max_items, seed))
@@ -919,9 +932,9 @@ class TestSubsampleAgainstIsinReference:
             keep = rng.permutation(np.flatnonzero(keep))
             if np.any(keep[1:] < keep[:-1]):
                 with pytest.raises(ValueError, match=ORDER_MESSAGE):
-                    replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
+                    remade(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
                 return
-        ds = replace(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
+        ds = remade(ds, users=ds.users[keep], items=ds.items[keep], ratings=ds.ratings[keep])
         try:
             want = reference_subsample(ds, max_users, max_items, seed)
         except ValueError:
@@ -939,3 +952,156 @@ class TestSubsampleAgainstIsinReference:
         eval_ids = np.setdiff1d(np.arange(ds.n_users), split.base_user_ids)
         assert_same_dataset(split.base, reference_restrict_users(ds, split.base_user_ids))
         assert_same_dataset(split.evaluation, reference_restrict_users(ds, eval_ids))
+
+
+# ---------------------------------------------------------------- the dataset's runs
+
+
+def old_order_message(users, items):
+    """The (user, item) order check of the dataset that stored its user column: its message, or None."""
+    ordered = (users[1:] > users[:-1]) | (users[1:] == users[:-1]) & (items[1:] > items[:-1])
+    if ordered.all():
+        return None
+    at = int(ordered.argmin()) + 1
+    return (f"ratings must be in (user, item) order, each pair once: rating {at} is ({users[at]}, {items[at]}) "
+            f"after ({users[at - 1]}, {items[at - 1]})")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8), grouped=st.booleans())
+def test_triples_in_any_order_are_checked_as_before(pairs, grouped):
+    """Triples in any order, users grouped or not: the triple constructor
+    rejects what the stored-column check rejected, naming the same pair,
+    and the runs constructor names it too when the users are grouped."""
+    users, items = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    if grouped:
+        order = np.argsort(users, kind="stable")
+        users, items = users[order], items[order]
+    ratings = np.full(len(users), 0.5)
+    want = old_order_message(users, items)
+    if want is None:
+        ds = RatingDataset(users, items, ratings, 4, 4, 1.0)
+        np.testing.assert_array_equal(ds.users, users)
+        return
+    with pytest.raises(ValueError) as got:
+        RatingDataset(users, items, ratings, 4, 4, 1.0)
+    assert str(got.value) == want
+    if grouped:
+        with pytest.raises(ValueError) as got:
+            RatingDataset.from_runs(np.searchsorted(users, np.arange(5)), items, ratings, 4, 1.0)
+        assert str(got.value) == want
+
+
+STARTS_MESSAGE = r"^starts must run from 0 to the 3 ratings without decreasing$"
+
+
+@pytest.mark.parametrize("starts", [[1, 3], [0, 2], [0, 4], [0, 2, 1, 3], [], [[0, 3]], [0.0, 3.0]],
+                         ids=["late-first", "short", "long", "decreasing", "empty", "2-d", "float"])
+def test_runs_constructor_rejects_bad_starts(starts):
+    with pytest.raises(ValueError, match=STARTS_MESSAGE):
+        RatingDataset.from_runs(np.array(starts), np.array([0, 1, 2]), np.ones(3), 3, 1.0)
+
+
+def test_runs_constructor_holds_its_arrays_uncopied():
+    starts, items, ratings = np.array([0, 0, 2, 3]), np.array([1, 4, 0]), np.array([0.5, 0.25, 1.0])
+    ds = RatingDataset.from_runs(starts, items, ratings, 5, 1.0)
+    assert ds.starts is starts and ds.items is items and ds.ratings is ratings
+    assert (ds.n_users, ds.n_items, ds.n_ratings) == (3, 5, 3)
+    np.testing.assert_array_equal(ds.users, [1, 1, 2])
+    assert ds.users.dtype == np.int64
+
+
+def held_bytes(build):
+    """The dataset `build` returns, and the bytes its call left allocated
+    (after a first call, which may fill the caches of the modules it uses)."""
+    build()
+    tracemalloc.start()
+    try:
+        ds = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return ds, held
+
+
+def test_dataset_holds_16_bytes_per_rating_and_8_per_user(tmp_path):
+    """Every producer leaves its dataset holding 16 bytes per rating plus 8
+    per user: items, ratings and starts, and no user column."""
+    rng = np.random.default_rng(3)
+    grid, mask = rng.uniform(size=(400, 300)), rng.random((400, 300)) < 0.8
+    mask[:, 0] = True
+    base = dataset_from_dense(grid, mask)
+    path = tmp_path / "r.csv"
+    save_csv_triples(base, path)
+    producers = {
+        "triples": lambda: RatingDataset(users, base.items.copy(), base.ratings.copy(), base.n_users, base.n_items, 1.0),
+        "dense": lambda: dataset_from_dense(grid, mask),
+        "load": lambda: load_csv_triples(path, scale_max=1.0),
+        "new-item": lambda: orient(base, ProblemKind.NEW_ITEM),
+        "subsample": lambda: subsample(base, max_users=300, max_items=250, seed=0),
+        "filter": lambda: filter_min_ratings(base, 240),
+    }
+    users = base.users  # the triple constructor's input, allocated before it is measured
+    for name, build in producers.items():
+        ds, held = held_bytes(build)
+        assert ds.n_ratings > 50_000, name
+        assert sum(a.nbytes for a in (ds.starts, ds.items, ds.ratings)) == 16 * ds.n_ratings + 8 * (ds.n_users + 1)
+        assert 16 * ds.n_ratings + 8 * (ds.n_users + 1) <= held <= 16 * ds.n_ratings + 8 * ds.n_users + 4096, name
+    split, held = held_bytes(lambda: split_base_eval(base, 150, seed=0))
+    halves = split.base, split.evaluation
+    assert held <= sum(16 * ds.n_ratings + 8 * ds.n_users for ds in halves) + 8 * 150 + 4096
+
+
+def loaded_user_column(text_rows):
+    """The user column the loaders stored: each distinct (user, item) pair once, in order, users numbered densely."""
+    pairs = np.array(sorted({(u, i) for u, i, _ in text_rows}), dtype=np.int64)
+    return np.unique(pairs[:, 0], return_inverse=True)[1]
+
+
+def test_derived_users_equal_the_stored_column(tmp_path):
+    """On every producer path the derived `users` is the column the dataset
+    stored when it held one, computed here as the old code computed it."""
+    rng = np.random.default_rng(5)
+    rows = [(int(u), int(i), float(r)) for u, i, r in
+            zip(rng.integers(3, 40, 600), rng.integers(0, 30, 600), rng.integers(1, 6, 600))]
+    ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+    ordered.write_text("".join(f"{u},{i},{r}\n" for u, i, r in sorted({(u, i): (u, i, r) for u, i, r in rows}.values())))
+    shuffled.write_text("".join(f"{u},{i},{r}\n" for u, i, r in rows))
+    grid, mask = rng.uniform(size=(12, 9)), rng.random((12, 9)) < 0.5
+    mask[:, 3] = True
+    ds = toy_dataset(40, 25, seed=5)
+    users = ds.users
+    order = np.argsort(ds.items, kind="stable")
+    keep = np.isin(users, np.flatnonzero(np.bincount(users) >= 13))
+    split = split_base_eval(ds, 15, seed=5)
+    eval_ids = np.setdiff1d(np.arange(ds.n_users), split.base_user_ids)
+    cases = {
+        "ordered-load": (load_csv_triples(ordered, 5.0), loaded_user_column(rows)),
+        "shuffled-load": (load_csv_triples(shuffled, 5.0), loaded_user_column(rows)),
+        "normalize": (normalize(load_csv_triples(shuffled, 5.0)), loaded_user_column(rows)),
+        "dense": (dataset_from_dense(grid), np.nonzero(np.ones(grid.shape))[0]),
+        "dense-masked": (dataset_from_dense(grid, mask), np.nonzero(mask)[0]),
+        "subsample": (subsample(ds, 20, 12, seed=5), gather_all_subsample(ds, 20, 12, 5).users),
+        "split-base": (split.base, np.searchsorted(split.base_user_ids, users[np.isin(users, split.base_user_ids)])),
+        "split-evaluation": (split.evaluation, np.searchsorted(eval_ids, users[np.isin(users, eval_ids)])),
+        "filter": (filter_min_ratings(ds, 13), np.unique(users[keep], return_inverse=True)[1]),
+        "new-item": (orient(ds, ProblemKind.NEW_ITEM), ds.items[order]),
+        "new-item-twice": (orient(orient(ds, ProblemKind.NEW_ITEM), ProblemKind.NEW_ITEM), users),
+    }
+    assert users.tolist() == sorted(users.tolist()) and np.ptp(users) == ds.n_users - 1
+    for name, (got, want) in cases.items():
+        assert got.users.dtype == np.int64, name
+        np.testing.assert_array_equal(got.users, want, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linear_environment_adds_its_noise_as_the_plain_formula_does(seed):
+    """The in-place noise and clip give the bits of ``clip(Y + noise * z)``."""
+    base, evaluation = linear_environment(30, 20, 25, noise=0.3, seed=seed)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(30, 20))
+    Y = rng.dirichlet(np.ones(30), size=25) @ X
+    Y = np.clip(Y + 0.3 * rng.standard_normal(Y.shape), 0.0, 1.0)
+    assert 0 < np.count_nonzero((Y == 0.0) | (Y == 1.0)) < Y.size  # the clip is on the path
+    assert_same_dataset(base, dataset_from_dense(X))
+    np.testing.assert_array_equal(evaluation.ratings.view(np.int64), Y.reshape(-1).view(np.int64))

@@ -7,11 +7,10 @@ import gc
 import re
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import to_dense
+from helpers import remade, to_dense
 from test_linalg import als_reference
 
 from scipy.sparse import coo_array
@@ -268,7 +267,7 @@ class TestFactorizationFillsAgainstDenseReferences:
         p, q = 4, 5000
         base = random_base(0, p, q, 0.05)
         if all_zero:
-            base = replace(base, ratings=np.zeros_like(base.ratings))
+            base = remade(base, ratings=np.zeros_like(base.ratings))
         tracemalloc.start()
         try:
             X = fill(base, ImputedSvd(rank=rank)).X
@@ -300,7 +299,7 @@ class TestFactorizationFillsAgainstDenseReferences:
 
 
 def _with_nan_rating(base):
-    return replace(base, ratings=np.where(np.arange(base.n_ratings) == 1, np.nan, base.ratings))
+    return remade(base, ratings=np.where(np.arange(base.n_ratings) == 1, np.nan, base.ratings))
 
 
 NORMALIZED = dataset_from_dense(np.array([[0.5, 0.25], [1.0, 0.0]]))

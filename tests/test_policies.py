@@ -4,14 +4,13 @@ select/update protocol contract (tie-breaking, determinism, validation)."""
 import hashlib
 import inspect
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb, AvailableRandom
-from helpers import to_dense
+from helpers import remade, to_dense
 
 from coldrec import linalg
 from coldrec.data import dataset_from_dense
@@ -1113,7 +1112,7 @@ class TestOraclePolicy:
             OraclePolicy(dataset_from_dense(np.array([[0.5, 2.0]])))
 
     def test_rejects_nan_ratings(self):
-        evaluation = replace(dataset_from_dense(np.array([[0.5, 0.25]])), ratings=np.array([0.5, np.nan]))
+        evaluation = remade(dataset_from_dense(np.array([[0.5, 0.25]])), ratings=np.array([0.5, np.nan]))
         with pytest.raises(ValueError, match="^evaluation ratings must be finite"):
             OraclePolicy(evaluation)
 

@@ -8,14 +8,13 @@ that draws one user per step, which the user schedule must reproduce.
 import hashlib
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from argmax_policies import ArgmaxALinUcb, ArgmaxAverage, ArgmaxEgreedy, ArgmaxUcb
-from helpers import to_dense
+from helpers import remade, to_dense
 
 from coldrec.data import RatingDataset, atomic_write, dataset_from_dense
 from coldrec.impute import Zero, fill, method_from_name
@@ -398,7 +397,7 @@ class TestRunReplay:
         ratings = evaluation.ratings.copy()
         ratings[-1] = np.nan
         with pytest.raises(ValueError, match="^evaluation ratings must be finite"):
-            run_replay(RandomPolicy(X.n_arms, seed=0), replace(evaluation, ratings=ratings), T=5, seed=0)
+            run_replay(RandomPolicy(X.n_arms, seed=0), remade(evaluation, ratings=ratings), T=5, seed=0)
 
     def test_reveals_zero_for_unknown_pairs(self):
         # one user rated only item 1; forcing item 0 reveals the zero fill
@@ -607,7 +606,7 @@ def pinned_base(impute):
     if impute != "alswr":
         return base
     keep = base.items != 1
-    return replace(base, users=base.users[keep], items=base.items[keep], ratings=base.ratings[keep])
+    return remade(base, users=base.users[keep], items=base.items[keep], ratings=base.ratings[keep])
 
 
 # sha256 of the trace CSVs of pinned_corpus for the zero, svd and alswr
