@@ -142,7 +142,7 @@ class ExperimentConfig:
     min_ratings: int = _option(1, int, "drop users below this rating count", _POSITIVE)
     workers: int = _option(0, int, "parallel (seed, impute) groups: 0 = one per usable CPU, 1 = inline", _NONNEGATIVE)
     out: str = _option("coldrec_runs", str, "output directory")
-    dump_base: bool = _option(False, _bool, "also dump each cell's context matrix, the fill the policy reads, as CSV")
+    dump_base: bool = _option(False, _bool, "also dump each (seed, impute) group's context matrix as CSV")
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -263,10 +263,10 @@ def _params_digest(cfg: ExperimentConfig, policy_id: str, impute_id: str) -> str
 
 
 def prepare_base(ds: RatingDataset, cfg: ExperimentConfig, seed: int, impute_id: str):
-    """The (X, evaluation set, dumps) every policy of a (seed, imputation)
-    group shares: subsample → filter → orient → split, seeded by `seed`
-    alone, X the deferred fill handle, seeded by (seed, imputation), and an
-    empty list for the paths of the group's base dumps."""
+    """The (X, evaluation set) every policy of a (seed, imputation) group
+    shares: subsample → filter → orient → split, seeded by `seed` alone, and
+    X the deferred fill handle, seeded by (seed, imputation).  With
+    cfg.dump_base, X is built here and written to cfg.out once per group."""
     work = ds
     if cfg.max_users is not None or cfg.max_items is not None:
         work = subsample(work, cfg.max_users, cfg.max_items, seed=_role_seed(seed, "subsample"))
@@ -276,29 +276,22 @@ def prepare_base(ds: RatingDataset, cfg: ExperimentConfig, seed: int, impute_id:
     k = cfg.base_k if cfg.base_k is not None else min(work.n_items, work.n_users - 1)
     split = split_base_eval(work, k, seed=_role_seed(seed, "split"))
     X = fill(split.base, _imputation(cfg, impute_id), seed=_role_seed(seed, f"fill:{impute_id}"))
-    return X, split.evaluation, []
+    if cfg.dump_base:
+        write_csv(os.path.join(cfg.out, f"base__{impute_id}__seed{seed}.csv"), None, X.X.T)
+    return X, split.evaluation
 
 
 def run_policy(prepared, cfg: ExperimentConfig, policy_id: str, impute_id: str, seed: int) -> RegretTrace:
     """One cell: the policy, seeded by (seed, policy), replays on its group's
-    prepare_base output and meets the users `seed` draws; its trace (and
-    base-matrix dump) goes into cfg.out."""
-    X, evaluation, dumps = prepared
+    prepare_base output and meets the users `seed` draws; its trace goes
+    into cfg.out."""
+    X, evaluation = prepared
     hyper = {name: getattr(cfg, name) for name in policy_params(policy_id)}
-    # the group's first contextual policy builds X here; the others reuse it
+    # X is built once per group: by its dump, or else here by its first contextual policy
     policy = make_policy(policy_id, X=X, seed=_role_seed(seed, f"policy:{policy_id}"), **hyper)
     horizon = cfg.t or max(1, evaluation.n_ratings // 10)
     trace = run_replay(policy, evaluation, horizon, seed=_role_seed(seed, "users"))
-    cell = f"{policy_id}__{impute_id}__seed{seed}.csv"
-    write_trace_csv(trace, os.path.join(cfg.out, f"trace__{cell}"))
-    if cfg.dump_base:  # formatted once per group: its later cells copy the first dump written
-        path = os.path.join(cfg.out, f"base__{cell}")
-        if dumps:
-            with open(dumps[0], encoding="utf-8") as fh:
-                atomic_write(path, fh)
-        else:
-            write_csv(path, None, X.X.T)
-        dumps.append(path)
+    write_trace_csv(trace, os.path.join(cfg.out, f"trace__{policy_id}__{impute_id}__seed{seed}.csv"))
     return trace
 
 
@@ -341,8 +334,8 @@ def _available_cpus() -> int:
 
 
 def _remove_stale_outputs(out_dir: str) -> None:
-    """Delete the per-cell files (see run_policy) and the failure manifest that
-    an earlier run into the same directory left; they describe that run."""
+    """Delete the traces, base dumps and failure manifest that an earlier
+    run into the same directory left; they describe that run."""
     for pattern in ("trace__*.csv", "base__*.csv", "failures.txt"):
         for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
             os.remove(path)

@@ -222,7 +222,7 @@ class TestParseConfig:
         out.mkdir()
         earlier = {
             name: f"{name} from an earlier run\n"
-            for name in ("trace__random__zero__seed0.csv", "base__random__zero__seed0.csv", "failures.txt",
+            for name in ("trace__random__zero__seed0.csv", "base__zero__seed0.csv", "failures.txt",
                          "resolved_config.txt", "summary.csv")
         }
         for name, text in earlier.items():
@@ -575,7 +575,7 @@ class TestRunMatrix:
         cfg = parse_config(base_args(corpus, out, ["--policy", "random", "--seeds", "0,1", "--dump-base"]))
         assert run_matrix(cfg) == 0
         cell_files = [f for f in os.listdir(out) if f.startswith(("trace__", "base__"))]
-        assert len(cell_files) == 4  # a trace and a base dump per seed
+        assert len(cell_files) == 4  # a trace and a base dump per seed: one policy, so one group per seed
         for name in ("notes.txt", "trace__notes.txt"):  # not per-cell outputs
             open(os.path.join(out, name), "w").close()
         # every cell of the rerun fails, so none of the earlier run's traces
@@ -703,13 +703,13 @@ class TestRunMatrix:
         extra = ["--policy", policy, "--impute", impute, "--rank", "3", "--seeds", "0", "--dump-base"]
         assert run_matrix(parse_config(base_args(corpus, out, extra))) == 0
         dumps = [f for f in os.listdir(out) if f.startswith("base__")]
-        assert dumps == [f"base__{policy}__{impute}__seed0.csv"]
+        assert dumps == [f"base__{impute}__seed0.csv"]
         grid = np.loadtxt(os.path.join(out, dumps[0]), delimiter=",")
         assert grid.shape == (rows, 25)
 
     def test_dump_base_is_formatted_once_per_group(self, corpus, tmp_path, monkeypatch):
-        """Every policy of a (seed, fill) group dumps the same bytes, the ones
-        a lone policy dumps, and the group formats its context once."""
+        """A (seed, fill) group formats its context once, into one file whose
+        bytes are the ones a lone policy's group dumps."""
         calls = collections.Counter()
         real_write_csv = cli.write_csv
 
@@ -723,10 +723,42 @@ class TestRunMatrix:
         assert run_matrix(parse_config(base_args(corpus, str(out), ["--policy", "random,alinucb,thompson", *extra]))) == 0
         assert calls["base"] == 4  # one per (seed, fill) group
         assert run_matrix(parse_config(base_args(corpus, str(alone), ["--policy", "thompson", *extra]))) == 0
-        for group in ("zero__seed0", "zero__seed1", "svd__seed0", "svd__seed1"):
-            want = (alone / f"base__thompson__{group}.csv").read_bytes()
-            for policy in ("random", "alinucb", "thompson"):
-                assert (out / f"base__{policy}__{group}.csv").read_bytes() == want, (policy, group)
+        groups = ("zero__seed0", "zero__seed1", "svd__seed0", "svd__seed1")
+        assert sorted(p.name for p in out.glob("base__*")) == sorted(f"base__{group}.csv" for group in groups)
+        for group in groups:
+            assert (out / f"base__{group}.csv").read_bytes() == (alone / f"base__{group}.csv").read_bytes(), group
+
+    def test_dump_base_is_written_when_its_group_is_prepared(self, corpus, tmp_path, monkeypatch):
+        """A group whose every policy fails still leaves its dump, and a dump
+        that cannot be written fails each cell of its group, as a failed
+        preparation does."""
+        extra = ["--policy", "random,alinucb", "--seeds", "0", "--workers", "1", "--dump-base"]
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_policy", boom)
+        out = tmp_path / "policies-fail"
+        assert run_matrix(parse_config(base_args(corpus, str(out), extra))) == 1
+        assert sorted(p.name for p in out.glob("base__*")) == ["base__zero__seed0.csv"]
+        monkeypatch.undo()
+
+        real_write_csv = cli.write_csv
+
+        def unwritable(path, header, columns):
+            if os.path.basename(path).startswith("base__"):
+                raise OSError("disk full")
+            return real_write_csv(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", unwritable)
+        out = tmp_path / "dump-fails"
+        assert run_matrix(parse_config(base_args(corpus, str(out), extra))) == 1
+        manifest = (out / "failures.txt").read_text()
+        entries = re.split(r"^(?=policy=)", manifest, flags=re.MULTILINE)[1:]
+        assert [e.partition(":")[0] for e in entries] == ["policy=random;impute=zero;seed=0",
+                                                          "policy=alinucb;impute=zero;seed=0"]
+        assert all("OSError: disk full" in e for e in entries)
+        assert not list(out.glob("trace__*")) and not list(out.glob("base__*"))
 
     def test_new_item_problem_runs(self, corpus, tmp_path):
         """The transposed corpus replays to the pinned trace bytes under every

@@ -1,8 +1,10 @@
 """Layout guards for the package: every exported name exists, the package
-exports exactly its library modules' public names, and source lines stay
-within the width the code is written to."""
+exports exactly its library modules' public names, source lines stay
+within the width the code is written to, and tools/src_lines.py counts
+them by class."""
 
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 import coldrec
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "coldrec"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "coldrec"
 LIBRARY = ("data", "impute", "linalg", "policies", "replay", "synthetic")
 SUBMODULES = ("cli", *LIBRARY)
 MODULES = ("coldrec", *(f"coldrec.{name}" for name in SUBMODULES))
@@ -60,3 +63,42 @@ def test_source_lines_fit_in_120_columns():
         if len(line) > 120
     ]
     assert not long, long
+
+
+def _src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (class, line): a docstring's blank line is docstring, a '#' inside a string is code
+CLASSIFIED = (
+    ("docstring", '"""A module docstring,'),
+    ("docstring", ""),
+    ("docstring", 'with a blank line inside."""'),
+    ("comment", "# a comment"),
+    ("blank", "   "),
+    ("code", "def f(x):"),
+    ("docstring", "    '''A function docstring.'''"),
+    ("code", '    y = "# a string" + x  # a trailing comment'),
+    ("comment", "    # an indented comment"),
+    ("code", "    return y"),
+    ("blank", ""),
+    ("docstring", '"a bare string"'),
+)
+
+
+def test_src_lines_classifies_each_line():
+    source = "\n".join(line for _, line in CLASSIFIED) + "\n"
+    assert _src_lines().line_classes(source) == [cls for cls, _ in CLASSIFIED]
+
+
+def test_src_lines_classes_sum_to_the_file_lengths():
+    src_lines = _src_lines()
+    counts = src_lines.count()
+    lengths = {path.name: path.read_bytes().count(b"\n") for path in SRC.glob("*.py")}  # as `wc -l` counts
+    assert {name: by_class.total() for name, by_class in counts.items()} == {**lengths, "total": sum(lengths.values())}
+    printed = subprocess.run([sys.executable, ROOT / "tools" / "src_lines.py"], capture_output=True, text=True,
+                             check=True).stdout
+    assert printed == src_lines.table(counts) + "\n"
